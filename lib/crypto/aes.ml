@@ -4,7 +4,19 @@
    multiplicative inverse (via log/antilog tables over generator 0x03)
    followed by the standard affine transform, rather than transcribed
    as a 256-entry literal — less room for typos, and the tests pin the
-   FIPS-197 known-answer vectors anyway. *)
+   FIPS-197 known-answer vectors anyway.
+
+   Hot-path notes: a block is four 32-bit state words held in native
+   ints, pushed through T-tables. The rounds are written out (rounds
+   1-9 shared, then either the AES-128 final round or rounds 10-13 and
+   the AES-256 final round), so no round counter or key index is
+   computed at run time. Table and round-key reads are unchecked, and
+   they stay in bounds by construction:
+   - every table index is masked to one byte ([land 0xff]) and every
+     table has 256 entries;
+   - round-key indices are literals below 4 * (rounds + 1), the length
+     [expand_key] gives the schedule, and [rounds] is 10 or 14 because
+     only [expand_key] builds a [key]. *)
 
 let xtime b =
   let b = b lsl 1 in
@@ -163,136 +175,148 @@ let put_word dst off v =
   Bytes.unsafe_set dst (off + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
   Bytes.unsafe_set dst (off + 3) (Char.unsafe_chr (v land 0xff))
 
+(* the annotation keeps the read a plain int load after inlining *)
+let[@inline] get (tbl : int array) i = Array.unsafe_get tbl i
+
+(* One output column of a middle round: four byte-indexed T-table
+   words and a round-key word. *)
+let[@inline] column t0 t1 t2 t3 a b c d k =
+  get t0 ((a lsr 24) land 0xff)
+  lxor get t1 ((b lsr 16) land 0xff)
+  lxor get t2 ((c lsr 8) land 0xff)
+  lxor get t3 (d land 0xff)
+  lxor k
+
+(* One output column of the final round (no MixColumns): S-box bytes. *)
+let[@inline] final_column box a b c d k =
+  (get box ((a lsr 24) land 0xff) lsl 24)
+  lor (get box ((b lsr 16) land 0xff) lsl 16)
+  lor (get box ((c lsr 8) land 0xff) lsl 8)
+  lor get box (d land 0xff)
+  lxor k
+
+let[@inline] enc a b c d k = column te0 te1 te2 te3 a b c d k
+let[@inline] dec a b c d k = column td0 td1 td2 td3 a b c d k
+
+(* final round from round key [4 * r] *)
+let enc_final w r s0 s1 s2 s3 dst doff =
+  let k = 4 * r in
+  put_word dst doff (final_column sbox s0 s1 s2 s3 (get w k));
+  put_word dst (doff + 4) (final_column sbox s1 s2 s3 s0 (get w (k + 1)));
+  put_word dst (doff + 8) (final_column sbox s2 s3 s0 s1 (get w (k + 2)));
+  put_word dst (doff + 12) (final_column sbox s3 s0 s1 s2 (get w (k + 3)))
+
 (* Core rounds; [s0..s3] are the state words already whitened with
-   round key 0. *)
-let encrypt_core key i0 i1 i2 i3 dst doff =
+   round key 0. Each [let ... and ...] is one round: all four columns
+   read the previous state. *)
+let encrypt_core key s0 s1 s2 s3 dst doff =
   let w = key.enc in
-  let rounds = key.rounds in
-  let s0 = ref i0 and s1 = ref i1 and s2 = ref i2 and s3 = ref i3 in
-  for r = 1 to rounds - 1 do
-    let t0 =
-      te0.(!s0 lsr 24)
-      lxor te1.((!s1 lsr 16) land 0xff)
-      lxor te2.((!s2 lsr 8) land 0xff)
-      lxor te3.(!s3 land 0xff)
-      lxor w.(4 * r)
-    and t1 =
-      te0.(!s1 lsr 24)
-      lxor te1.((!s2 lsr 16) land 0xff)
-      lxor te2.((!s3 lsr 8) land 0xff)
-      lxor te3.(!s0 land 0xff)
-      lxor w.((4 * r) + 1)
-    and t2 =
-      te0.(!s2 lsr 24)
-      lxor te1.((!s3 lsr 16) land 0xff)
-      lxor te2.((!s0 lsr 8) land 0xff)
-      lxor te3.(!s1 land 0xff)
-      lxor w.((4 * r) + 2)
-    and t3 =
-      te0.(!s3 lsr 24)
-      lxor te1.((!s0 lsr 16) land 0xff)
-      lxor te2.((!s1 lsr 8) land 0xff)
-      lxor te3.(!s2 land 0xff)
-      lxor w.((4 * r) + 3)
-    in
-    s0 := t0;
-    s1 := t1;
-    s2 := t2;
-    s3 := t3
-  done;
-  let final a b c d k =
-    (sbox.(!a lsr 24) lsl 24)
-    lor (sbox.((!b lsr 16) land 0xff) lsl 16)
-    lor (sbox.((!c lsr 8) land 0xff) lsl 8)
-    lor sbox.(!d land 0xff)
-    lxor k
-  in
-  put_word dst doff (final s0 s1 s2 s3 w.(4 * rounds));
-  put_word dst (doff + 4) (final s1 s2 s3 s0 w.((4 * rounds) + 1));
-  put_word dst (doff + 8) (final s2 s3 s0 s1 w.((4 * rounds) + 2));
-  put_word dst (doff + 12) (final s3 s0 s1 s2 w.((4 * rounds) + 3))
+  let s0 = enc s0 s1 s2 s3 (get w 4) and s1 = enc s1 s2 s3 s0 (get w 5)
+  and s2 = enc s2 s3 s0 s1 (get w 6) and s3 = enc s3 s0 s1 s2 (get w 7) in
+  let s0 = enc s0 s1 s2 s3 (get w 8) and s1 = enc s1 s2 s3 s0 (get w 9)
+  and s2 = enc s2 s3 s0 s1 (get w 10) and s3 = enc s3 s0 s1 s2 (get w 11) in
+  let s0 = enc s0 s1 s2 s3 (get w 12) and s1 = enc s1 s2 s3 s0 (get w 13)
+  and s2 = enc s2 s3 s0 s1 (get w 14) and s3 = enc s3 s0 s1 s2 (get w 15) in
+  let s0 = enc s0 s1 s2 s3 (get w 16) and s1 = enc s1 s2 s3 s0 (get w 17)
+  and s2 = enc s2 s3 s0 s1 (get w 18) and s3 = enc s3 s0 s1 s2 (get w 19) in
+  let s0 = enc s0 s1 s2 s3 (get w 20) and s1 = enc s1 s2 s3 s0 (get w 21)
+  and s2 = enc s2 s3 s0 s1 (get w 22) and s3 = enc s3 s0 s1 s2 (get w 23) in
+  let s0 = enc s0 s1 s2 s3 (get w 24) and s1 = enc s1 s2 s3 s0 (get w 25)
+  and s2 = enc s2 s3 s0 s1 (get w 26) and s3 = enc s3 s0 s1 s2 (get w 27) in
+  let s0 = enc s0 s1 s2 s3 (get w 28) and s1 = enc s1 s2 s3 s0 (get w 29)
+  and s2 = enc s2 s3 s0 s1 (get w 30) and s3 = enc s3 s0 s1 s2 (get w 31) in
+  let s0 = enc s0 s1 s2 s3 (get w 32) and s1 = enc s1 s2 s3 s0 (get w 33)
+  and s2 = enc s2 s3 s0 s1 (get w 34) and s3 = enc s3 s0 s1 s2 (get w 35) in
+  let s0 = enc s0 s1 s2 s3 (get w 36) and s1 = enc s1 s2 s3 s0 (get w 37)
+  and s2 = enc s2 s3 s0 s1 (get w 38) and s3 = enc s3 s0 s1 s2 (get w 39) in
+  if key.rounds = 10 then enc_final w 10 s0 s1 s2 s3 dst doff
+  else begin
+    let s0 = enc s0 s1 s2 s3 (get w 40) and s1 = enc s1 s2 s3 s0 (get w 41)
+    and s2 = enc s2 s3 s0 s1 (get w 42) and s3 = enc s3 s0 s1 s2 (get w 43) in
+    let s0 = enc s0 s1 s2 s3 (get w 44) and s1 = enc s1 s2 s3 s0 (get w 45)
+    and s2 = enc s2 s3 s0 s1 (get w 46) and s3 = enc s3 s0 s1 s2 (get w 47) in
+    let s0 = enc s0 s1 s2 s3 (get w 48) and s1 = enc s1 s2 s3 s0 (get w 49)
+    and s2 = enc s2 s3 s0 s1 (get w 50) and s3 = enc s3 s0 s1 s2 (get w 51) in
+    let s0 = enc s0 s1 s2 s3 (get w 52) and s1 = enc s1 s2 s3 s0 (get w 53)
+    and s2 = enc s2 s3 s0 s1 (get w 54) and s3 = enc s3 s0 s1 s2 (get w 55) in
+    enc_final w 14 s0 s1 s2 s3 dst doff
+  end
 
 let encrypt_block_into key src soff dst doff =
   let w = key.enc in
   encrypt_core key
-    (get_word src soff lxor w.(0))
-    (get_word src (soff + 4) lxor w.(1))
-    (get_word src (soff + 8) lxor w.(2))
-    (get_word src (soff + 12) lxor w.(3))
+    (get_word src soff lxor get w 0)
+    (get_word src (soff + 4) lxor get w 1)
+    (get_word src (soff + 8) lxor get w 2)
+    (get_word src (soff + 12) lxor get w 3)
     dst doff
 
 let encrypt_str_into key src soff dst doff =
   let w = key.enc in
   encrypt_core key
-    (get_word_str src soff lxor w.(0))
-    (get_word_str src (soff + 4) lxor w.(1))
-    (get_word_str src (soff + 8) lxor w.(2))
-    (get_word_str src (soff + 12) lxor w.(3))
+    (get_word_str src soff lxor get w 0)
+    (get_word_str src (soff + 4) lxor get w 1)
+    (get_word_str src (soff + 8) lxor get w 2)
+    (get_word_str src (soff + 12) lxor get w 3)
     dst doff
 
-let decrypt_core key i0 i1 i2 i3 dst doff =
+(* The inverse cipher walks the state columns in the opposite rotation. *)
+let dec_final w r s0 s1 s2 s3 dst doff =
+  let k = 4 * r in
+  put_word dst doff (final_column inv_sbox s0 s3 s2 s1 (get w k));
+  put_word dst (doff + 4) (final_column inv_sbox s1 s0 s3 s2 (get w (k + 1)));
+  put_word dst (doff + 8) (final_column inv_sbox s2 s1 s0 s3 (get w (k + 2)));
+  put_word dst (doff + 12) (final_column inv_sbox s3 s2 s1 s0 (get w (k + 3)))
+
+let decrypt_core key s0 s1 s2 s3 dst doff =
   let w = key.dec in
-  let rounds = key.rounds in
-  let s0 = ref i0 and s1 = ref i1 and s2 = ref i2 and s3 = ref i3 in
-  for r = 1 to rounds - 1 do
-    let t0 =
-      td0.(!s0 lsr 24)
-      lxor td1.((!s3 lsr 16) land 0xff)
-      lxor td2.((!s2 lsr 8) land 0xff)
-      lxor td3.(!s1 land 0xff)
-      lxor w.(4 * r)
-    and t1 =
-      td0.(!s1 lsr 24)
-      lxor td1.((!s0 lsr 16) land 0xff)
-      lxor td2.((!s3 lsr 8) land 0xff)
-      lxor td3.(!s2 land 0xff)
-      lxor w.((4 * r) + 1)
-    and t2 =
-      td0.(!s2 lsr 24)
-      lxor td1.((!s1 lsr 16) land 0xff)
-      lxor td2.((!s0 lsr 8) land 0xff)
-      lxor td3.(!s3 land 0xff)
-      lxor w.((4 * r) + 2)
-    and t3 =
-      td0.(!s3 lsr 24)
-      lxor td1.((!s2 lsr 16) land 0xff)
-      lxor td2.((!s1 lsr 8) land 0xff)
-      lxor td3.(!s0 land 0xff)
-      lxor w.((4 * r) + 3)
-    in
-    s0 := t0;
-    s1 := t1;
-    s2 := t2;
-    s3 := t3
-  done;
-  let final a b c d k =
-    (inv_sbox.(!a lsr 24) lsl 24)
-    lor (inv_sbox.((!b lsr 16) land 0xff) lsl 16)
-    lor (inv_sbox.((!c lsr 8) land 0xff) lsl 8)
-    lor inv_sbox.(!d land 0xff)
-    lxor k
-  in
-  put_word dst doff (final s0 s3 s2 s1 w.(4 * rounds));
-  put_word dst (doff + 4) (final s1 s0 s3 s2 w.((4 * rounds) + 1));
-  put_word dst (doff + 8) (final s2 s1 s0 s3 w.((4 * rounds) + 2));
-  put_word dst (doff + 12) (final s3 s2 s1 s0 w.((4 * rounds) + 3))
+  let s0 = dec s0 s3 s2 s1 (get w 4) and s1 = dec s1 s0 s3 s2 (get w 5)
+  and s2 = dec s2 s1 s0 s3 (get w 6) and s3 = dec s3 s2 s1 s0 (get w 7) in
+  let s0 = dec s0 s3 s2 s1 (get w 8) and s1 = dec s1 s0 s3 s2 (get w 9)
+  and s2 = dec s2 s1 s0 s3 (get w 10) and s3 = dec s3 s2 s1 s0 (get w 11) in
+  let s0 = dec s0 s3 s2 s1 (get w 12) and s1 = dec s1 s0 s3 s2 (get w 13)
+  and s2 = dec s2 s1 s0 s3 (get w 14) and s3 = dec s3 s2 s1 s0 (get w 15) in
+  let s0 = dec s0 s3 s2 s1 (get w 16) and s1 = dec s1 s0 s3 s2 (get w 17)
+  and s2 = dec s2 s1 s0 s3 (get w 18) and s3 = dec s3 s2 s1 s0 (get w 19) in
+  let s0 = dec s0 s3 s2 s1 (get w 20) and s1 = dec s1 s0 s3 s2 (get w 21)
+  and s2 = dec s2 s1 s0 s3 (get w 22) and s3 = dec s3 s2 s1 s0 (get w 23) in
+  let s0 = dec s0 s3 s2 s1 (get w 24) and s1 = dec s1 s0 s3 s2 (get w 25)
+  and s2 = dec s2 s1 s0 s3 (get w 26) and s3 = dec s3 s2 s1 s0 (get w 27) in
+  let s0 = dec s0 s3 s2 s1 (get w 28) and s1 = dec s1 s0 s3 s2 (get w 29)
+  and s2 = dec s2 s1 s0 s3 (get w 30) and s3 = dec s3 s2 s1 s0 (get w 31) in
+  let s0 = dec s0 s3 s2 s1 (get w 32) and s1 = dec s1 s0 s3 s2 (get w 33)
+  and s2 = dec s2 s1 s0 s3 (get w 34) and s3 = dec s3 s2 s1 s0 (get w 35) in
+  let s0 = dec s0 s3 s2 s1 (get w 36) and s1 = dec s1 s0 s3 s2 (get w 37)
+  and s2 = dec s2 s1 s0 s3 (get w 38) and s3 = dec s3 s2 s1 s0 (get w 39) in
+  if key.rounds = 10 then dec_final w 10 s0 s1 s2 s3 dst doff
+  else begin
+    let s0 = dec s0 s3 s2 s1 (get w 40) and s1 = dec s1 s0 s3 s2 (get w 41)
+    and s2 = dec s2 s1 s0 s3 (get w 42) and s3 = dec s3 s2 s1 s0 (get w 43) in
+    let s0 = dec s0 s3 s2 s1 (get w 44) and s1 = dec s1 s0 s3 s2 (get w 45)
+    and s2 = dec s2 s1 s0 s3 (get w 46) and s3 = dec s3 s2 s1 s0 (get w 47) in
+    let s0 = dec s0 s3 s2 s1 (get w 48) and s1 = dec s1 s0 s3 s2 (get w 49)
+    and s2 = dec s2 s1 s0 s3 (get w 50) and s3 = dec s3 s2 s1 s0 (get w 51) in
+    let s0 = dec s0 s3 s2 s1 (get w 52) and s1 = dec s1 s0 s3 s2 (get w 53)
+    and s2 = dec s2 s1 s0 s3 (get w 54) and s3 = dec s3 s2 s1 s0 (get w 55) in
+    dec_final w 14 s0 s1 s2 s3 dst doff
+  end
 
 let decrypt_block_into key src soff dst doff =
   let w = key.dec in
   decrypt_core key
-    (get_word src soff lxor w.(0))
-    (get_word src (soff + 4) lxor w.(1))
-    (get_word src (soff + 8) lxor w.(2))
-    (get_word src (soff + 12) lxor w.(3))
+    (get_word src soff lxor get w 0)
+    (get_word src (soff + 4) lxor get w 1)
+    (get_word src (soff + 8) lxor get w 2)
+    (get_word src (soff + 12) lxor get w 3)
     dst doff
 
 let decrypt_str_into key src soff dst doff =
   let w = key.dec in
   decrypt_core key
-    (get_word_str src soff lxor w.(0))
-    (get_word_str src (soff + 4) lxor w.(1))
-    (get_word_str src (soff + 8) lxor w.(2))
-    (get_word_str src (soff + 12) lxor w.(3))
+    (get_word_str src soff lxor get w 0)
+    (get_word_str src (soff + 4) lxor get w 1)
+    (get_word_str src (soff + 8) lxor get w 2)
+    (get_word_str src (soff + 12) lxor get w 3)
     dst doff
 
 let encrypt_block key plain =

@@ -1,136 +1,45 @@
 (* SHA-256 (FIPS 180-4), implemented from scratch on 32-bit words.
-   OCaml's native int is 63-bit so we mask to 32 bits after every
-   addition; logical ops never overflow the mask.
 
-   Hot-path notes: full 64-byte blocks arriving through [update] are
-   compressed straight out of the source string (no staging blit into
-   the context buffer), and the message schedule lives in one shared
-   scratch array — the inner loop allocates nothing. [copy] clones a
+   The compression function is [Sha256_block.compress]: straight-line
+   code over let-bound [Int32] locals, printed at build time by
+   gen/gen_sha256_block.ml. ocamlopt keeps such locals unboxed in
+   registers, so 32-bit wrap-around is free and nothing is masked or
+   allocated per round. The same rounds written as a [for] loop over
+   [int32 ref]s, with the schedule in [Bytes], measured no faster than
+   the older tagged-[int] loop: every round then reloads or reboxes its
+   state. Only the unrolled form gets the speed-up, so the rounds are
+   generated rather than written out by hand.
+
+   A context holds the chaining state as 32 big-endian bytes, which is
+   also the digest layout, and a 64-byte staging buffer. There is no
+   module-level mutable state: the message schedule lives in the
+   compression function's locals, so contexts on different domains never
+   share memory. Full blocks arriving through [update_sub] are
+   compressed straight out of the source string. [copy] clones a
    context mid-stream, which is what lets {!Hmac} precompute the
    ipad/opad midstates once per key. *)
 
 type ctx = {
-  mutable h0 : int;
-  mutable h1 : int;
-  mutable h2 : int;
-  mutable h3 : int;
-  mutable h4 : int;
-  mutable h5 : int;
-  mutable h6 : int;
-  mutable h7 : int;
+  st : Bytes.t; (* h0..h7, big-endian *)
   buf : Bytes.t; (* 64-byte block buffer *)
   mutable buf_len : int;
   mutable total : int; (* total message bytes so far *)
 }
 
-let k =
-  [|
-    0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
-    0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
-    0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
-    0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
-    0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
-    0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
-    0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
-    0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
-    0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
-    0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
-    0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
-  |]
-
-let mask = 0xffffffff
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+let initial_state =
+  "\x6a\x09\xe6\x67\xbb\x67\xae\x85\x3c\x6e\xf3\x72\xa5\x4f\xf5\x3a\
+   \x51\x0e\x52\x7f\x9b\x05\x68\x8c\x1f\x83\xd9\xab\x5b\xe0\xcd\x19"
 
 let init () =
-  {
-    h0 = 0x6a09e667;
-    h1 = 0xbb67ae85;
-    h2 = 0x3c6ef372;
-    h3 = 0xa54ff53a;
-    h4 = 0x510e527f;
-    h5 = 0x9b05688c;
-    h6 = 0x1f83d9ab;
-    h7 = 0x5be0cd19;
-    buf = Bytes.create 64;
-    buf_len = 0;
-    total = 0;
-  }
+  { st = Bytes.of_string initial_state; buf = Bytes.create 64; buf_len = 0; total = 0 }
 
-let copy ctx = { ctx with buf = Bytes.copy ctx.buf }
+let copy ctx = { ctx with st = Bytes.copy ctx.st; buf = Bytes.copy ctx.buf }
 
-let w = Array.make 64 0 (* schedule scratch; module is not thread-safe *)
+let compress_buf ctx = Sha256_block.compress ctx.st ctx.buf 0
 
-(* Run the 64 rounds over a schedule already loaded into [w.(0..15)]. *)
-let compress_rounds ctx =
-  for t = 16 to 63 do
-    let wt15 = Array.unsafe_get w (t - 15) in
-    let wt2 = Array.unsafe_get w (t - 2) in
-    let s0 = rotr wt15 7 lxor rotr wt15 18 lxor (wt15 lsr 3) in
-    let s1 = rotr wt2 17 lxor rotr wt2 19 lxor (wt2 lsr 10) in
-    Array.unsafe_set w t
-      ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1)
-      land mask)
-  done;
-  let a = ref ctx.h0
-  and b = ref ctx.h1
-  and c = ref ctx.h2
-  and d = ref ctx.h3
-  and e = ref ctx.h4
-  and f = ref ctx.h5
-  and g = ref ctx.h6
-  and h = ref ctx.h7 in
-  for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = !e land !f lxor (lnot !e land !g) in
-    let t1 =
-      (!h + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t) land mask
-    in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !b lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
-    h := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land mask;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (t1 + t2) land mask
-  done;
-  ctx.h0 <- (ctx.h0 + !a) land mask;
-  ctx.h1 <- (ctx.h1 + !b) land mask;
-  ctx.h2 <- (ctx.h2 + !c) land mask;
-  ctx.h3 <- (ctx.h3 + !d) land mask;
-  ctx.h4 <- (ctx.h4 + !e) land mask;
-  ctx.h5 <- (ctx.h5 + !f) land mask;
-  ctx.h6 <- (ctx.h6 + !g) land mask;
-  ctx.h7 <- (ctx.h7 + !h) land mask
-
-let compress ctx block off =
-  for t = 0 to 15 do
-    let i = off + (t * 4) in
-    w.(t) <-
-      (Char.code (Bytes.unsafe_get block i) lsl 24)
-      lor (Char.code (Bytes.unsafe_get block (i + 1)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get block (i + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get block (i + 3))
-  done;
-  compress_rounds ctx
-
-(* Same, reading the block straight from a string (the [feed] fast
-   path: full blocks never touch [ctx.buf]). *)
-let compress_str ctx s off =
-  for t = 0 to 15 do
-    let i = off + (t * 4) in
-    w.(t) <-
-      (Char.code (String.unsafe_get s i) lsl 24)
-      lor (Char.code (String.unsafe_get s (i + 1)) lsl 16)
-      lor (Char.code (String.unsafe_get s (i + 2)) lsl 8)
-      lor Char.code (String.unsafe_get s (i + 3))
-  done;
-  compress_rounds ctx
-
-let feed ctx s off len =
+let update_sub ctx s off len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Sha256.update_sub: range out of bounds";
   ctx.total <- ctx.total + len;
   let pos = ref off and remaining = ref len in
   (* top up a partially filled block buffer first *)
@@ -141,12 +50,14 @@ let feed ctx s off len =
     pos := !pos + take;
     remaining := !remaining - take;
     if ctx.buf_len = 64 then begin
-      compress ctx ctx.buf 0;
+      compress_buf ctx;
       ctx.buf_len <- 0
     end
   end;
+  (* the string is only read *)
+  let src = Bytes.unsafe_of_string s in
   while !remaining >= 64 do
-    compress_str ctx s !pos;
+    Sha256_block.compress ctx.st src !pos;
     pos := !pos + 64;
     remaining := !remaining - 64
   done;
@@ -155,39 +66,24 @@ let feed ctx s off len =
     ctx.buf_len <- !remaining
   end
 
-let update ctx s = feed ctx s 0 (String.length s)
+let update ctx s = update_sub ctx s 0 (String.length s)
 
+(* Padding goes straight into the block buffer: 0x80, zeros, and the
+   64-bit message bit length, spilling into a second block when fewer
+   than 9 bytes are free. *)
 let finalize ctx =
-  let bit_len = ctx.total * 8 in
-  let pad_len =
-    let rem = (ctx.total + 1 + 8) mod 64 in
-    if rem = 0 then 1 else 1 + (64 - rem)
-  in
-  let pad = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set pad 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set pad
-      (pad_len + i)
-      (Char.chr ((bit_len lsr (8 * (7 - i))) land 0xff))
-  done;
-  feed ctx (Bytes.unsafe_to_string pad) 0 (Bytes.length pad);
-  assert (ctx.buf_len = 0);
-  let out = Bytes.create 32 in
-  let put i v =
-    Bytes.set out (i * 4) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out ((i * 4) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out ((i * 4) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out ((i * 4) + 3) (Char.chr (v land 0xff))
-  in
-  put 0 ctx.h0;
-  put 1 ctx.h1;
-  put 2 ctx.h2;
-  put 3 ctx.h3;
-  put 4 ctx.h4;
-  put 5 ctx.h5;
-  put 6 ctx.h6;
-  put 7 ctx.h7;
-  Bytes.unsafe_to_string out
+  let n = ctx.buf_len in
+  Bytes.set ctx.buf n '\x80';
+  if n >= 56 then begin
+    Bytes.fill ctx.buf (n + 1) (63 - n) '\000';
+    compress_buf ctx;
+    Bytes.fill ctx.buf 0 56 '\000'
+  end
+  else Bytes.fill ctx.buf (n + 1) (55 - n) '\000';
+  Bytes.set_int64_be ctx.buf 56 (Int64.of_int (ctx.total * 8));
+  compress_buf ctx;
+  ctx.buf_len <- 0;
+  Bytes.to_string ctx.st
 
 let digest s =
   let ctx = init () in

@@ -1,8 +1,9 @@
 (** SHA-256 (FIPS 180-4), from scratch.
 
     Digests are raw 32-byte strings; use {!Hex.of_string} to render.
-    The streaming interface is not thread-safe (shared schedule
-    scratch), which is fine for the single-domain simulator. *)
+    The module has no global mutable state: distinct contexts may be
+    used on distinct domains at the same time. A single context must
+    not be shared between domains. *)
 
 type ctx
 (** Streaming hash context. *)
@@ -17,6 +18,11 @@ val copy : ctx -> ctx
 
 val update : ctx -> string -> unit
 (** Absorb more message bytes. *)
+
+val update_sub : ctx -> string -> int -> int -> unit
+(** [update_sub ctx s off len] absorbs [s.[off .. off+len-1]], exactly
+    as [update ctx (String.sub s off len)] would, without the copy.
+    @raise Invalid_argument if the range is not within [s]. *)
 
 val finalize : ctx -> string
 (** Pad, finish, and return the 32-byte digest. The context must not be
