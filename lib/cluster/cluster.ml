@@ -1123,6 +1123,7 @@ let run_scatter ?(reset = true) ?project t config (q : Sql.Ast.select) stmt =
       page_hits = total_hits;
       host_rows = hc.Sql.Observer.rows + gathered_rows;
       storage_rows = shard_rows;
+      affected = 0;
       result;
       profile = None;
     }

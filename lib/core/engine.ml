@@ -30,8 +30,6 @@ type response = {
       (** host-engine signature over the result (data-path integrity);
           the host's public key is certified by the monitor (Fig. 4a) *)
   resp_metrics : Runner.metrics;
-  resp_rewritten_sql : string option;
-      (** set when the monitor changed the query *)
 }
 
 let create ?(database = "ironsafe") deploy = { deploy; database; attested = false }
@@ -75,21 +73,18 @@ let sign_result t proof result =
     ("host-result" ^ result_digest result
     ^ proof.Monitor.Trusted_monitor.proof_query_digest)
 
-let render_stmt stmt =
-  (* only SELECTs are rewritten by the monitor; rendering is for
-     user-facing display of what actually ran *)
-  match stmt with
-  | Sql.Ast.Select _ -> None
-  | _ -> None
+let parse_exec_policy src =
+  if String.trim src = "" then Ok []
+  else
+    try Ok (Ironsafe_policy.Policy_parser.parse src)
+    with Ironsafe_policy.Policy_parser.Policy_error msg ->
+      Error ("execution policy: " ^ msg)
 
 let submit ?(exec_policy = "") ?(config = Config.Scs) t ~client ~sql () =
-  match ensure_attested t with
-  | Error e -> Error ("attestation failed: " ^ e)
-  | Ok () -> (
-      let exec_policy_rules =
-        if String.trim exec_policy = "" then []
-        else Ironsafe_policy.Policy_parser.parse exec_policy
-      in
+  match (ensure_attested t, parse_exec_policy exec_policy) with
+  | Error e, _ -> Error ("attestation failed: " ^ e)
+  | Ok (), (Error _ as e) -> e
+  | Ok (), Ok exec_policy_rules -> (
       let catalog =
         Sql.Database.catalog t.deploy.Deployment.secure_db
       in
@@ -111,15 +106,19 @@ let submit ?(exec_policy = "") ?(config = Config.Scs) t ~client ~sql () =
             +. (6.0 *. params.Ironsafe_sim.Params.net_latency_ns)
             +. params.Ironsafe_sim.Params.monitor_policy_ns
             +. params.Ironsafe_sim.Params.monitor_session_ns);
-          (* the monitor may have downgraded offloading *)
+          let stmt = auth.Monitor.Trusted_monitor.auth_stmt in
+          let query = match stmt with Sql.Ast.Select _ -> true | _ -> false in
+          (* DML runs whole on the secure (authoritative) database, so it
+             commits through the WAL when the deployment has one; a query
+             may have its offloading downgraded by the monitor *)
           let config =
-            if
+            if not query then Config.Sos
+            else if
               Config.split_execution config
               && not auth.Monitor.Trusted_monitor.auth_offload_allowed
             then if Config.secure config then Config.Hos else Config.Hons
             else config
           in
-          let stmt = auth.Monitor.Trusted_monitor.auth_stmt in
           (* under a fault plan the session-key delivery to the storage
              node runs over a real (lossy) channel with reliable
              delivery; with faults off it stays a charged abstraction,
@@ -150,74 +149,48 @@ let submit ?(exec_policy = "") ?(config = Config.Scs) t ~client ~sql () =
                   r
             end
           in
-          match (control_plane_ok, stmt) with
-          | Error e, _ ->
-              Monitor.Trusted_monitor.session_cleanup (monitor t)
-                auth.Monitor.Trusted_monitor.auth_session_key;
-              Error e
-          | Ok (), Sql.Ast.Select _ -> (
-              match Runner.run_stmt_outcome ~reset:false t.deploy config stmt with
-              | Runner.Rejected v | Runner.Crashed v ->
-                  Monitor.Trusted_monitor.session_cleanup (monitor t)
-                    auth.Monitor.Trusted_monitor.auth_session_key;
-                  Error (Fmt.str "query rejected: %a" Runner.pp_violation v)
-              | Runner.Ok metrics | Runner.Degraded (metrics, _) ->
-                  Monitor.Trusted_monitor.session_cleanup (monitor t)
-                    auth.Monitor.Trusted_monitor.auth_session_key;
-                  Ok
-                    {
-                      resp_result = metrics.Runner.result;
-                      resp_proof = auth.Monitor.Trusted_monitor.auth_proof;
-                      resp_result_signature =
-                        sign_result t auth.Monitor.Trusted_monitor.auth_proof
-                          metrics.Runner.result;
-                      resp_metrics = metrics;
-                      resp_rewritten_sql = render_stmt stmt;
-                    })
-          | Ok (), other ->
-              (* DML runs on the secure (authoritative) database *)
-              let outcome =
-                Sql.Database.exec_ast t.deploy.Deployment.secure_db other
-              in
-              (* mirror writes to the plain replica so all Table-2
-                 configurations keep seeing identical data *)
-              ignore (Sql.Database.exec_ast t.deploy.Deployment.plain_db other);
-              let rows =
-                match outcome with
-                | Sql.Database.Affected n -> n
-                | _ -> 0
-              in
-              Monitor.Trusted_monitor.session_cleanup (monitor t)
-                auth.Monitor.Trusted_monitor.auth_session_key;
-              let resp_result =
-                {
-                  Sql.Exec.columns = [ "affected" ];
-                  rows = [ [| Sql.Value.Int rows |] ];
-                }
-              in
-              Ok
-                {
-                  resp_result;
-                  resp_proof = auth.Monitor.Trusted_monitor.auth_proof;
-                  resp_result_signature =
-                    sign_result t auth.Monitor.Trusted_monitor.auth_proof
-                      resp_result;
-                  resp_metrics =
-                    {
-                      Runner.config;
-                      end_to_end_ns = 0.0;
-                      host_breakdown = [];
-                      storage_breakdown = [];
-                      bytes_shipped = 0;
-                      pages_scanned = 0;
-                      page_hits = 0;
-                      host_rows = rows;
-                      storage_rows = 0;
-                      result = { Sql.Exec.columns = []; rows = [] };
-                      profile = None;
-                    };
-                  resp_rewritten_sql = None;
-                }))
+          (* the session ends with the request, however the request ends *)
+          let outcome =
+            Fun.protect
+              ~finally:(fun () ->
+                Monitor.Trusted_monitor.session_cleanup (monitor t)
+                  auth.Monitor.Trusted_monitor.auth_session_key)
+              (fun () ->
+                Result.map
+                  (fun () ->
+                    Runner.run_stmt_outcome ~reset:false t.deploy config stmt)
+                  control_plane_ok)
+          in
+          let respond metrics resp_result =
+            Ok
+              {
+                resp_result;
+                resp_proof = auth.Monitor.Trusted_monitor.auth_proof;
+                resp_result_signature =
+                  sign_result t auth.Monitor.Trusted_monitor.auth_proof
+                    resp_result;
+                resp_metrics = metrics;
+              }
+          in
+          match outcome with
+          | Error e -> Error e
+          | Ok (Runner.Rejected v) ->
+              Error (Fmt.str "query rejected: %a" Runner.pp_violation v)
+          | Ok (Runner.Crashed v) ->
+              Error (Fmt.str "query crashed: %a" Runner.pp_violation v)
+          | Ok (Runner.Ok metrics | Runner.Degraded (metrics, _)) ->
+              if query then respond metrics metrics.Runner.result
+              else begin
+                (* the write is committed: mirror it to the plain replica
+                   so all Table-2 configurations keep seeing identical
+                   data *)
+                ignore (Sql.Database.exec_ast t.deploy.Deployment.plain_db stmt);
+                respond metrics
+                  {
+                    Sql.Exec.columns = [ "affected" ];
+                    rows = [ [| Sql.Value.Int metrics.Runner.affected |] ];
+                  }
+              end))
 
 (* Client-side verification (the client trusts only the monitor's
    public key): 1. the compliance proof is monitor-signed; 2. the host

@@ -12,7 +12,6 @@ type response = {
       (** host-engine signature over the result, under the session key
           the monitor certified at attestation (Fig. 4a) *)
   resp_metrics : Runner.metrics;
-  resp_rewritten_sql : string option;
 }
 
 val create : ?database:string -> Deployment.t -> t
@@ -42,8 +41,14 @@ val submit :
   (response, string) result
 (** Run the full workflow. Attests lazily on first use; downgrades a
     split configuration to host-only when the execution policy rules
-    out the storage node. DML statements run on the authoritative
-    secure database and are mirrored to the plain replica. *)
+    out the storage node. DML statements run whole on the
+    authoritative secure database ([Sos], whatever [config] asks), so
+    a WAL deployment commits them before [submit] returns (durably,
+    unless the deployment has a group-commit window); only then are
+    they mirrored to the plain replica. A DML response carries one
+    row, the affected-row count. A malformed [exec_policy], a denial,
+    and a rejected or crashed statement are all [Error]; the session
+    key is released on every path. *)
 
 val verify_response : t -> response -> sql:string -> bool
 (** Client-side verification against the monitor's public key alone:

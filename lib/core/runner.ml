@@ -36,6 +36,7 @@ type metrics = {
           cache, skipping I/O and (on the secure medium) crypto *)
   host_rows : int;
   storage_rows : int;
+  affected : int;
   result : Sql.Exec.result;
   profile : Obs.profile option;
       (** span tree + metrics snapshot, when tracing was enabled *)
@@ -53,6 +54,16 @@ let with_counters db f =
     (fun () ->
       let r = f () in
       (r, c))
+
+(* Run [stmt] whole on [db] under a counting observer: a query yields
+   its rows, a DML statement its affected-row count. *)
+let exec_whole db stmt =
+  with_counters db (fun () ->
+      match Sql.Database.exec_ast db stmt with
+      | Sql.Database.Result r -> (r, 0)
+      | Sql.Database.Affected n -> ({ Sql.Exec.columns = []; rows = [] }, n)
+      | Sql.Database.Created _ | Sql.Database.Dropped _ ->
+          ({ Sql.Exec.columns = []; rows = [] }, 0))
 
 let snapshot_secure_stats store =
   let s = Sec.Secure_store.stats store in
@@ -302,8 +313,8 @@ let run_stmt ?(reset = true) ?project deploy config stmt =
     | Sec.Secure_store.Ctr -> params.Sim.Params.crypto_lanes
     | Sec.Secure_store.Cbc -> 1
   in
-  let finish ?(hits = 0) ~result ~bytes_shipped ~pages ~host_rows ~storage_rows
-      () =
+  let finish ?(hits = 0) ?(affected = 0) ~result ~bytes_shipped ~pages
+      ~host_rows ~storage_rows () =
     (* result shipping back to the client is charged to the host side *)
     Sim.Clock.sync (Sim.Node.clock host) (Sim.Node.clock storage) 0.0;
     {
@@ -316,6 +327,7 @@ let run_stmt ?(reset = true) ?project deploy config stmt =
       page_hits = hits;
       host_rows;
       storage_rows;
+      affected;
       result;
       profile = None;
     }
@@ -324,12 +336,7 @@ let run_stmt ?(reset = true) ?project deploy config stmt =
     match config with
   | Config.Hons ->
       (* everything on the host over NFS: all pages cross the network *)
-      let result, c =
-        with_counters d.Deployment.plain_db (fun () ->
-            match Sql.Database.exec_ast d.Deployment.plain_db stmt with
-            | Sql.Database.Result r -> r
-            | _ -> { Sql.Exec.columns = []; rows = [] })
-      in
+      let (result, affected), c = exec_whole d.Deployment.plain_db stmt in
       let pages = c.Sql.Observer.page_reads in
       let hits = c.Sql.Observer.page_hits in
       let bytes = pages * params.Sim.Params.page_size in
@@ -342,18 +349,13 @@ let run_stmt ?(reset = true) ?project deploy config stmt =
             ~messages:(message_count params bytes));
       charge_compute host ~rows:c.Sql.Observer.rows
         ~batches:c.Sql.Observer.batches;
-      finish ~result ~bytes_shipped:bytes ~pages ~hits
+      finish ~result ~affected ~bytes_shipped:bytes ~pages ~hits
         ~host_rows:c.Sql.Observer.rows ~storage_rows:0 ()
   | Config.Hos ->
       (* host-only secure: encrypted pages cross the network; the host
          enclave decrypts and verifies freshness, keeping the Merkle
          tree in EPC *)
-      let result, c =
-        with_counters d.Deployment.secure_db (fun () ->
-            match Sql.Database.exec_ast d.Deployment.secure_db stmt with
-            | Sql.Database.Result r -> r
-            | _ -> { Sql.Exec.columns = []; rows = [] })
-      in
+      let (result, affected), c = exec_whole d.Deployment.secure_db stmt in
       let decrypts, macs, merkle, rpmb =
         snapshot_secure_stats d.Deployment.secure_store
       in
@@ -379,7 +381,7 @@ let run_stmt ?(reset = true) ?project deploy config stmt =
           + merkle_bytes d.Deployment.secure_store
           + Deployment.pool_bytes d)
         ~accesses:(3 * pages);
-      finish ~result ~bytes_shipped:bytes ~pages ~hits
+      finish ~result ~affected ~bytes_shipped:bytes ~pages ~hits
         ~host_rows:c.Sql.Observer.rows ~storage_rows:0 ()
   | Config.Vcs ->
       let plan, sc, hc, result, bytes =
@@ -439,12 +441,7 @@ let run_stmt ?(reset = true) ?project deploy config stmt =
         ~host_rows:hc.Sql.Observer.rows ~storage_rows:sc.Sql.Observer.rows ()
   | Config.Sos ->
       (* whole query on the storage node *)
-      let result, c =
-        with_counters d.Deployment.secure_db (fun () ->
-            match Sql.Database.exec_ast d.Deployment.secure_db stmt with
-            | Sql.Database.Result r -> r
-            | _ -> { Sql.Exec.columns = []; rows = [] })
-      in
+      let (result, affected), c = exec_whole d.Deployment.secure_db stmt in
       let decrypts, macs, merkle, rpmb =
         snapshot_secure_stats d.Deployment.secure_store
       in
@@ -473,7 +470,7 @@ let run_stmt ?(reset = true) ?project deploy config stmt =
               ~messages:1;
             bytes)
       in
-      finish ~result ~bytes_shipped:bytes ~pages ~hits ~host_rows:0
+      finish ~result ~affected ~bytes_shipped:bytes ~pages ~hits ~host_rows:0
         ~storage_rows:c.Sql.Observer.rows ()
   in
   (* route secure-config statements through the transactional overlay

@@ -16,6 +16,9 @@ type metrics = {
           skipping device I/O and (on the secure medium) crypto *)
   host_rows : int;  (** row-operator steps on the host *)
   storage_rows : int;
+  affected : int;
+      (** rows a DML statement inserted, updated or deleted (0 for a
+          query; split configs run queries only) *)
   result : Ironsafe_sql.Exec.result;  (** identical across configs *)
   profile : Ironsafe_obs.Obs.profile option;
       (** span tree + metrics snapshot, when tracing was enabled *)

@@ -20,12 +20,13 @@ type t = {
   name : string;
   key : string;
   mutable entries : entry list; (* newest first *)
+  mutable length : int; (* = List.length entries, the next seq *)
   mutable head : string;
 }
 
 let genesis = String.make 32 '\000'
 
-let create ~name ~key = { name; key; entries = []; head = genesis }
+let create ~name ~key = { name; key; entries = []; length = 0; head = genesis }
 let name t = t.name
 
 let entry_digest t ~seq ~date ~actor ~action ~detail ~prev =
@@ -34,15 +35,16 @@ let entry_digest t ~seq ~date ~actor ~action ~detail ~prev =
        [ string_of_int seq; string_of_int date; actor; action; detail; prev ])
 
 let append t ~date ~actor ~action ~detail =
-  let seq = List.length t.entries in
+  let seq = t.length in
   let digest = entry_digest t ~seq ~date ~actor ~action ~detail ~prev:t.head in
   let e = { seq; date; actor; action; detail; prev = t.head; digest } in
   t.entries <- e :: t.entries;
+  t.length <- seq + 1;
   t.head <- digest;
   e
 
 let entries t = List.rev t.entries
-let length t = List.length t.entries
+let length t = t.length
 let head t = t.head
 
 (* Full chain verification; returns the first bad sequence number. *)

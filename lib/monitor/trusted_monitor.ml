@@ -55,12 +55,6 @@ type proof = {
   proof_signature : string;
 }
 
-type session = {
-  session_key : string;
-  session_client : string;
-  mutable revoked : bool;
-}
-
 type t = {
   drbg : C.Drbg.t;
   sk : C.Signature.secret_key;
@@ -76,7 +70,10 @@ type t = {
   (* all currently attested storage nodes, most recent first; the
      monitor sends the *list* of compliant nodes to the host (Fig. 5) *)
   mutable attested_storage : storage_info list;
-  mutable sessions : session list;
+  (* in-flight sessions only: session key -> client label. A key lives
+     here from [authorize] until its request's [session_cleanup]; the
+     audit log, not this table, is the durable record of what ran. *)
+  sessions : (string, string) Hashtbl.t;
   mutable latest_fw_host : int;
   mutable latest_fw_storage : int;
   audit : Audit_log.t;
@@ -97,7 +94,7 @@ let create ~ias ~seed =
     access_policies = [];
     attested_host = None;
     attested_storage = [];
-    sessions = [];
+    sessions = Hashtbl.create 16;
     latest_fw_host = 1;
     latest_fw_storage = 1;
     audit = Audit_log.create ~name:"ironsafe-audit" ~key:(C.Drbg.generate drbg 32);
@@ -470,9 +467,7 @@ let authorize t ~catalog ~client_label ~database ~exec_policy ~sql =
                   (* session key issuance *)
                   Obs.count ~scope:obs_scope "sessions_issued";
                   let key = C.Drbg.generate t.drbg 32 in
-                  t.sessions <-
-                    { session_key = key; session_client = client_label; revoked = false }
-                    :: t.sessions;
+                  Hashtbl.replace t.sessions key client_label;
                   Ok
                     {
                       auth_session_key = key;
@@ -485,12 +480,9 @@ let authorize t ~catalog ~client_label ~database ~exec_policy ~sql =
                 end)
       end)
 
-let session_valid t key =
-  List.exists (fun s -> s.session_key = key && not s.revoked) t.sessions
-
-let session_cleanup t key =
-  List.iter (fun s -> if s.session_key = key then s.revoked <- true) t.sessions
-
+let session_valid t key = Hashtbl.mem t.sessions key
+let session_cleanup t key = Hashtbl.remove t.sessions key
+let live_sessions t = Hashtbl.length t.sessions
 
 let attested_storage_nodes t =
   List.map (fun s -> s.storage_device_id) t.attested_storage

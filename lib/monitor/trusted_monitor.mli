@@ -110,7 +110,15 @@ val authorize :
 val verify_proof : monitor_pk:Ironsafe_crypto.Signature.public_key -> proof -> bool
 
 val session_valid : t -> string -> bool
+(** [true] while the key's request is in flight: issued by {!authorize}
+    and not yet released by {!session_cleanup}. *)
+
 val session_cleanup : t -> string -> unit
+(** Revoke a session key when its request completes. Constant time; a
+    key that is unknown or already revoked is ignored. *)
+
+val live_sessions : t -> int
+(** Number of sessions currently in flight. *)
 
 val attested_storage_nodes : t -> string list
 (** Device ids of all currently attested storage nodes, newest first. *)

@@ -57,9 +57,9 @@ let read_page t i =
     corrupt_block t.pages.(i) (Fault.rand_int t.faults page_size);
   if Fault.enabled t.faults && Fault.fire t.faults Fault.Device_read_transient
   then begin
-    let copy = Bytes.of_string (Bytes.to_string t.pages.(i)) in
+    let copy = Bytes.copy t.pages.(i) in
     corrupt_block copy (Fault.rand_int t.faults page_size);
-    Bytes.to_string copy
+    Bytes.unsafe_to_string copy
   end
   else Bytes.to_string t.pages.(i)
 

@@ -267,6 +267,45 @@ let test_engine_dml_mirrors_replicas () =
       | _ -> Alcotest.fail "delete not visible")
   | Error err -> Alcotest.fail err
 
+(* Submitted DML commits through the WAL: every acknowledged insert is
+   a commit record, and the response carries the affected-row count. *)
+let test_engine_dml_commits () =
+  let d =
+    Deployment.create ~seed:"engine-commit" ~wal:true
+      ~populate:(fun db -> ignore (Sql.Database.exec db "create table t (a int)"))
+      ()
+  in
+  let e = Engine.create d in
+  ignore (Engine.register_client e ~label:"Ka" ());
+  Engine.set_access_policy e "read ::= sessionKeyIs(Ka)\nwrite ::= sessionKeyIs(Ka)";
+  for i = 1 to 20 do
+    match
+      Engine.submit e ~client:"Ka" ~sql:(Printf.sprintf "insert into t values (%d)" i) ()
+    with
+    | Ok r ->
+        Alcotest.(check bool) "one row affected" true
+          (r.Engine.resp_result.Sql.Exec.rows = [ [| Sql.Value.Int 1 |] ])
+    | Error err -> Alcotest.fail err
+  done;
+  let ts = Option.get (Deployment.txn_store d) in
+  Alcotest.(check int) "20 commits" 20 (Ironsafe_wal.Txn_store.stats ts).commits;
+  match Engine.submit e ~client:"Ka" ~sql:"delete from t where a > 15" () with
+  | Ok r ->
+      Alcotest.(check bool) "five rows affected" true
+        (r.Engine.resp_result.Sql.Exec.rows = [ [| Sql.Value.Int 5 |] ])
+  | Error err -> Alcotest.fail err
+
+let test_engine_bad_exec_policy () =
+  let e = governed_engine () in
+  Engine.set_access_policy e "read ::= sessionKeyIs(Ka)";
+  match
+    Engine.submit e ~client:"Ka" ~exec_policy:"exec ::= hostLocIs("
+      ~sql:"select who from trips" ()
+  with
+  | Error err ->
+      Alcotest.(check bool) "typed execution-policy error" true
+        (String.starts_with ~prefix:"execution policy: " err)
+  | Ok _ -> Alcotest.fail "malformed execution policy accepted"
 
 let test_engine_result_signature () =
   let e = governed_engine () in
@@ -382,6 +421,8 @@ let suite =
     ("engine proof and audit", `Quick, test_engine_proof_and_audit);
     ("engine exec downgrade", `Quick, test_engine_exec_policy_downgrades_config);
     ("engine dml mirrors replicas", `Quick, test_engine_dml_mirrors_replicas);
+    ("engine dml commits", `Quick, test_engine_dml_commits);
+    ("engine bad exec policy", `Quick, test_engine_bad_exec_policy);
     ("engine result signature", `Quick, test_engine_result_signature);
     ("attack: tamper aborts query", `Quick, test_attack_page_tamper_aborts_query);
     ("attack: plain config undetected", `Quick, test_attack_plain_config_silently_corrupted);

@@ -39,6 +39,34 @@ let test_audit_tamper_detected () =
   | Error i -> Alcotest.failf "wrong break point %d" i
   | Ok () -> Alcotest.fail "tampered log verified"
 
+(* A 10^4-entry chain: sequence numbers, verification and tamper
+   detection at scale. The head pins the chain format: it is the digest
+   the list-walking append produced for this exact input. *)
+let test_audit_long_chain () =
+  let l = log () in
+  let n = 10_000 in
+  let seqs =
+    List.init n (fun i ->
+        (M.Audit_log.append l ~date:(10_000 + (i mod 365))
+           ~actor:(Printf.sprintf "K%d" (i mod 3))
+           ~action:(if i mod 5 = 0 then "denied" else "read")
+           ~detail:(Printf.sprintf "query %d" i))
+          .M.Audit_log.seq)
+  in
+  Alcotest.(check (list int)) "seq runs 0..n-1" (List.init n Fun.id) seqs;
+  Alcotest.(check int) "length" n (M.Audit_log.length l);
+  (match M.Audit_log.verify l with
+  | Ok () -> ()
+  | Error i -> Alcotest.failf "chain broken at %d" i);
+  Alcotest.(check string) "chain head"
+    "b61f880e3562bdbb8318e1fd74449f3d7d71e2f24f96221520f0bc78588b1f32"
+    (C.Hex.of_string (M.Audit_log.head l));
+  M.Audit_log.tamper_entry l ~seq:7_777 ~detail:"covered up";
+  match M.Audit_log.verify l with
+  | Error 7_777 -> ()
+  | Error i -> Alcotest.failf "wrong break point %d" i
+  | Ok () -> Alcotest.fail "tampered log verified"
+
 let test_audit_empty_verifies () =
   match M.Audit_log.verify (log ()) with
   | Ok () -> ()
@@ -272,18 +300,92 @@ let test_authorize_exec_policy_denies_host () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "non-compliant host accepted"
 
+(* A deployment whose engine has one table, for driving sessions
+   through [Engine.submit]. *)
+let small_engine () =
+  let populate db =
+    ignore (Sql.Database.exec db "create table t (a int)");
+    Sql.Database.insert_rows db "t"
+      (List.init 200 (fun i -> [| Sql.Value.Int i |]))
+  in
+  let d = Ironsafe.Deployment.create ~seed:"monitor-sessions" ~populate () in
+  let e = Ironsafe.Engine.create d in
+  ignore (Ironsafe.Engine.register_client e ~label:"Ka" ());
+  ignore (Ironsafe.Engine.register_client e ~label:"Kb" ());
+  Ironsafe.Engine.set_access_policy e "read ::= sessionKeyIs(Ka)";
+  e
+
 let test_sessions () =
   let f = fixture () in
   attest_both f;
   M.Trusted_monitor.set_access_policy f.monitor ~database:"db"
     ~policy:(P.Policy_parser.parse "read ::= sessionKeyIs(Ka)");
-  match authorize f "select v from records" with
-  | Error e -> Alcotest.fail e
-  | Ok auth ->
-      let key = auth.M.Trusted_monitor.auth_session_key in
-      Alcotest.(check bool) "session valid" true (M.Trusted_monitor.session_valid f.monitor key);
-      M.Trusted_monitor.session_cleanup f.monitor key;
-      Alcotest.(check bool) "session revoked" false (M.Trusted_monitor.session_valid f.monitor key)
+  let live () = M.Trusted_monitor.live_sessions f.monitor in
+  let valid key = M.Trusted_monitor.session_valid f.monitor key in
+  let issue () =
+    match authorize f "select v from records" with
+    | Error e -> Alcotest.fail e
+    | Ok auth -> auth.M.Trusted_monitor.auth_session_key
+  in
+  let key = issue () in
+  Alcotest.(check bool) "session valid" true (valid key);
+  Alcotest.(check int) "one live session" 1 (live ());
+  Alcotest.(check bool) "never-issued key invalid" false
+    (valid (String.make 32 'k'));
+  (* releasing a key that was never issued changes nothing *)
+  M.Trusted_monitor.session_cleanup f.monitor (String.make 32 'k');
+  Alcotest.(check int) "unknown cleanup is a no-op" 1 (live ());
+  Alcotest.(check bool) "in-flight session untouched" true (valid key);
+  M.Trusted_monitor.session_cleanup f.monitor key;
+  Alcotest.(check bool) "session revoked" false (valid key);
+  M.Trusted_monitor.session_cleanup f.monitor key;
+  Alcotest.(check int) "repeated cleanup is a no-op" 0 (live ());
+  (* the registry holds in-flight sessions only: it does not grow
+     with the number of requests served *)
+  let revoked = ref [] in
+  for i = 1 to 10_000 do
+    let k = issue () in
+    M.Trusted_monitor.session_cleanup f.monitor k;
+    if i mod 1_000 = 0 then revoked := k :: !revoked
+  done;
+  Alcotest.(check int) "no live session after 10^4 cycles" 0 (live ());
+  List.iter
+    (fun k -> Alcotest.(check bool) "revoked key invalid" false (valid k))
+    !revoked;
+  (* [Engine.submit] leaves no session behind on success, on a policy
+     denial, on an execution failure and on a rejected query *)
+  let e = small_engine () in
+  let mon = Ironsafe.Engine.monitor e in
+  let submit client =
+    Ironsafe.Engine.submit e ~client ~sql:"select count(*) as c from t" ()
+  in
+  (match submit "Ka" with
+  | Ok _ -> ()
+  | Error err -> Alcotest.fail err);
+  Alcotest.(check int) "none live after success" 0
+    (M.Trusted_monitor.live_sessions mon);
+  (match submit "Kb" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "Kb authorized");
+  Alcotest.(check int) "none live after denial" 0
+    (M.Trusted_monitor.live_sessions mon);
+  (match
+     Ironsafe.Engine.submit e ~client:"Ka" ~sql:"select x from missing" ()
+   with
+  | exception _ | Error _ -> ()
+  | Ok _ -> Alcotest.fail "query over a missing table answered");
+  Alcotest.(check int) "none live after a failed execution" 0
+    (M.Trusted_monitor.live_sessions mon);
+  let d = Ironsafe.Engine.deployment e in
+  Ironsafe_storage.Block_device.tamper d.Ironsafe.Deployment.device_secure
+    ~page:0 ~offset:60;
+  (match submit "Ka" with
+  | Error err ->
+      Alcotest.(check bool) "rejected" true
+        (String.starts_with ~prefix:"query rejected" err)
+  | Ok _ -> Alcotest.fail "query ran over tampered storage");
+  Alcotest.(check int) "none live after rejection" 0
+    (M.Trusted_monitor.live_sessions mon)
 
 let test_compliance_proof () =
   let f = fixture () in
@@ -378,6 +480,7 @@ let suite =
     ("audit append/verify", `Quick, test_audit_append_verify);
     ("audit tamper detected", `Quick, test_audit_tamper_detected);
     ("audit empty verifies", `Quick, test_audit_empty_verifies);
+    ("audit long chain", `Quick, test_audit_long_chain);
     ("attest host ok", `Quick, test_attest_host_ok);
     ("attest host unknown measurement", `Quick, test_attest_host_unknown_measurement);
     ("attest storage ok", `Quick, test_attest_storage_ok);

@@ -671,6 +671,98 @@ let test_runner_crash_then_reboot () =
   | Runner.Rejected v | Runner.Crashed v ->
       Alcotest.failf "post-reboot insert failed: %a" Runner.pp_violation v
 
+(* Crash-after-ack through the client front door: inserts submitted
+   via [Engine.submit] on a WAL deployment, driven to a crash at each
+   WAL fault site. Every insert [submit] acknowledged must survive
+   [Deployment.reboot_secure]; the one in flight when the power went
+   may or may not; the plain replica mirrors acknowledged inserts
+   only. *)
+let test_engine_submit_crash_after_ack () =
+  let keys rows =
+    List.sort compare
+      (List.map
+         (function [| Sql.Value.Int k |] -> k | _ -> Alcotest.fail "row shape")
+         rows)
+  in
+  List.iter
+    (fun site ->
+      List.iter
+        (fun seed ->
+          let name = Printf.sprintf "%s seed %d" (Fault.site_name site) seed in
+          let d =
+            Deployment.create
+              ~seed:(Printf.sprintf "submit-crash-%s-%d" (Fault.site_name site) seed)
+              ~wal:true ~crypto_mode:ci_page_mode
+              ~populate:(fun db ->
+                ignore (Sql.Database.exec db "create table acked (k int)"))
+              ()
+          in
+          let e = Engine.create d in
+          ignore (Engine.register_client e ~label:"K" ());
+          Engine.set_access_policy e
+            "read ::= sessionKeyIs(K)\nwrite ::= sessionKeyIs(K)";
+          let ts = Option.get (Deployment.txn_store d) in
+          let now = ref 0.0 in
+          let after_ns = 2_000.0 +. float_of_int (seed mod 5) *. 3_000.0 in
+          W.Txn_store.set_faults ts
+            (Fault.make
+               ~clock:(fun () -> !now)
+               ~seed
+               [ (site, Fault.rule ~max_fires:1 ~after_ns ()) ]);
+          let acked = ref [] and in_flight = ref None in
+          let i = ref 0 in
+          while !in_flight = None && !i < 30 do
+            now := !now +. 1_000.0;
+            (if !i mod 7 = 3 then
+               match W.Txn_store.checkpoint ts with
+               | Ok () -> ()
+               | Error err -> Alcotest.failf "checkpoint: %a" W.Txn_store.pp_error err
+               | exception W.Wal.Crashed _ -> in_flight := Some (-1)
+             else
+               match
+                 Engine.submit e ~client:"K"
+                   ~sql:(Printf.sprintf "insert into acked values (%d)" !i)
+                   ()
+               with
+               | Ok _ -> acked := !i :: !acked
+               | Error err ->
+                   Alcotest.(check bool)
+                     (name ^ ": only a crash fails an insert") true
+                     (String.starts_with ~prefix:"query crashed" err);
+                   in_flight := Some !i);
+            incr i
+          done;
+          if !in_flight = None then Alcotest.failf "%s: never fired" name;
+          (match Deployment.reboot_secure d with
+          | Ok () -> ()
+          | Error err -> Alcotest.failf "%s: reboot: %s" name err);
+          let acked = List.sort compare !acked in
+          let recovered =
+            match
+              Engine.submit e ~client:"K" ~config:Config.Sos
+                ~sql:"select k from acked" ()
+            with
+            | Ok r -> keys r.Engine.resp_result.Sql.Exec.rows
+            | Error err -> Alcotest.failf "%s: read back: %s" name err
+          in
+          List.iter
+            (fun k ->
+              if not (List.mem k recovered) then
+                Alcotest.failf "%s: acknowledged insert %d lost" name k)
+            acked;
+          List.iter
+            (fun k ->
+              if not (List.mem k acked || Some k = !in_flight) then
+                Alcotest.failf "%s: insert %d was never submitted" name k)
+            recovered;
+          Alcotest.(check (list int)) (name ^ ": replica mirrors acked only")
+            acked
+            (keys
+               (Sql.Database.query d.Deployment.plain_db "select k from acked")
+                 .Sql.Exec.rows))
+        seeds)
+    Fault.wal_sites
+
 let suite =
   [
     Alcotest.test_case "record roundtrip" `Quick test_record_roundtrip;
@@ -700,4 +792,6 @@ let suite =
       test_wal_off_deployments_byte_identical;
     Alcotest.test_case "runner crash then reboot" `Quick
       test_runner_crash_then_reboot;
+    Alcotest.test_case "engine submit crash after ack" `Slow
+      test_engine_submit_crash_after_ack;
   ]
