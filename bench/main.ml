@@ -1132,11 +1132,7 @@ let microbench _scale =
   let miss_pool = Sql.Bufpool.create ~frames:1 (Sql.Pager.secure store) in
   let miss_pager = Sql.Bufpool.pager miss_pool in
   let flip = ref false in
-  (* CTR page kernels: a 32-page batch so the 4-lane kernel amortizes
-     its domain spawns across the batch the way the secure store's
-     read_pages does. Each lane transforms a block-aligned quarter of
-     every page (256 blocks -> four 64-block chunks) via block_offset,
-     producing exactly the bytes the single-lane transform would.
+  (* CTR page kernel: a 32-page batch decrypted into reused buffers.
      Reported ns/op are per page, comparable to the CBC page kernels. *)
   let ctr_batch = 32 in
   let ctr_nonces = Array.init ctr_batch (fun _ -> C.Drbg.generate drbg 16) in
@@ -1146,36 +1142,6 @@ let microbench _scale =
       ctr_nonces
   in
   let ctr_dsts = Array.init ctr_batch (fun _ -> Bytes.create 4096) in
-  (* a second store in CTR page mode for the batched miss-path kernels:
-     read_pages amortizes the root check and Merkle ancestors over the
-     whole batch and fans the MAC/decrypt work out over the lanes *)
-  let ctr_store =
-    let device =
-      S.Block_device.create
-        ~pages:(Sec.Secure_store.device_pages_for ~data_pages)
-    in
-    let rpmb = S.Rpmb.create () in
-    match
-      Sec.Secure_store.initialize ~page_mode:Sec.Secure_store.Ctr ~device
-        ~rpmb ~hardware_key:(String.make 32 'H') ~data_pages ~drbg ()
-    with
-    | Ok s -> s
-    | Error e ->
-        failwith (Fmt.str "ctr store init: %a" Sec.Secure_store.pp_error e)
-  in
-  for i = 0 to data_pages - 1 do
-    match Sec.Secure_store.write_page ctr_store i payload with
-    | Ok () -> ()
-    | Error e ->
-        failwith (Fmt.str "ctr store write: %a" Sec.Secure_store.pp_error e)
-  done;
-  let all_pages = List.init data_pages Fun.id in
-  let read_all_ctr ~lanes () =
-    match Sec.Secure_store.read_pages ctr_store ~lanes all_pages with
-    | Ok _ -> ()
-    | Error e ->
-        failwith (Fmt.str "ctr batch read: %a" Sec.Secure_store.pp_error e)
-  in
   (* WAL kernels: wal_append is the in-memory hot path (record encode,
      CTR encrypt, chain HMAC, frame build); group_commit_flush
      persists an 8-record batch and bumps the RPMB anchor once — the
@@ -1217,8 +1183,8 @@ let microbench _scale =
   in
   let wal_appends = ref 0 in
   let wal_flushes = ref 0 in
-  (* scan+filter kernels: the fused batch pipeline against the row
-     volcano on the same half-selective filter (Figure 6's regime) *)
+  (* scan+filter kernel: the row executor on a half-selective filter
+     (Figure 6's regime) *)
   let scan_db = Sql.Database.create ~pager:(Sql.Pager.in_memory ()) in
   ignore (Tpch.Dbgen.populate scan_db ~scale:0.005);
   let scan_sql =
@@ -1296,15 +1262,6 @@ let microbench _scale =
            C.Modes.ctr_transform_into ~key:aes_key ~nonce:ctr_nonces.(p)
              ctr_cts.(p) 0 ctr_dsts.(p) 0 4096
          done);
-      ("ctr_page_decrypt_4lane", ctr_batch,
-       fun () ->
-         C.Lanes.run ~lanes:4 (fun lane ->
-             let off = lane * 1024 in
-             for p = 0 to ctr_batch - 1 do
-               C.Modes.ctr_transform_into ~key:aes_key
-                 ~nonce:ctr_nonces.(p) ~block_offset:(lane * 64)
-                 ctr_cts.(p) off ctr_dsts.(p) off 1024
-             done));
       ("sha256-4KiB", 1, fun () -> ignore (C.Sha256.digest page));
       ("hmac-sha256-4KiB", 1,
        fun () -> ignore (C.Hmac.mac ~key:hmac_key page));
@@ -1316,18 +1273,8 @@ let microbench _scale =
          ignore (C.Merkle.verify ~key:hmac_key ~root ~leaf_tag:leaf proof));
       ("securestore-read-page", 1,
        fun () -> ignore (Sec.Secure_store.read_page store 1));
-      ("securestore-read-pages-ctr-1lane", data_pages,
-       read_all_ctr ~lanes:1);
-      ("securestore-read-pages-ctr-4lane", data_pages,
-       read_all_ctr ~lanes:4);
       ("row_scan_filter", 1,
-       fun () ->
-         Sql.Database.set_exec_mode scan_db Sql.Exec.Row_at_a_time;
-         ignore (Sql.Database.query scan_db scan_sql));
-      ("batch_scan_filter", 1,
-       fun () ->
-         Sql.Database.set_exec_mode scan_db (Sql.Exec.Batched 1024);
-         ignore (Sql.Database.query scan_db scan_sql));
+       fun () -> ignore (Sql.Database.query scan_db scan_sql));
       ("wal_append", 1,
        fun () ->
          ignore (W.Wal.append wal_append_w wal_record);
@@ -1442,32 +1389,11 @@ let microbench _scale =
   let direct = List.assoc "securestore-read-page" results in
   if hit > 0.0 then
     Fmt.pr "%-34s %14.1fx@." "pool-hit speedup vs direct read" (direct /. hit);
-  (* derived miss-path figures: per-page batched CTR reads vs the
-     singleton CBC read, the CTR lane scaling, and the vectorized scan
-     vs the row volcano — plus the core count the lanes actually had,
-     so the numbers are interpretable on any machine *)
-  let derived =
-    let single = direct in
-    let ctr1 = List.assoc "securestore-read-pages-ctr-1lane" results in
-    let ctr4 = List.assoc "securestore-read-pages-ctr-4lane" results in
-    let dec1 = List.assoc "ctr_page_decrypt_1lane" results in
-    let dec4 = List.assoc "ctr_page_decrypt_4lane" results in
-    let row = List.assoc "row_scan_filter" results in
-    let batch = List.assoc "batch_scan_filter" results in
-    [
-      ("cores-available", float_of_int (C.Lanes.available ()));
-      ("miss-path-speedup-ctr-batch-1lane", single /. ctr1);
-      ("miss-path-speedup-ctr-batch-4lane", single /. ctr4);
-      ("ctr-decrypt-lane-scaling-4lane", dec1 /. dec4);
-      ("scan-filter-speedup-batch-vs-row", row /. batch);
-    ]
-  in
-  List.iter
-    (fun (name, v) ->
-      if name = "cores-available" then Fmt.pr "%-34s %14.0f@." name v
-      else Fmt.pr "%-34s %14.2fx@." name v)
-    derived;
-  write_hotpath_json ~derived results;
+  (* the core count the run had, so the numbers are interpretable on
+     any machine *)
+  let cores = Domain.recommended_domain_count () in
+  Fmt.pr "%-34s %14d@." "cores-available" cores;
+  write_hotpath_json ~derived:[ ("cores-available", float_of_int cores) ] results;
   Option.iter (check_floor results) !floor_file
 
 (* ------------------------------------------------------------------ *)

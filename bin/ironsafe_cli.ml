@@ -24,12 +24,12 @@ module Cluster = Ironsafe_cluster.Cluster
 module Monitor = Ironsafe_monitor.Trusted_monitor
 
 let build_deployment ?(faults = Fault.none) ?(pool_frames = 0)
-    ?(crypto_mode = Ironsafe_securestore.Secure_store.Cbc) ?(batch_size = 0)
-    ?(crypto_lanes = 1) scale =
+    ?(crypto_mode = Ironsafe_securestore.Secure_store.Cbc) ?(crypto_lanes = 1)
+    scale =
   let params = { Ironsafe_sim.Params.default with crypto_lanes } in
   let deploy =
     Deployment.create ~seed:"ironsafe-cli" ~params ~faults ~pool_frames
-      ~crypto_mode ~batch_size
+      ~crypto_mode
       ~populate:(fun db -> ignore (Tpch.Dbgen.populate db ~scale))
       ()
   in
@@ -130,14 +130,6 @@ let crypto_lanes_arg =
         ~doc:
           "Decrypt lanes per CTR page charged on the virtual clock (CBC \
            always runs single-lane).")
-
-let batch_size_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "batch-size" ] ~docv:"N"
-        ~doc:
-          "Vectorized executor batch capacity in rows (0 = row-at-a-time \
-           execution).")
 
 let shards_conv =
   let parse s =
@@ -308,8 +300,8 @@ let write_artifact ?(validate = false) ~what file contents =
 
 let run_query ?(profile = false) ?trace_out ?jsonl_out ?metrics_out
     ?(sample_every = 1) ?(faults = Fault.none) ?(pool_frames = 0) ?crypto_mode
-    ?batch_size ?crypto_lanes ?(recorder_frames = 256) ?dump_dir
-    ?(slo_p99_ms = 0.0) scale config policy sql =
+    ?crypto_lanes ?(recorder_frames = 256) ?dump_dir ?(slo_p99_ms = 0.0) scale
+    config policy sql =
   let recorder = arm_recorder ~frames:recorder_frames dump_dir in
   let obs_on =
     profile || trace_out <> None || jsonl_out <> None || metrics_out <> None
@@ -344,8 +336,7 @@ let run_query ?(profile = false) ?trace_out ?jsonl_out ?metrics_out
     report_recorder ()
   in
   let deploy =
-    build_deployment ~faults ~pool_frames ?crypto_mode ?batch_size
-      ?crypto_lanes scale
+    build_deployment ~faults ~pool_frames ?crypto_mode ?crypto_lanes scale
   in
   let engine = setup_engine deploy policy in
   match Engine.submit engine ~client:"cli" ~config ~sql () with
@@ -375,8 +366,8 @@ let run_query ?(profile = false) ?trace_out ?jsonl_out ?metrics_out
    compliance gate runs before execution: one non-compliant or
    unattested shard rejects the whole query. *)
 let run_cluster_query ?trace_out ?jsonl_out ?metrics_out ?(sample_every = 1)
-    ?(faults = Fault.none) ?(pool_frames = 0) ?crypto_mode ?batch_size
-    ?crypto_lanes ?(recorder_frames = 256) ?dump_dir ?(slo_p99_ms = 0.0)
+    ?(faults = Fault.none) ?(pool_frames = 0) ?crypto_mode ?crypto_lanes
+    ?(recorder_frames = 256) ?dump_dir ?(slo_p99_ms = 0.0)
     ~shards ~scheme scale config policy sql =
   let recorder = arm_recorder ~frames:recorder_frames dump_dir in
   let obs_on =
@@ -408,8 +399,7 @@ let run_cluster_query ?trace_out ?jsonl_out ?metrics_out ?(sample_every = 1)
     report_recorder ()
   in
   let deploy =
-    build_deployment ~faults ~pool_frames ?crypto_mode ?batch_size ?crypto_lanes
-      scale
+    build_deployment ~faults ~pool_frames ?crypto_mode ?crypto_lanes scale
   in
   let engine = setup_engine deploy policy in
   let cl = build_cluster ~shards ~scheme deploy in
@@ -503,8 +493,8 @@ let query_cmd =
              events are always collected while observability is on).")
   in
   let run scale config policy explain profile trace_out jsonl_out metrics_out
-      sample_every fault_seed fault_profile pool_frames crypto_mode batch_size
-      crypto_lanes shards scheme recorder_frames dump_dir slo_p99_ms sql =
+      sample_every fault_seed fault_profile pool_frames crypto_mode crypto_lanes
+      shards scheme recorder_frames dump_dir slo_p99_ms sql =
     if explain then begin
       let deploy = build_deployment scale in
       let plan =
@@ -518,12 +508,12 @@ let query_cmd =
     else if shards > 1 then
       run_cluster_query ?trace_out ?jsonl_out ?metrics_out ~sample_every
         ~faults:(fault_plan fault_seed fault_profile)
-        ~pool_frames ~crypto_mode ~batch_size ~crypto_lanes ~recorder_frames
+        ~pool_frames ~crypto_mode ~crypto_lanes ~recorder_frames
         ?dump_dir ~slo_p99_ms ~shards ~scheme scale config policy sql
     else
       run_query ~profile ?trace_out ?jsonl_out ?metrics_out ~sample_every
         ~faults:(fault_plan fault_seed fault_profile)
-        ~pool_frames ~crypto_mode ~batch_size ~crypto_lanes ~recorder_frames
+        ~pool_frames ~crypto_mode ~crypto_lanes ~recorder_frames
         ?dump_dir ~slo_p99_ms scale config policy sql
   in
   Cmd.v
@@ -531,8 +521,8 @@ let query_cmd =
     Term.(
       const run $ scale_arg $ config_arg $ policy_arg $ explain $ profile
       $ trace_out $ jsonl_out $ metrics_out $ sample_every $ fault_seed_arg
-      $ fault_profile_arg $ pool_frames_arg $ crypto_mode_arg $ batch_size_arg
-      $ crypto_lanes_arg $ shards_arg $ scheme_arg $ recorder_frames_arg
+      $ fault_profile_arg $ pool_frames_arg $ crypto_mode_arg $ crypto_lanes_arg
+      $ shards_arg $ scheme_arg $ recorder_frames_arg
       $ dump_dir_arg $ slo_p99_ms_arg $ sql)
 
 let tpch_cmd =
@@ -543,12 +533,11 @@ let tpch_cmd =
     Arg.(value & flag & info [ "all-configs" ] ~doc:"Run under all five configurations.")
   in
   let run scale config all fault_seed fault_profile pool_frames crypto_mode
-      batch_size crypto_lanes shards scheme id =
+      crypto_lanes shards scheme id =
     let q = Tpch.Queries.by_id_complete id in
     let faults = fault_plan fault_seed fault_profile in
     let deploy =
-      build_deployment ~faults ~pool_frames ~crypto_mode ~batch_size
-        ~crypto_lanes scale
+      build_deployment ~faults ~pool_frames ~crypto_mode ~crypto_lanes scale
     in
     let run_outcome =
       if shards > 1 then begin
@@ -578,8 +567,8 @@ let tpch_cmd =
     (Cmd.info "tpch" ~doc:"Run a TPC-H query under one or all configurations")
     Term.(
       const run $ scale_arg $ config_arg $ all $ fault_seed_arg
-      $ fault_profile_arg $ pool_frames_arg $ crypto_mode_arg $ batch_size_arg
-      $ crypto_lanes_arg $ shards_arg $ scheme_arg $ id)
+      $ fault_profile_arg $ pool_frames_arg $ crypto_mode_arg $ crypto_lanes_arg
+      $ shards_arg $ scheme_arg $ id)
 
 let workload_cmd =
   let module Sched = Ironsafe_sched.Sched in

@@ -231,9 +231,6 @@ let create ?(storage_cores = 16) ?(storage_version = 1)
             Storage.Rpmb.set_faults rpmb faults;
             Sec.Secure_store.set_faults store faults
           end;
-          let mode = Deployment.exec_mode base in
-          Sql.Database.set_exec_mode plain_db mode;
-          Sql.Database.set_exec_mode secure_db mode;
           {
             sh_id = i;
             sh_node = node;
@@ -671,7 +668,6 @@ let sum_counters (cs : Sql.Observer.counters list) =
       page_hits = 0;
       page_writes = 0;
       bytes_allocated = 0;
-      batches = 0;
     }
   in
   List.iter
@@ -684,9 +680,7 @@ let sum_counters (cs : Sql.Observer.counters list) =
       acc.Sql.Observer.page_writes <-
         acc.Sql.Observer.page_writes + c.Sql.Observer.page_writes;
       acc.Sql.Observer.bytes_allocated <-
-        acc.Sql.Observer.bytes_allocated + c.Sql.Observer.bytes_allocated;
-      acc.Sql.Observer.batches <-
-        acc.Sql.Observer.batches + c.Sql.Observer.batches)
+        acc.Sql.Observer.bytes_allocated + c.Sql.Observer.bytes_allocated)
     cs;
   acc
 
@@ -697,7 +691,6 @@ let zero_counters () =
     page_hits = 0;
     page_writes = 0;
     bytes_allocated = 0;
-    batches = 0;
   }
 
 type shard_run = {
@@ -947,11 +940,7 @@ let run_scatter ?(reset = true) ?project t config (q : Sql.Ast.select) stmt =
       match mode with
       | Concat ->
           let offload = gather_concat plan runs in
-          let h =
-            Host_engine.run_host
-              ~exec_mode:(Deployment.exec_mode d)
-              ~storage_catalog:catalog plan offload
-          in
+          let h = Host_engine.run_host ~storage_catalog:catalog plan offload in
           (h.Host_engine.result, h.Host_engine.counters)
       | Merge_sort m -> (gather_merge_sort m runs, zero_counters ())
       | Partial_agg p -> (gather_partial p.p_slots runs, zero_counters ())
@@ -994,8 +983,7 @@ let run_scatter ?(reset = true) ?project t config (q : Sql.Ast.select) stmt =
                 Sim.Node.charge sh.sh_node ~category:"other"
                   (float_of_int (List.length sub_stmts)
                   *. params.Sim.Params.offload_session_ns);
-                Runner.charge_compute sh.sh_node ~rows:c.Sql.Observer.rows
-                  ~batches:c.Sql.Observer.batches;
+                Runner.charge_compute sh.sh_node ~rows:c.Sql.Observer.rows;
                 Runner.charge_memory sh.sh_node ~category:"spill"
                   c.Sql.Observer.bytes_allocated;
                 Runner.charge_transfer params sh.sh_node host ~secure:false
@@ -1010,8 +998,7 @@ let run_scatter ?(reset = true) ?project t config (q : Sql.Ast.select) stmt =
                 Runner.charge_cache_hits sh.sh_node params hits;
                 Runner.charge_crypto ~lanes sh.sh_node params ~decrypts ~macs
                   ~merkle ~rpmb;
-                Runner.charge_compute sh.sh_node ~rows:c.Sql.Observer.rows
-                  ~batches:c.Sql.Observer.batches;
+                Runner.charge_compute sh.sh_node ~rows:c.Sql.Observer.rows;
                 Runner.charge_memory sh.sh_node ~category:"spill"
                   c.Sql.Observer.bytes_allocated;
                 Runner.charge_transfer params sh.sh_node host ~secure:true
@@ -1043,11 +1030,6 @@ let run_scatter ?(reset = true) ?project t config (q : Sql.Ast.select) stmt =
         (fun a r -> a + r.sr_counters.Sql.Observer.rows)
         0 runs
     in
-    let shard_batches =
-      Array.fold_left
-        (fun a r -> a + r.sr_counters.Sql.Observer.batches)
-        0 runs
-    in
     let shard_allocs =
       Array.fold_left
         (fun a r -> a + r.sr_counters.Sql.Observer.bytes_allocated)
@@ -1069,11 +1051,9 @@ let run_scatter ?(reset = true) ?project t config (q : Sql.Ast.select) stmt =
         (* host-only semantics: all row work is host work *)
         Runner.charge_compute host
           ~rows:(shard_rows + gathered_rows + hc.Sql.Observer.rows)
-          ~batches:(shard_batches + hc.Sql.Observer.batches)
     | Config.Hos ->
         Runner.charge_compute host
-          ~rows:(shard_rows + gathered_rows + hc.Sql.Observer.rows)
-          ~batches:(shard_batches + hc.Sql.Observer.batches);
+          ~rows:(shard_rows + gathered_rows + hc.Sql.Observer.rows);
         Runner.charge_enclave_transitions host params (2 * total_pages);
         let merkle_ws =
           Array.fold_left
@@ -1087,11 +1067,9 @@ let run_scatter ?(reset = true) ?project t config (q : Sql.Ast.select) stmt =
     | Config.Vcs ->
         Runner.charge_compute host
           ~rows:(hc.Sql.Observer.rows + gathered_rows)
-          ~batches:hc.Sql.Observer.batches
     | Config.Scs ->
         Runner.charge_compute host
-          ~rows:(hc.Sql.Observer.rows + gathered_rows)
-          ~batches:hc.Sql.Observer.batches;
+          ~rows:(hc.Sql.Observer.rows + gathered_rows);
         let msgs =
           Array.fold_left
             (fun a r -> a + Runner.message_count params r.sr_bytes)
@@ -1102,8 +1080,7 @@ let run_scatter ?(reset = true) ?project t config (q : Sql.Ast.select) stmt =
           ~working_set:hc.Sql.Observer.bytes_allocated ~accesses:msgs
     | Config.Sos ->
         Runner.charge_compute host
-          ~rows:(hc.Sql.Observer.rows + gathered_rows)
-          ~batches:hc.Sql.Observer.batches);
+          ~rows:(hc.Sql.Observer.rows + gathered_rows));
     Array.iter
       (fun sh ->
         Sim.Clock.sync (Sim.Node.clock host) (Sim.Node.clock sh.sh_node) 0.0)

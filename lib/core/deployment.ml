@@ -36,9 +36,6 @@ type t = {
   pool_frames : int;
   plain_pool : Sql.Bufpool.t option;
   secure_pool : Sql.Bufpool.t option;
-  (* vectorized batch capacity for both engines (0 = row-at-a-time);
-     mutable so one loaded deployment can be diffed across modes *)
-  mutable batch_size : int;
   (* crash-safe write path ([None] when [wal] is off: the secure pager
      is built exactly as before, so read-only runs stay byte-identical
      to WAL-less builds) *)
@@ -76,9 +73,6 @@ let optee_image =
   Tee.Image.create ~name:"optee-3.4+ironsafe-tas" ~version:1
     ~code:"optee secure world with attestation + secure storage TAs"
 
-let exec_mode_of_batch n =
-  if n > 0 then Sql.Exec.Batched n else Sql.Exec.Row_at_a_time
-
 (* Copy every table of [src] into [dst] (identical rows, possibly
    different page packing). *)
 let copy_database src dst =
@@ -96,7 +90,7 @@ let create ?(params = Sim.Params.default) ?(host_cores = 10)
     ?(storage_cores = 16) ?storage_mem_limit ?(host_version = 1)
     ?(storage_version = 1) ?(storage_location = "eu-west")
     ?(host_location = "eu-west") ?(faults = Fault.none) ?(pool_frames = 0)
-    ?(crypto_mode = Sec.Secure_store.Cbc) ?(batch_size = 0) ?(wal = false)
+    ?(crypto_mode = Sec.Secure_store.Cbc) ?(wal = false)
     ?(wal_window_ns = 0.0) ?(wal_log_pages = 512) ~seed ~populate () =
   let drbg = C.Drbg.create ~seed in
   let host =
@@ -276,10 +270,6 @@ let create ?(params = Sim.Params.default) ?(host_cores = 10)
     Sec.Secure_store.set_faults secure_store faults;
     Option.iter (fun ts -> Wal.Txn_store.set_faults ts faults) txn_store
   end;
-  (* batch mode is applied only after population, so data loading runs
-     identically whatever executor the workload will use *)
-  Sql.Database.set_exec_mode plain_db (exec_mode_of_batch batch_size);
-  Sql.Database.set_exec_mode secure_db (exec_mode_of_batch batch_size);
   {
     params;
     host;
@@ -294,7 +284,6 @@ let create ?(params = Sim.Params.default) ?(host_cores = 10)
     pool_frames;
     plain_pool;
     secure_pool;
-    batch_size;
     device_wal;
     txn_store;
     ias;
@@ -311,7 +300,7 @@ let create ?(params = Sim.Params.default) ?(host_cores = 10)
   }
 
 let faults t = t.faults
-let exec_mode t = exec_mode_of_batch t.batch_size
+let exec_mode _ = Sql.Exec.Row_at_a_time
 let wal_enabled t = t.txn_store <> None
 let txn_store t = t.txn_store
 
@@ -360,15 +349,6 @@ let reboot_secure t =
                   Ok ()
               | Error e -> Error (Fmt.str "%a" Wal.Txn_store.pp_error e))))
   | _ -> Error "Deployment.reboot_secure: deployment has no WAL"
-
-(* Switch both engines between row-at-a-time and batched execution on
-   the already-loaded data: the differential harness toggles this on
-   one deployment so both modes see byte-identical pages. *)
-let set_batch_size t n =
-  if n < 0 then invalid_arg "Deployment.set_batch_size: negative batch size";
-  t.batch_size <- n;
-  Sql.Database.set_exec_mode t.plain_db (exec_mode_of_batch n);
-  Sql.Database.set_exec_mode t.secure_db (exec_mode_of_batch n)
 
 (* Fault injection on the host quote: a fired [Sgx_quote_reject] flips
    a bit of the quote signature so IAS verification fails once. *)

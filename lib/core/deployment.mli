@@ -20,9 +20,6 @@ type t = {
           wrapped at all; runs are byte-identical to a pool-less build) *)
   plain_pool : Ironsafe_sql.Bufpool.t option;
   secure_pool : Ironsafe_sql.Bufpool.t option;
-  mutable batch_size : int;
-      (** vectorized batch capacity for both engines (0 = row-at-a-time);
-          change it through {!set_batch_size} so the engines stay in sync *)
   device_wal : Ironsafe_storage.Block_device.t option;
       (** dedicated log device ([None] when the WAL is off) *)
   txn_store : Ironsafe_wal.Txn_store.t option;
@@ -56,7 +53,6 @@ val create :
   ?faults:Ironsafe_fault.Fault.t ->
   ?pool_frames:int ->
   ?crypto_mode:Ironsafe_securestore.Secure_store.page_mode ->
-  ?batch_size:int ->
   ?wal:bool ->
   ?wal_window_ns:float ->
   ?wal_log_pages:int ->
@@ -80,9 +76,7 @@ val create :
     fault-free oracle over the same deployment.
 
     [crypto_mode] (default [Cbc]) selects the secure store's page
-    cipher mode; [batch_size] (default 0 = row-at-a-time) the engines'
-    vectorized batch capacity. Population always runs row-at-a-time so
-    loading is identical whatever mode the workload uses.
+    cipher mode.
 
     [wal] (default false) enables the crash-safe write path: an
     encrypted HMAC-chained log on its own [wal_log_pages]-page device
@@ -111,13 +105,8 @@ val reboot_secure : t -> (unit, string) result
     ({!Ironsafe_sql.Database.reload_storage}). *)
 
 val exec_mode : t -> Ironsafe_sql.Exec.exec_mode
-(** The executor mode implied by the current batch size. *)
-
-val set_batch_size : t -> int -> unit
-(** Switch both engines between row-at-a-time (0) and batched
-    execution ([n > 0]) over the already-loaded data; the differential
-    harness toggles this on one deployment so both modes read
-    byte-identical pages. *)
+(** Always [Row_at_a_time]; kept only for the benchmark loader that
+    passes it to {!Host_engine.run_host}. *)
 
 val attest :
   ?host_location:string -> ?storage_location:string -> t -> (unit, string) result

@@ -13,10 +13,9 @@ type phase = {
 (* Rebuild the shipped tables in a fresh in-memory database (schemas
    are the projected subsets of the storage schemas) and execute the
    host statement over them. *)
-let run_host ?exec_mode ~storage_catalog (plan : Partitioner.plan)
+let run_host ?exec_mode:_ ~storage_catalog (plan : Partitioner.plan)
     (offload : Storage_engine.phase) : phase =
   let host_db = Sql.Database.create ~pager:(Sql.Pager.in_memory ()) in
-  Option.iter (Sql.Database.set_exec_mode host_db) exec_mode;
   let obs, counters = Sql.Observer.counting () in
   Sql.Database.set_observer host_db obs;
   Fun.protect

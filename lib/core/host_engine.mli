@@ -12,5 +12,5 @@ val run_host :
   Partitioner.plan ->
   Storage_engine.phase ->
   phase
-(** [exec_mode] selects row-at-a-time (the default) or vectorized
-    batch execution for the host half of the split query. *)
+(** [exec_mode] is ignored; it is kept only for the benchmark loader
+    that still passes {!Deployment.exec_mode}. *)

@@ -144,16 +144,9 @@ let charge_cache_hits node (params : Sim.Params.t) hits =
         Sim.Node.charge node ~category:"io"
           (float_of_int hits *. params.page_cache_ns))
 
-(* [batches] is the number of vectorized batch flushes behind [rows];
-   batch boundaries are the cost-segment granularity of batch-mode
-   execution, so the span records them. Row-at-a-time runs report 0
-   and the attribute is omitted entirely, keeping their span streams
-   byte-identical to pre-batch builds. *)
-let charge_compute ?(batches = 0) node ~rows =
+let charge_compute node ~rows =
   Sim.Node.with_span node ~name:"compute"
-    ~attrs:
-      (("rows", string_of_int rows)
-      :: (if batches > 0 then [ ("batches", string_of_int batches) ] else []))
+    ~attrs:[ ("rows", string_of_int rows) ]
     (fun () -> Sim.Node.compute node ~category:"ndp" ~row_ops:rows)
 
 let charge_memory node ~category bytes =
@@ -268,17 +261,11 @@ let with_offload host storage f =
 (* Partition the statement, run the offloaded portion on the storage
    engine over [src_db], ship the results, and run the host portion.
    Returns everything needed for charging. *)
-let run_split ?project deploy ~src_db ~stmt =
+let run_split ?project ~src_db stmt =
   let catalog = Sql.Database.catalog src_db in
   let plan = Partitioner.split ?project catalog stmt in
   let offload = Storage_engine.run_offload src_db plan in
-  (* the host half of a split query runs in the same executor mode as
-     the storage-resident databases (row-at-a-time or batched) *)
-  let host =
-    Host_engine.run_host
-      ~exec_mode:(Deployment.exec_mode deploy)
-      ~storage_catalog:catalog plan offload
-  in
+  let host = Host_engine.run_host ~storage_catalog:catalog plan offload in
   ( plan,
     offload.Storage_engine.counters,
     host.Host_engine.counters,
@@ -347,8 +334,7 @@ let run_stmt ?(reset = true) ?project deploy config stmt =
           charge_cache_hits host params hits;
           charge_transfer params storage host ~secure:false ~bytes
             ~messages:(message_count params bytes));
-      charge_compute host ~rows:c.Sql.Observer.rows
-        ~batches:c.Sql.Observer.batches;
+      charge_compute host ~rows:c.Sql.Observer.rows;
       finish ~result ~affected ~bytes_shipped:bytes ~pages ~hits
         ~host_rows:c.Sql.Observer.rows ~storage_rows:0 ()
   | Config.Hos ->
@@ -371,8 +357,7 @@ let run_stmt ?(reset = true) ?project deploy config stmt =
             ~messages:(message_count params bytes));
       (* crypto happens inside the host enclave *)
       charge_crypto ~lanes host params ~decrypts ~macs ~merkle ~rpmb;
-      charge_compute host ~rows:c.Sql.Observer.rows
-        ~batches:c.Sql.Observer.batches;
+      charge_compute host ~rows:c.Sql.Observer.rows;
       (* one ocall/ecall pair per page fetch *)
       charge_enclave_transitions host params (2 * pages);
       charge_epc host d.Deployment.host_enclave params
@@ -385,7 +370,7 @@ let run_stmt ?(reset = true) ?project deploy config stmt =
         ~host_rows:c.Sql.Observer.rows ~storage_rows:0 ()
   | Config.Vcs ->
       let plan, sc, hc, result, bytes =
-        run_split ?project d ~src_db:d.Deployment.plain_db ~stmt
+        run_split ?project ~src_db:d.Deployment.plain_db stmt
       in
       note_split config plan;
       let pages = sc.Sql.Observer.page_reads in
@@ -396,19 +381,17 @@ let run_stmt ?(reset = true) ?project deploy config stmt =
           Sim.Node.charge storage ~category:"other"
             (float_of_int (List.length plan.Partitioner.offload_sql)
             *. params.Sim.Params.offload_session_ns);
-          charge_compute storage ~rows:sc.Sql.Observer.rows
-            ~batches:sc.Sql.Observer.batches;
+          charge_compute storage ~rows:sc.Sql.Observer.rows;
           charge_memory storage ~category:"spill"
             sc.Sql.Observer.bytes_allocated;
           charge_transfer params storage host ~secure:false ~bytes
             ~messages:(message_count params bytes));
-      charge_compute host ~rows:hc.Sql.Observer.rows
-        ~batches:hc.Sql.Observer.batches;
+      charge_compute host ~rows:hc.Sql.Observer.rows;
       finish ~result ~bytes_shipped:bytes ~pages ~hits
         ~host_rows:hc.Sql.Observer.rows ~storage_rows:sc.Sql.Observer.rows ()
   | Config.Scs ->
       let plan, sc, hc, result, bytes =
-        run_split ?project d ~src_db:d.Deployment.secure_db ~stmt
+        run_split ?project ~src_db:d.Deployment.secure_db stmt
       in
       note_split config plan;
       let pages = sc.Sql.Observer.page_reads in
@@ -424,14 +407,12 @@ let run_stmt ?(reset = true) ?project deploy config stmt =
           charge_cache_hits storage params hits;
           (* storage-side decryption + freshness (near the data) *)
           charge_crypto ~lanes storage params ~decrypts ~macs ~merkle ~rpmb;
-          charge_compute storage ~rows:sc.Sql.Observer.rows
-            ~batches:sc.Sql.Observer.batches;
+          charge_compute storage ~rows:sc.Sql.Observer.rows;
           charge_memory storage ~category:"spill"
             sc.Sql.Observer.bytes_allocated;
           charge_transfer params storage host ~secure:true ~bytes
             ~messages:(message_count params bytes));
-      charge_compute host ~rows:hc.Sql.Observer.rows
-        ~batches:hc.Sql.Observer.batches;
+      charge_compute host ~rows:hc.Sql.Observer.rows;
       (* enclave entered once per arriving message batch *)
       charge_enclave_transitions host params (2 * message_count params bytes);
       charge_epc host d.Deployment.host_enclave params

@@ -122,7 +122,7 @@ val charge_transfer :
 
 val charge_io : Ironsafe_sim.Node.t -> Ironsafe_sim.Params.t -> int -> unit
 val charge_cache_hits : Ironsafe_sim.Node.t -> Ironsafe_sim.Params.t -> int -> unit
-val charge_compute : ?batches:int -> Ironsafe_sim.Node.t -> rows:int -> unit
+val charge_compute : Ironsafe_sim.Node.t -> rows:int -> unit
 val charge_memory : Ironsafe_sim.Node.t -> category:string -> int -> unit
 
 val charge_enclave_transitions :

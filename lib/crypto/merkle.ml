@@ -116,62 +116,3 @@ let verify ~key ~root:expected_root ~leaf_tag proof =
 let depth t =
   let rec go cap acc = if cap <= 1 then acc else go (cap / 2) (acc + 1) in
   go t.cap 0
-
-(* -- batched verification ------------------------------------------- *)
-
-(* Verifying n leaves one path at a time costs n * depth HMACs even
-   though nearby leaves share almost all of their upper path. The batch
-   verifier memoizes, per heap position, the node value that has already
-   been chained up to the root within this batch: a later leaf climbing
-   into a memoized position only has to match that value, because the
-   segment above it was verified when the memo entry was written. For a
-   contiguous run of leaves this collapses the per-leaf cost from
-   [depth] HMACs to amortized ~2.
-
-   The verifier snapshots the root at creation and reads sibling values
-   from the live tree, exactly like [prove]; it must not span leaf
-   updates. It carries its own mutable memo and op counter, so create
-   one per thread — concurrent verifiers over the same (quiescent) tree
-   are safe. *)
-type batch_verifier = {
-  bv_tree : t;
-  bv_pk : Hmac.prekey;
-  bv_root : string;
-  bv_chained : (int, string) Hashtbl.t;
-      (* heap pos -> computed value whose path to the root verified *)
-  mutable bv_ops : int;
-}
-
-let batch_verifier ~key t =
-  {
-    bv_tree = t;
-    bv_pk = Hmac.precompute ~key;
-    bv_root = t.nodes.(1);
-    bv_chained = Hashtbl.create 64;
-    bv_ops = 0;
-  }
-
-let verify_leaf bv i ~leaf_tag =
-  let t = bv.bv_tree in
-  check_index t i;
-  let h a b =
-    bv.bv_ops <- bv.bv_ops + 1;
-    Hmac.mac_pre_list bv.bv_pk [ a; b ]
-  in
-  let rec climb pos node =
-    if pos = 1 then Constant_time.equal node bv.bv_root
-    else
-      match Hashtbl.find_opt bv.bv_chained pos with
-      | Some chained -> Constant_time.equal node chained
-      | None ->
-          let sibling = t.nodes.(pos lxor 1) in
-          let parent =
-            if pos land 1 = 0 then h node sibling else h sibling node
-          in
-          let ok = climb (pos / 2) parent in
-          if ok then Hashtbl.replace bv.bv_chained pos node;
-          ok
-  in
-  climb (t.cap + i) leaf_tag
-
-let batch_hash_ops bv = bv.bv_ops

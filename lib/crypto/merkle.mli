@@ -43,27 +43,3 @@ val hash_ops : t -> int
 (** HMAC evaluations performed by this tree since last reset. *)
 
 val reset_hash_ops : t -> unit
-
-(** {2 Batched verification}
-
-    Nearby leaves share almost all of their authentication path, so
-    verifying a batch one {!prove}/{!verify} pair at a time wastes
-    [depth] HMACs per leaf. A {!batch_verifier} memoizes path segments
-    already chained to the root within the batch, collapsing the
-    amortized cost to ~2 HMACs per contiguous leaf. *)
-
-type batch_verifier
-
-val batch_verifier : key:string -> t -> batch_verifier
-(** Fresh verifier over the tree's current root. It reads sibling
-    values from the live tree, so it must not span leaf updates. Each
-    verifier owns its memo and op counter: create one per thread when
-    verifying in parallel over a quiescent tree. *)
-
-val verify_leaf : batch_verifier -> int -> leaf_tag:string -> bool
-(** [verify_leaf bv i ~leaf_tag] checks that [leaf_tag] at leaf [i]
-    authenticates against the root snapshotted at verifier creation. *)
-
-val batch_hash_ops : batch_verifier -> int
-(** HMAC evaluations performed through this verifier (for cost
-    accounting). *)

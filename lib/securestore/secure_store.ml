@@ -72,8 +72,8 @@ type key_mode = Single_key | Per_page_keys
    keeps the MAC-then-anchor layout bit-for-bit identical (the nonce
    simply lives in the IV slot and is MACed the same way) but makes
    each 16-byte block of a page independently decryptable, which is
-   what allows a multi-lane decrypt to split one page — or a batch of
-   pages — across cores. *)
+   what lets the cost model split one page's decrypt across
+   [Params.crypto_lanes] lanes. *)
 type page_mode = Cbc | Ctr
 
 type t = {
@@ -342,110 +342,6 @@ let read_page t index =
     | Error e -> Error e
   in
   attempt 0
-
-(* Batched verified read: the amortized, lane-parallel form of
-   [read_page]. Three phases keep every mutable structure out of the
-   fan-out:
-
-     1. serial   — raw device reads, one root-vs-anchor freshness check
-                   for the whole batch, per-page key prefetch;
-     2. parallel — per-page MAC check, Merkle path verification (one
-                   batch verifier per lane, sharing ancestor work
-                   across the lane's pages) and decrypt, striped
-                   round-robin so each result slot has one writer;
-     3. serial   — stats/telemetry fold, and any page that failed in
-                   the batch is retried through [read_page], which owns
-                   the fault-recovery budget.
-
-   Checks per page are exactly the [read_page_once] checks; only the
-   Merkle path work is shared, which is sound because every shared
-   segment was chained to the (anchor-checked) root when first
-   verified. CBC batches parallelize across pages; CTR batches can
-   also split inside a page, which is what the bench's multi-lane
-   decrypt kernels exercise. *)
-let read_pages t ?(lanes = 1) indices =
-  let idx = Array.of_list indices in
-  let n = Array.length idx in
-  Array.iter
-    (fun i ->
-      if i < 0 || i >= t.data_pages then
-        invalid_arg "Secure_store.read_pages: index out of range")
-    idx;
-  if n = 0 then Ok []
-  else begin
-    (* phase 1: serial device reads + one freshness check per batch *)
-    let raw =
-      Array.map
-        (fun i ->
-          t.stats.device_reads <- t.stats.device_reads + 1;
-          S.Block_device.read_page t.device i)
-        idx
-    in
-    Obs.count ~n ~scope:obs_scope "pages_read";
-    if not (C.Constant_time.equal (current_root_mac t) t.anchored_root) then
-      Error Stale_root
-    else begin
-      (* per-page keys are a lazily filled cache: prefetch serially so
-         the fan-out never mutates it *)
-      Array.iter (fun i -> ignore (page_key t i)) idx;
-      let lanes = max 1 lanes in
-      let out = Array.make n (Error Stale_root) in
-      let lane_hashes = Array.make lanes 0 in
-      (* phase 2: each lane owns slots lane, lane+lanes, ... *)
-      let work lane =
-        let bv =
-          C.Merkle.batch_verifier ~key:(Keyslot.page_mac_key t.keys) t.merkle
-        in
-        let p = ref lane in
-        while !p < n do
-          let slot = !p in
-          let index = idx.(slot) and page = raw.(slot) in
-          let iv = String.sub page 0 16 in
-          let mac = String.sub page 16 32 in
-          let clen = (Char.code page.[48] lsl 8) lor Char.code page.[49] in
-          out.(slot) <-
-            (if clen > S.Block_device.page_size - header_len then
-               Error (Corrupt_page (index, "ciphertext length field out of range"))
-             else begin
-               let ciphertext = String.sub page header_len clen in
-               if not (C.Constant_time.equal (page_mac t index iv ciphertext) mac)
-               then Error (Tampered_page index)
-               else if not (C.Merkle.verify_leaf bv index ~leaf_tag:mac) then
-                 Error (Tampered_page index)
-               else decrypt_payload t index ~iv ciphertext
-             end);
-          p := !p + lanes
-        done;
-        lane_hashes.(lane) <- C.Merkle.batch_hash_ops bv
-      in
-      C.Lanes.run ~lanes work;
-      (* phase 3: serial stats fold + per-page fault recovery *)
-      t.stats.page_mac_checks <- t.stats.page_mac_checks + n;
-      Obs.count ~n ~scope:obs_scope "hmac_checks";
-      Array.iter
-        (fun h -> t.stats.merkle_hashes <- t.stats.merkle_hashes + h)
-        lane_hashes;
-      Obs.count ~n ~scope:obs_scope "merkle_verifies";
-      let decrypts =
-        Array.fold_left
-          (fun acc r -> match r with Ok _ -> acc + 1 | Error _ -> acc)
-          0 out
-      in
-      t.stats.page_decrypts <- t.stats.page_decrypts + decrypts;
-      Obs.count ~n:decrypts ~scope:obs_scope "page_decrypts";
-      let rec collect k acc =
-        if k < 0 then Ok acc
-        else
-          match out.(k) with
-          | Ok plain -> collect (k - 1) (plain :: acc)
-          | Error _ -> (
-              match read_page t idx.(k) with
-              | Ok plain -> collect (k - 1) (plain :: acc)
-              | Error e -> Error e)
-      in
-      collect (n - 1) []
-    end
-  end
 
 (* First-time initialization: generate data key, persist it to RPMB,
    build an empty Merkle tree over zeroed leaf tags. *)

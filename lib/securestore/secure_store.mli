@@ -42,7 +42,8 @@ type page_mode =
   | Ctr
       (** AES-CTR: identical page layout and MAC coverage (the nonce
           lives in the IV slot), but every 16-byte block is
-          independently decryptable, enabling multi-lane decrypt.
+          independently decryptable, so the cost model may split its
+          decrypt across lanes.
           Nonces are derived from (per-boot salt, page id, write
           epoch), never reused per key. *)
 
@@ -84,15 +85,6 @@ val set_faults : t -> Ironsafe_fault.Fault.t -> unit
 
 val write_page : t -> int -> string -> (unit, error) result
 val read_page : t -> int -> (string, error) result
-
-val read_pages : t -> ?lanes:int -> int list -> (string list, error) result
-(** Batched verified read with the same per-page checks as
-    {!read_page}, but amortized across the batch: one root-freshness
-    check, Merkle paths verified with shared ancestor work, and the
-    MAC/decrypt work of the batch fanned out over [lanes] domains
-    (default 1 = inline). Results are in request order; a page that
-    fails in the batch is retried through {!read_page}'s recovery
-    budget before the error is surfaced. *)
 
 val page_mode : t -> page_mode
 

@@ -2,11 +2,7 @@
    catalog. This is what both the host engine and the storage engine
    instantiate (over different pagers). *)
 
-type t = {
-  catalog : Catalog.t;
-  mutable observer : Observer.t;
-  mutable exec_mode : Exec.exec_mode;
-}
+type t = { catalog : Catalog.t; mutable observer : Observer.t }
 
 type outcome =
   | Result of Exec.result
@@ -15,11 +11,7 @@ type outcome =
   | Dropped of string
 
 let create ~pager =
-  {
-    catalog = Catalog.create ~pager;
-    observer = Observer.null;
-    exec_mode = Exec.Row_at_a_time;
-  }
+  { catalog = Catalog.create ~pager; observer = Observer.null }
 
 let catalog t = t.catalog
 let reload_storage t = Catalog.reload_tables t.catalog
@@ -28,16 +20,7 @@ let set_observer t obs =
   t.observer <- obs;
   Pager.set_observer (Catalog.pager t.catalog) obs
 
-let set_exec_mode t mode =
-  (match mode with
-  | Exec.Batched n when n < 1 ->
-      invalid_arg "Database.set_exec_mode: batch size must be >= 1"
-  | _ -> ());
-  t.exec_mode <- mode
-
-let exec_mode t = t.exec_mode
-
-let state t = { Exec.catalog = t.catalog; obs = t.observer; mode = t.exec_mode }
+let state t = { Exec.catalog = t.catalog; obs = t.observer }
 
 let create_table t schema = ignore (Catalog.create_table t.catalog schema)
 

@@ -20,13 +20,6 @@ val reload_storage : t -> unit
 val set_observer : t -> Observer.t -> unit
 (** Install the execution observer (also wired into the pager). *)
 
-val set_exec_mode : t -> Exec.exec_mode -> unit
-(** Select row-at-a-time (the default) or vectorized batch execution
-    for subsequent statements. Both modes produce byte-identical
-    results; [Batched n] must have [n >= 1]. *)
-
-val exec_mode : t -> Exec.exec_mode
-
 val create_table : t -> Schema.t -> unit
 
 val insert_rows : t -> string -> Row.t list -> unit

@@ -1,19 +1,9 @@
 (* Query planning and execution.
 
-   The executor is materializing (each stage produces row lists),
-   which suits analytic scans; plans are compiled closures with all
-   column references resolved to array indices up front.
-
-   Two execution modes share this planner and the same compiled
-   expressions. [Row_at_a_time] is the original pull-everything path.
-   [Batched n] is vectorized: scans produce fixed-capacity row batches
-   (see [Batch]) whose filters narrow a selection vector over reused
-   arrays instead of materializing filtered copies, and eligible
-   single-table pipelines fuse scan → filter → project/aggregate so no
-   intermediate row list exists at all. Because both modes evaluate
-   the identical compiled closures in the identical row order, they
-   must produce byte-identical results — the batch differential suite
-   holds them to that.
+   The executor runs row at a time and is materializing (each stage
+   produces row lists), which suits analytic scans; plans are compiled
+   closures with all column references resolved to array indices up
+   front.
 
    Join strategy: left-deep over the FROM list with a greedy reorder —
    at each step prefer a table connected to the accumulated result by
@@ -33,12 +23,11 @@ exception Sql_error of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Sql_error s)) fmt
 
-(* How plans drive their scans; batch size is the new cost-segment
-   granularity (the observer's [on_batch] fires once per flushed
-   batch). *)
-type exec_mode = Row_at_a_time | Batched of int
+(* Kept only for the benchmark loader that still passes
+   [Deployment.exec_mode] to [Host_engine.run_host]. *)
+type exec_mode = Row_at_a_time
 
-type state = { catalog : Catalog.t; obs : Observer.t; mode : exec_mode }
+type state = { catalog : Catalog.t; obs : Observer.t }
 
 (* -- Environments --------------------------------------------------- *)
 
@@ -390,10 +379,10 @@ and index_access state table filters =
       | Some a, None -> Some a)
     None filters
 
-(* Shared scan front end: resolved output columns, compiled pushdown
-   filters, and a row iterator over either the index-selected pages or
-   the whole heap file. Both execution modes are built from these. *)
-and scan_parts state ~binding table ~filters ~ctx_parent =
+(* Base-table scan: resolved output columns and a run closure that
+   applies the compiled pushdown filters to either the index-selected
+   pages or the whole heap file. *)
+and scan_table state ~binding table ~filters ~ctx_parent =
   let hf =
     try Catalog.find state.catalog table
     with Catalog.Unknown_table t -> fail "unknown table %s" t
@@ -423,58 +412,16 @@ and scan_parts state ~binding table ~filters ~ctx_parent =
           ~f:(fun ~page:_ row -> f row)
     | None -> Heap_file.iter hf ~f
   in
-  (cols, cfilters, iter_rows)
-
-(* Vectorized scan: fill a reused batch from the heap file, apply the
-   pushdown filters as a selection vector, and hand each non-empty
-   batch to [consume]. Work is charged at batch granularity with the
-   same totals as the row path: [on_rows] per fill, [on_alloc] per
-   surviving row, plus [on_batch] at each flush (the cost-segment
-   boundary). [consume] may narrow the selection further but must not
-   retain the batch. *)
-and scan_batches state ~cfilters ~iter_rows ~cap consume =
-  let b = Batch.create ~capacity:cap in
-  let flush () =
-    if Batch.length b > 0 then begin
-      state.obs.Observer.on_rows (Batch.length b);
-      Batch.select_where b (fun row ->
-          let env = mk_env row in
-          List.for_all (fun f -> Value.as_bool (f env)) cfilters);
-      state.obs.Observer.on_batch ~rows:(Batch.selected b);
-      Batch.iter_selected b (fun row ->
-          state.obs.Observer.on_alloc (Row.heap_size row));
-      consume b;
-      Batch.clear b
-    end
-  in
-  iter_rows (fun row ->
-      Batch.push b row;
-      if Batch.is_full b then flush ());
-  flush ()
-
-and scan_table state ~binding table ~filters ~ctx_parent =
-  let cols, cfilters, iter_rows =
-    scan_parts state ~binding table ~filters ~ctx_parent
-  in
   let run _outer_env =
-    match state.mode with
-    | Row_at_a_time ->
-        let acc = ref [] in
-        iter_rows (fun row ->
-            state.obs.Observer.on_rows 1;
-            let env = mk_env row in
-            if List.for_all (fun f -> Value.as_bool (f env)) cfilters then begin
-              state.obs.Observer.on_alloc (Row.heap_size row);
-              acc := row :: !acc
-            end);
-        List.rev !acc
-    | Batched cap ->
-        (* batched scan+filter feeding the (materializing) join and
-           post stages: identical output list, batch-granular charges *)
-        let acc = ref [] in
-        scan_batches state ~cfilters ~iter_rows ~cap (fun b ->
-            Batch.iter_selected b (fun row -> acc := row :: !acc));
-        List.rev !acc
+    let acc = ref [] in
+    iter_rows (fun row ->
+        state.obs.Observer.on_rows 1;
+        let env = mk_env row in
+        if List.for_all (fun f -> Value.as_bool (f env)) cfilters then begin
+          state.obs.Observer.on_alloc (Row.heap_size row);
+          acc := row :: !acc
+        end);
+    List.rev !acc
   in
   (cols, run)
 
@@ -1008,31 +955,6 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
     || List.exists contains_agg item_exprs
     || Option.fold ~none:false ~some:contains_agg having_expr
   in
-  (* Fused vectorized pipeline: in batch mode, a single base-table scan
-     with no join work, no correlated predicates and no outer-scope
-     references streams batches straight through
-     filter → project/aggregate — the filtered scan is never
-     materialized as a row list. Everything else (joins, correlation,
-     outer references) falls back to the staged path, whose scans still
-     batch internally. Both paths run the same compiled closures in the
-     same row order. Checked only after compilation so [uses_outer]
-     already reflects every expression of this select. *)
-  let fused_scan_target () =
-    match (state.mode, units) with
-    | Batched cap, [ (_, `Scan (binding, table)) ]
-      when correlated_preds = [] && not !uses_outer ->
-        Some (cap, binding, table)
-    | _ -> None
-  in
-  let fused_scan_parts (binding, table) =
-    let filters =
-      Option.value ~default:[] (Hashtbl.find_opt single_table binding)
-    in
-    let _, cfilters, iter_rows =
-      scan_parts state ~binding table ~filters ~ctx_parent:parent_ctx
-    in
-    (cfilters, iter_rows)
-  in
   if not is_agg_query then begin
     (* compile projection/sort directly over joined ctx *)
     let citems = List.map (compile joined_ctx) item_exprs in
@@ -1049,70 +971,31 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
       let keys = List.map (fun (c, d) -> (c env, d)) corder in
       (Array.of_list (List.map (fun c -> c env) citems), keys)
     in
-    match fused_scan_target () with
-    | Some (cap, binding, table) ->
-        let cfilters, iter_rows = fused_scan_parts (binding, table) in
-        let memo = ref None in
-        {
-          sub_cols = out_cols;
-          sub_correlated = false;
-          sub_run =
-            (fun outer_env ->
-              match !memo with
-              | Some rows -> rows
-              | None ->
-                  let acc = ref [] in
-                  scan_batches state ~cfilters ~iter_rows ~cap (fun b ->
-                      if cpost <> [] then begin
-                        state.obs.Observer.on_rows (Batch.selected b);
-                        Batch.refine b (fun r ->
-                            let env = mk_env ?up:outer_env r in
-                            List.for_all
-                              (fun f -> Value.as_bool (f env))
-                              cpost)
-                      end;
-                      if cwhere_having <> [] then
-                        Batch.refine b (fun r ->
-                            let env = mk_env ?up:outer_env r in
-                            List.for_all
-                              (fun f -> Value.as_bool (f env))
-                              cwhere_having);
-                      state.obs.Observer.on_rows (Batch.selected b);
-                      Batch.iter_selected b (fun r ->
-                          acc := project_row outer_env r :: !acc));
-                  let rows = sort_and_limit state (List.rev !acc) q.limit in
-                  (* no outer references (checked above), so the result
-                     is the same for every caller: memoize like the
-                     staged path memoizes stage A *)
-                  memo := Some rows;
-                  rows);
-        }
-    | None ->
-        let run_stage_a = make_stage_a state steps in
-        let memo = ref None in
-        let semijoin = make_semijoin state ~csemi_inner in
-        fun_of_stages state ~out_cols ~run_stage_a ~memo ~uses_outer ~cpost
-          ~semijoin ~csemi_outer ~ccorr_residual
-          ~finish:(fun rows outer_env ->
-            let with_env (r : Row.t) = mk_env ?up:outer_env r in
-            let rows =
-              if cwhere_having = [] then rows
-              else
-                List.filter
-                  (fun r ->
-                    List.for_all
-                      (fun f -> Value.as_bool (f (with_env r)))
-                      cwhere_having)
-                  rows
-            in
-            let projected =
-              List.map
-                (fun r ->
-                  state.obs.Observer.on_rows 1;
-                  project_row outer_env r)
-                rows
-            in
-            sort_and_limit state projected q.limit)
+    let run_stage_a = make_stage_a state steps in
+    let memo = ref None in
+    let semijoin = make_semijoin state ~csemi_inner in
+    fun_of_stages state ~out_cols ~run_stage_a ~memo ~uses_outer ~cpost
+      ~semijoin ~csemi_outer ~ccorr_residual
+      ~finish:(fun rows outer_env ->
+        let with_env (r : Row.t) = mk_env ?up:outer_env r in
+        let rows =
+          if cwhere_having = [] then rows
+          else
+            List.filter
+              (fun r ->
+                List.for_all
+                  (fun f -> Value.as_bool (f (with_env r)))
+                  cwhere_having)
+              rows
+        in
+        let projected =
+          List.map
+            (fun r ->
+              state.obs.Observer.on_rows 1;
+              project_row outer_env r)
+            rows
+        in
+        sort_and_limit state projected q.limit)
   end
   else begin
     (* aggregate pipeline *)
@@ -1150,10 +1033,8 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
       Array.of_list
         (List.map (fun (f, d) -> Agg_state.create f ~distinct:d) agg_specs)
     in
-    (* Group accumulation and finalization, shared verbatim between the
-       staged path (fed a materialized row list) and the fused batch
-       path (fed one selected row at a time): group discovery order —
-       and with it output order — is scan order in both. *)
+    (* Group accumulation and finalization: group discovery order —
+       and with it output order — is scan order. *)
     let agg_add groups order outer_env (r : Row.t) =
       let env = mk_env ?up:outer_env r in
       let key = encode_values (List.map (fun c -> c env) cgroup) in
@@ -1198,50 +1079,20 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
       in
       sort_and_limit state finished q.limit
     in
-    match fused_scan_target () with
-    | Some (cap, binding, table) ->
-        let cfilters, iter_rows = fused_scan_parts (binding, table) in
-        let memo = ref None in
-        {
-          sub_cols = out_cols;
-          sub_correlated = false;
-          sub_run =
-            (fun outer_env ->
-              match !memo with
-              | Some rows -> rows
-              | None ->
-                  let groups = Hashtbl.create 64 in
-                  let order = ref [] in
-                  scan_batches state ~cfilters ~iter_rows ~cap (fun b ->
-                      if cpost <> [] then begin
-                        state.obs.Observer.on_rows (Batch.selected b);
-                        Batch.refine b (fun r ->
-                            let env = mk_env ?up:outer_env r in
-                            List.for_all
-                              (fun f -> Value.as_bool (f env))
-                              cpost)
-                      end;
-                      state.obs.Observer.on_rows (Batch.selected b * agg_cost);
-                      Batch.iter_selected b (agg_add groups order outer_env));
-                  let rows = agg_finish groups order outer_env in
-                  memo := Some rows;
-                  rows);
-        }
-    | None ->
-        let run_stage_a = make_stage_a state steps in
-        let memo = ref None in
-        let semijoin = make_semijoin state ~csemi_inner in
-        fun_of_stages state ~out_cols ~run_stage_a ~memo ~uses_outer ~cpost
-          ~semijoin ~csemi_outer ~ccorr_residual
-          ~finish:(fun rows outer_env ->
-            let groups = Hashtbl.create 64 in
-            let order = ref [] in
-            List.iter
-              (fun (r : Row.t) ->
-                state.obs.Observer.on_rows agg_cost;
-                agg_add groups order outer_env r)
-              rows;
-            agg_finish groups order outer_env)
+    let run_stage_a = make_stage_a state steps in
+    let memo = ref None in
+    let semijoin = make_semijoin state ~csemi_inner in
+    fun_of_stages state ~out_cols ~run_stage_a ~memo ~uses_outer ~cpost
+      ~semijoin ~csemi_outer ~ccorr_residual
+      ~finish:(fun rows outer_env ->
+        let groups = Hashtbl.create 64 in
+        let order = ref [] in
+        List.iter
+          (fun (r : Row.t) ->
+            state.obs.Observer.on_rows agg_cost;
+            agg_add groups order outer_env r)
+          rows;
+        agg_finish groups order outer_env)
   end
 
 and make_stage_a state steps =

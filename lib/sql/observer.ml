@@ -9,10 +9,6 @@ type t = {
   on_page_write : unit -> unit;
   on_alloc : int -> unit;  (** bytes of intermediate state materialized *)
   on_release : int -> unit;
-  on_batch : rows:int -> unit;
-      (** a vectorized batch flushed with [rows] rows selected — the
-          cost-segment boundary of batch-mode execution; never fired by
-          the row-at-a-time path *)
 }
 
 let null =
@@ -22,7 +18,6 @@ let null =
     on_page_write = ignore;
     on_alloc = ignore;
     on_release = ignore;
-    on_batch = (fun ~rows:_ -> ());
   }
 
 (* A counting observer, handy in tests. [page_reads] counts physical
@@ -35,7 +30,6 @@ type counters = {
   mutable page_hits : int;
   mutable page_writes : int;
   mutable bytes_allocated : int;
-  mutable batches : int;  (** batch flushes (0 in row-at-a-time mode) *)
 }
 
 let counting () =
@@ -46,7 +40,6 @@ let counting () =
       page_hits = 0;
       page_writes = 0;
       bytes_allocated = 0;
-      batches = 0;
     }
   in
   let obs =
@@ -59,7 +52,6 @@ let counting () =
       on_page_write = (fun () -> c.page_writes <- c.page_writes + 1);
       on_alloc = (fun n -> c.bytes_allocated <- c.bytes_allocated + n);
       on_release = ignore;
-      on_batch = (fun ~rows:_ -> c.batches <- c.batches + 1);
     }
   in
   (obs, c)

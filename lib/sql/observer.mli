@@ -8,9 +8,6 @@ type t = {
   on_page_write : unit -> unit;
   on_alloc : int -> unit;  (** bytes of intermediate state *)
   on_release : int -> unit;
-  on_batch : rows:int -> unit;
-      (** a vectorized batch flushed with [rows] selected rows; the
-          cost-segment boundary of batch-mode execution *)
 }
 
 val null : t
@@ -21,7 +18,6 @@ type counters = {
   mutable page_hits : int;  (** buffer-pool hits (served without I/O) *)
   mutable page_writes : int;
   mutable bytes_allocated : int;
-  mutable batches : int;  (** batch flushes (0 in row-at-a-time mode) *)
 }
 
 val counting : unit -> t * counters

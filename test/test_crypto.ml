@@ -328,17 +328,6 @@ let test_ctr_into_validates () =
     (fun () ->
       ignore (Modes.ctr_transform_into ~key ~nonce "xy" 0 (Bytes.create 1) 0 2))
 
-(* -- Lanes -------------------------------------------------------------- *)
-
-let test_lanes () =
-  Alcotest.(check bool) "at least one lane" true (Lanes.available () >= 1);
-  let hits = Array.make 4 0 in
-  Lanes.run ~lanes:4 (fun i -> hits.(i) <- hits.(i) + 1);
-  Alcotest.(check (array int)) "each lane ran once" [| 1; 1; 1; 1 |] hits;
-  Lanes.run ~lanes:1 (fun i -> Alcotest.(check int) "inline lane id" 0 i);
-  Alcotest.check_raises "worker exception propagates" Exit (fun () ->
-      Lanes.run ~lanes:3 (fun i -> if i = 2 then raise Exit))
-
 (* -- DRBG ------------------------------------------------------------- *)
 
 let test_drbg_deterministic () =
@@ -442,33 +431,6 @@ let test_merkle_hash_ops () =
   Merkle.update t 0 "x";
   (* leaf tag + 3 internal + root-path... update recomputes depth+1 nodes *)
   Alcotest.(check bool) "ops counted" true (Merkle.hash_ops t > 0)
-
-(* Batched verification: every leaf must verify against the snapshot
-   root, later leaves must stop at memoized ancestors (amortizing the
-   per-leaf path cost), and tampering must still be rejected. *)
-let test_merkle_batch_verifier () =
-  let t = Merkle.create ~key:"merkle-key" ~leaves:16 in
-  for i = 0 to 15 do
-    Merkle.update t i (Printf.sprintf "page-%d" i)
-  done;
-  let bv = Merkle.batch_verifier ~key:"merkle-key" t in
-  for i = 0 to 15 do
-    Alcotest.(check bool)
-      (Printf.sprintf "leaf %d verifies" i)
-      true
-      (Merkle.verify_leaf bv i ~leaf_tag:(Merkle.leaf t i))
-  done;
-  (* a cold path costs [depth] hashes per leaf; memoization must beat
-     that over the full batch *)
-  Alcotest.(check bool) "amortized below depth per leaf" true
-    (Merkle.batch_hash_ops bv < 16 * Merkle.depth t);
-  Alcotest.(check bool) "tampered tag rejected" false
-    (Merkle.verify_leaf bv 3 ~leaf_tag:(Merkle.leaf_tag_of_data t "tampered"));
-  Alcotest.(check bool) "displaced leaf rejected" false
-    (Merkle.verify_leaf bv 3 ~leaf_tag:(Merkle.leaf t 4));
-  let bad = Merkle.batch_verifier ~key:"other-key" t in
-  Alcotest.(check bool) "wrong key rejected" false
-    (Merkle.verify_leaf bad 0 ~leaf_tag:(Merkle.leaf t 0))
 
 (* -- Lamport ------------------------------------------------------------ *)
 
@@ -580,7 +542,6 @@ let suite =
     ("ctr sp800-38a full", `Quick, test_ctr_sp800_38a_full);
     ("ctr counter overflow", `Quick, test_ctr_counter_overflow);
     ("ctr_transform_into validation", `Quick, test_ctr_into_validates);
-    ("lanes", `Quick, test_lanes);
     ("drbg deterministic", `Quick, test_drbg_deterministic);
     ("drbg reseed", `Quick, test_drbg_reseed);
     ("drbg uniform", `Quick, test_drbg_uniform);
@@ -591,7 +552,6 @@ let suite =
     ("merkle proofs", `Quick, test_merkle_proofs);
     ("merkle wrong key", `Quick, test_merkle_wrong_key);
     ("merkle hash ops", `Quick, test_merkle_hash_ops);
-    ("merkle batch verifier", `Quick, test_merkle_batch_verifier);
     ("lamport", `Quick, test_lamport);
     ("signature", `Quick, test_signature);
   ]

@@ -326,36 +326,6 @@ let test_ctr_reopen () =
       Alcotest.(check string) "post-reboot write" "ctr post-reboot write"
         (read_ok store2 4)
 
-(* The batched read path must return exactly what page-at-a-time reads
-   return, in request order, whatever the lane count, in both cipher
-   modes — and surface the same integrity verdicts. *)
-let test_read_pages_matches_read_page () =
-  List.iter
-    (fun page_mode ->
-      let device, _, store, _ = setup ~data_pages:16 ~page_mode () in
-      for i = 0 to 15 do
-        write_ok store i (Printf.sprintf "bulk page %d" i)
-      done;
-      let idx = [ 3; 0; 15; 7; 3 ] in
-      let expect = List.map (fun i -> read_ok store i) idx in
-      List.iter
-        (fun lanes ->
-          match Sec.Secure_store.read_pages store ~lanes idx with
-          | Ok got ->
-              Alcotest.(check (list string)) "batch = singles" expect got
-          | Error e ->
-              Alcotest.failf "read_pages: %a" Sec.Secure_store.pp_error e)
-        [ 1; 4 ];
-      (* a tampered member poisons the batch with the same verdict the
-         single-page path gives *)
-      S.Block_device.tamper device ~page:7 ~offset:60;
-      match Sec.Secure_store.read_pages store ~lanes:4 idx with
-      | Error (Sec.Secure_store.Tampered_page 7) -> ()
-      | Ok _ -> Alcotest.fail "batch accepted a tampered page"
-      | Error e ->
-          Alcotest.failf "unexpected error: %a" Sec.Secure_store.pp_error e)
-    [ Sec.Secure_store.Cbc; Sec.Secure_store.Ctr ]
-
 (* -- observability instrumentation ------------------------------------- *)
 
 let with_obs f =
@@ -369,7 +339,9 @@ let with_obs f =
 
 (* The securestore-scope metrics must match the analytically known
    counts: reading back an N-page store is exactly N page reads, N MAC
-   checks, N Merkle path verifications and N decryptions. *)
+   checks, N Merkle path verifications and N decryptions. The store's
+   own stats pin what the virtual clock charges: N device reads and
+   one HMAC per level of the tree for each page's freshness path. *)
 let test_obs_counters_match_analytic () =
   with_obs (fun () ->
       let n = 16 in
@@ -394,7 +366,12 @@ let test_obs_counters_match_analytic () =
       (* and the registry agrees with the store's own stats *)
       let s = Sec.Secure_store.stats store in
       Alcotest.(check int) "metrics agree with stats"
-        s.Sec.Secure_store.page_decrypts (count "page_decrypts"))
+        s.Sec.Secure_store.page_decrypts (count "page_decrypts");
+      Alcotest.(check int) "device_reads = N" n s.Sec.Secure_store.device_reads;
+      (* the store's tree has one leaf per data page *)
+      let depth = C.Merkle.depth (C.Merkle.create ~key:"depth" ~leaves:n) in
+      Alcotest.(check int) "merkle_hashes = N x depth" (n * depth)
+        s.Sec.Secure_store.merkle_hashes)
 
 (* A secondary index over the encrypted store must cut the number of
    page decryptions a point query pays, not just the page reads. *)
@@ -487,7 +464,6 @@ let suite =
     ("ctr roundtrip", `Quick, test_ctr_roundtrip);
     ("ctr tamper detected", `Quick, test_ctr_tamper_detected);
     ("ctr reopen after reboot", `Quick, test_ctr_reopen);
-    ("read_pages matches read_page", `Quick, test_read_pages_matches_read_page);
     ("obs counters match analytic counts", `Quick, test_obs_counters_match_analytic);
     ("index reduces decrypts", `Quick, test_index_reduces_decrypts);
   ]
