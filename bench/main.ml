@@ -1004,35 +1004,54 @@ let bench_quick = ref false
 let bench_out = ref "BENCH_hotpath.json"
 let floor_file = ref None
 
-(* ns/op by doubling the iteration count until the measurement window
-   is long enough to trust the wall clock *)
+(* (ns/op, spread) on the monotonic clock. The iteration count is found
+   once, by quadrupling it until one window lasts long enough to trust
+   the clock; then [timing_trials] windows run at that count. ns/op is
+   the minimum over those windows, spread the max/min ratio. *)
+let timing_trials = 5
+
 let time_ns_per_op f =
-  let target_s = if !bench_quick then 0.02 else 0.25 in
+  let target_ns = if !bench_quick then 2e7 else 2.5e8 in
   for _ = 1 to 8 do
     ignore (Sys.opaque_identity (f ()))
   done;
-  let rec measure iters =
-    let t0 = Unix.gettimeofday () in
+  let window iters =
+    let t0 = Monotonic_clock.now () in
     for _ = 1 to iters do
       ignore (Sys.opaque_identity (f ()))
     done;
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt >= target_s then dt /. float_of_int iters *. 1e9
-    else measure (iters * 4)
+    Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0)
   in
-  measure 16
+  let rec calibrate iters =
+    if window iters >= target_ns then iters else calibrate (iters * 4)
+  in
+  let iters = calibrate 16 in
+  let per_op =
+    List.init timing_trials (fun _ -> window iters /. float_of_int iters)
+  in
+  let lo = List.fold_left Float.min infinity per_op in
+  let hi = List.fold_left Float.max 0.0 per_op in
+  (lo, if lo > 0.0 then hi /. lo else 1.0)
 
-let write_hotpath_json ?(derived = []) results =
+let write_hotpath_json ?(derived = []) ~spread results =
   let buf = Buffer.create 512 in
   Buffer.add_string buf "{\n";
   Printf.bprintf buf "  \"schema\": \"ironsafe-hotpath-v2\",\n";
   Printf.bprintf buf "  \"quick\": %b,\n" !bench_quick;
+  Printf.bprintf buf "  \"trials\": %d,\n" timing_trials;
   Buffer.add_string buf "  \"kernels\": {\n";
   List.iteri
     (fun i (name, ns) ->
       Printf.bprintf buf "    %S: %.1f%s\n" name ns
         (if i = List.length results - 1 then "" else ","))
     results;
+  (* per kernel, max/min ns/op over the timed windows *)
+  Buffer.add_string buf "  },\n  \"spread\": {\n";
+  List.iteri
+    (fun i (name, r) ->
+      Printf.bprintf buf "    %S: %.3f%s\n" name r
+        (if i = List.length spread - 1 then "" else ","))
+    spread;
   Buffer.add_string buf "  }";
   if derived <> [] then begin
     Buffer.add_string buf ",\n  \"derived\": {\n";
@@ -1361,14 +1380,17 @@ let microbench _scale =
          replay_sink := !acc);
     ]
   in
-  let results =
+  let timed =
     List.map
       (fun (name, per, f) ->
-        let ns = time_ns_per_op f /. float_of_int per in
-        Fmt.pr "%-34s %14.1f ns/op@." name ns;
-        (name, ns))
+        let ns, spread = time_ns_per_op f in
+        let ns = ns /. float_of_int per in
+        Fmt.pr "%-34s %14.1f ns/op  (spread %.2fx)@." name ns spread;
+        (name, ns, spread))
       kernels
   in
+  let results = List.map (fun (name, ns, _) -> (name, ns)) timed in
+  let spread = List.map (fun (name, _, r) -> (name, r)) timed in
   (* leave the observability layer as the run had it; drop the spans
      and counters the obs kernels accumulated *)
   Ironsafe_obs.Flight_recorder.disable ();
@@ -1393,7 +1415,9 @@ let microbench _scale =
      any machine *)
   let cores = Domain.recommended_domain_count () in
   Fmt.pr "%-34s %14d@." "cores-available" cores;
-  write_hotpath_json ~derived:[ ("cores-available", float_of_int cores) ] results;
+  write_hotpath_json
+    ~derived:[ ("cores-available", float_of_int cores) ]
+    ~spread results;
   Option.iter (check_floor results) !floor_file
 
 (* ------------------------------------------------------------------ *)
@@ -1446,13 +1470,6 @@ let saturation scale =
   let queries = if !sat_queries > 0 then !sat_queries else 2 * sessions in
   let mix = [ 1; 6 ] in
   let multipliers = [ 0.25; 0.5; 1.0; 2.0; 4.0 ] in
-  let host_name = Sim.Node.name d.Deployment.host in
-  let host_slots =
-    float_of_int (Sim.Cpu.cores (Sim.Node.cpu d.Deployment.host))
-  in
-  let store_slots =
-    float_of_int (Sim.Cpu.cores (Sim.Node.cpu d.Deployment.storage))
-  in
   let spec0 = Sched.default_spec in
   Fmt.pr
     "mix: TPC-H %s; %d session lanes, %d queries/point; forensics bounded \
@@ -1480,35 +1497,7 @@ let saturation scale =
                 ~sql:q.Tpch.Queries.sql)
             mix
         in
-        (* analytic capacity from the interned tapes: mean per-query
-           occupancy of each server class over the mix, divided by the
-           class's parallel slots *)
-        let h = ref 0.0 and c = ref 0.0 and io = ref 0.0 and ch = ref 0.0 in
-        List.iter
-          (fun p ->
-            let it = p.Sched.qp_itape in
-            let names = Sim.Tape.interned_nodes it in
-            let is_host = Array.map (fun nm -> nm = host_name) names in
-            for i = 0 to Sim.Tape.interned_length it - 1 do
-              let cls = Sim.Tape.cls it i in
-              let ns = Sim.Tape.ns it i in
-              if cls = Sim.Tape.cls_sync then ch := !ch +. ns
-              else if is_host.(Sim.Tape.node_id it i) then h := !h +. ns
-              else if cls = Sim.Tape.cls_io then io := !io +. ns
-              else c := !c +. ns
-            done)
-          profiles;
-        let n = float_of_int (List.length profiles) in
-        let bottleneck_ns =
-          List.fold_left Float.max 0.0
-            [
-              !h /. n /. host_slots;
-              !c /. n /. store_slots;
-              !io /. n /. float_of_int spec0.Sched.device_queue_depth;
-              !ch /. n /. float_of_int spec0.Sched.channel_streams;
-            ]
-        in
-        let capacity = 1e9 /. bottleneck_ns in
+        let capacity = Sched.capacity_qps d spec0 profiles in
         let points =
           List.map
             (fun mult ->

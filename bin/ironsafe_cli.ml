@@ -625,12 +625,12 @@ let workload_cmd =
       value & opt int (-1)
       & info [ "sample-sessions" ] ~docv:"N"
           ~doc:
-            "Bound forensics to about $(docv) session lanes (deterministic \
-             selection). Counts, per-tenant stats, utilization and latency \
-             percentiles stay exact over every session; only the event log, \
-             per-query records and trace segments are limited to the \
-             sampled lanes. -1 (the default) keeps everything — required \
-             below ~10^5 sessions only if you want the full log.")
+            "Forensics retention: every anomalous lane (shed, denied, tail \
+             breach) plus a deterministic reservoir of $(docv) normal lanes \
+             keep their event log lines, per-query records and trace \
+             segments. Counts, per-tenant stats, utilization and latency \
+             percentiles stay exact over every session. -1 (the default) \
+             keeps every lane in full.")
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
@@ -648,9 +648,9 @@ let workload_cmd =
       & opt (pos_int_conv "--lane-frames") 32
       & info [ "lane-frames" ] ~docv:"N"
           ~doc:
-            "Bounded-forensics mode: per-session ring of recent trace \
-             segments held while the lane's verdict is undecided (default \
-             32).")
+            "Per-session ring of recent trace segments held while the \
+             lane's verdict is undecided (default 32). Ignored at \
+             --sample-sessions -1, which keeps every segment.")
   in
   let run scale config qps sessions think_ms queries tenants seed max_inflight
       queue_depth sample_sessions json trace_out pool_frames shards scheme

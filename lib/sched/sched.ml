@@ -64,7 +64,7 @@ let profile_run ?(working_set = fun () -> 0) ~label ~sql config run =
        sweep point, another session count) shares one interned copy *)
     qp_itape = Sim.Tape.intern tape;
     qp_end_to_end_ns = m.Runner.end_to_end_ns;
-    (* sampled after the run: enclave residency the query leaves behind *)
+    (* read after the run: enclave residency the query leaves behind *)
     qp_working_set = working_set ();
   }
 
@@ -101,21 +101,19 @@ type spec = {
   channel_streams : int;  (** concurrent host<->storage transfers *)
   control_ns : float;  (** per-query control-path charge (host) *)
   sample_sessions : int;
-      (** forensics bound: [-1] records every lane (legacy exact mode);
-          [>= 0] switches to *tail-based* retention — every task buffers
-          its log lines and a bounded ring of recent trace segments
-          undecided, and at its verdict an anomalous task (shed, denied,
-          tail-latency breach) is kept in full while normal tasks pass
-          through a deterministic splitmix64 reservoir holding this many
-          exemplars. A saturation sweep thus retains 100% of anomalous
-          lanes plus a bounded normal sample; counters, registry metrics
-          and the latency histogram stay exact over all sessions in both
-          modes. *)
+      (** tail-based retention: every task buffers its log lines and a
+          ring of recent trace segments undecided, and at its verdict an
+          anomalous task (shed, denied, tail-latency breach) is kept in
+          full while normal tasks pass through a deterministic
+          splitmix64 reservoir holding this many exemplars. [-1] keeps
+          every lane: the reservoir holds [queries] exemplars and the
+          ring has no cap. Counters, registry metrics and the latency
+          histogram are exact over all sessions at any setting. *)
   lane_frames : int;
-      (** bounded mode: per-task ring capacity for undecided trace
-          segments ([<= 0] keeps every segment). Kept tasks carry their
-          most recent [lane_frames] segments, bounding per-lane memory
-          flight-recorder-style. *)
+      (** per-task ring capacity for undecided trace segments ([<= 0]
+          keeps every segment; ignored at [sample_sessions = -1]). Kept
+          tasks carry their most recent [lane_frames] segments,
+          bounding per-lane memory flight-recorder-style. *)
   tail_slo_ns : float;
       (** [> 0.0] arms the tail-latency objective: completions slower
           than this are anomalous (retained, counted, and emitted as
@@ -147,6 +145,44 @@ let arrival_name = function
   | Open_loop { qps } -> Printf.sprintf "open(qps=%.2f)" qps
   | Closed_loop { sessions; think_ns } ->
       Printf.sprintf "closed(sessions=%d,think=%.0fns)" sessions think_ns
+
+(* -- analytic capacity ------------------------------------------------- *)
+
+(* Mean per-query occupancy of each contended server class over the
+   mix, read off the interned tapes, divided by the class's parallel
+   slots; the largest quotient is the bottleneck, and its inverse bounds
+   the deliverable rate. *)
+let capacity_qps deploy spec profiles =
+  if profiles = [] then invalid_arg "Sched.capacity_qps: empty query mix";
+  let host_name = Sim.Node.name deploy.Deployment.host in
+  let slots node = float_of_int (Sim.Cpu.cores (Sim.Node.cpu node)) in
+  let h = ref 0.0 and c = ref 0.0 and io = ref 0.0 and ch = ref 0.0 in
+  List.iter
+    (fun p ->
+      let it = p.qp_itape in
+      let is_host =
+        Array.map (fun nm -> nm = host_name) (Sim.Tape.interned_nodes it)
+      in
+      for i = 0 to Sim.Tape.interned_length it - 1 do
+        let cls = Sim.Tape.cls it i in
+        let ns = Sim.Tape.ns it i in
+        if cls = Sim.Tape.cls_sync then ch := !ch +. ns
+        else if is_host.(Sim.Tape.node_id it i) then h := !h +. ns
+        else if cls = Sim.Tape.cls_io then io := !io +. ns
+        else c := !c +. ns
+      done)
+    profiles;
+  let n = float_of_int (List.length profiles) in
+  let bottleneck_ns =
+    List.fold_left Float.max 0.0
+      [
+        !h /. n /. slots deploy.Deployment.host;
+        !c /. n /. slots deploy.Deployment.storage;
+        !io /. n /. float_of_int spec.device_queue_depth;
+        !ch /. n /. float_of_int spec.channel_streams;
+      ]
+  in
+  1e9 /. bottleneck_ns
 
 (* -- outcomes and records ---------------------------------------------- *)
 
@@ -207,33 +243,11 @@ type report = {
   rep_wall_ns : float;  (** wall-clock time spent inside [run] *)
   rep_peak_words : int;  (** [Gc.stat].top_heap_words after the run *)
   rep_anomalous : int;
-      (** bounded mode: anomalous tasks (shed/denied/tail-breach)
-          retained in full — every one of them, by construction *)
+      (** anomalous tasks (shed/denied/tail-breach) retained in full —
+          every one of them, by construction *)
   rep_tail_breaches : int;  (** completions slower than [tail_slo_ns] *)
   rep_slo : Obs.Slo.summary list;  (** SLO watchdog summaries; [] when off *)
 }
-
-(* Latency digest from the fixed log-bucketed histogram
-   ({!Obs.Histogram}): mean and max are exact (count/sum/max are
-   tracked alongside the buckets), percentiles are bucket-resolution
-   nearest-rank — the same extraction the metrics registry uses for
-   its sched/latency_ns histogram, so the report's p99 and the
-   registry's agree exactly on the same completions. *)
-let latency_stats_of latencies =
-  match latencies with
-  | [] -> { mean_ns = 0.0; p50_ns = 0.0; p95_ns = 0.0; p99_ns = 0.0; max_ns = 0.0 }
-  | l ->
-      let h = Obs.Histogram.create () in
-      List.iter (Obs.Histogram.observe h) l;
-      let v = Obs.Histogram.view h in
-      {
-        mean_ns =
-          v.Obs.Histogram.v_sum /. float_of_int v.Obs.Histogram.v_count;
-        p50_ns = Obs.Histogram.percentile_of_view v 0.50;
-        p95_ns = Obs.Histogram.percentile_of_view v 0.95;
-        p99_ns = Obs.Histogram.percentile_of_view v 0.99;
-        max_ns = v.Obs.Histogram.v_max;
-      }
 
 (* -- the simulation ---------------------------------------------------- *)
 
@@ -263,16 +277,14 @@ type task = {
   mutable cursor : int;  (** next compiled-tape event; -1 = control charge *)
   mutable lane : int;
   mutable last_s : int;  (** index of the last-charged storage node *)
-  mutable sampled : bool;  (** record forensics for this task? *)
   mutable step_act : action;
       (** this task's [Step] action, allocated once: a task has at most
           one pending event, so every step pushes the same box *)
   ck : clocks;
   s : float array;  (** task-local storage clocks, one per storage node *)
-  mutable segments_rev : (string * float * float) list;
-  (* bounded-mode undecided forensics: log lines tagged with a global
-     sequence (so kept lanes merge back into chronological order) and a
-     ring of the most recent [lane_frames] segments. The ring is two
+  (* undecided forensics: log lines tagged with a global sequence (so
+     kept lanes merge back into chronological order) and a ring of the
+     most recent [lane_frames] segments. The ring is two
      parallel arrays — labels (shared tape strings) and an unboxed
      begin/end float pair per slot — grown geometrically to capacity,
      so 10^5 undecided lanes cost tens of words each, not a boxed
@@ -446,19 +458,19 @@ let run ?gate ?storage_nodes deploy spec profiles =
   let control_label = host_name ^ ".policy" in
   let has_control = spec.control_ns > 0.0 in
 
-  (* tail-based forensics: with [sample_sessions >= 0] every task
-     buffers its forensics undecided (log lines + a bounded segment
-     ring) and the verdict at completion decides retention — anomalous
-     tasks (shed/denied/tail-breach) are always kept, normal tasks pass
-     through a K-exemplar reservoir driven by a splitmix64 side stream
-     (split off the seed, so the arrival schedule is untouched) *)
-  let bounded = spec.sample_sessions >= 0 in
+  (* tail-based forensics: every task buffers its forensics undecided
+     (log lines + a segment ring) and the verdict at completion decides
+     retention — anomalous tasks (shed/denied/tail-breach) are always
+     kept, normal tasks pass through a K-exemplar reservoir driven by a
+     splitmix64 side stream (split off the seed, so the arrival schedule
+     is untouched). [sample_sessions = -1] keeps every lane in full: K is
+     the query budget, so the reservoir never fills (and never draws),
+     and the ring has no cap. *)
+  let keep_all = spec.sample_sessions < 0 in
   let seg_cap =
-    if not bounded then 0
-    else if spec.lane_frames <= 0 then max_int
-    else spec.lane_frames
+    if keep_all || spec.lane_frames <= 0 then max_int else spec.lane_frames
   in
-  let k_exemplars = max 0 spec.sample_sessions in
+  let k_exemplars = if keep_all then spec.queries else spec.sample_sessions in
   let reservoir :
       (record * (int * string) list) option array =
     Array.make (max 1 k_exemplars) None
@@ -483,11 +495,9 @@ let run ?gate ?storage_nodes deploy spec profiles =
       cursor = 0;
       lane = -1;
       last_s = 0;
-      sampled = false;
       step_act = Arrive dummy_task;
       ck = dummy_clocks;
       s = [||];
-      segments_rev = [];
       lines_rev = [];
       seg_labels = [||];
       seg_times = [||];
@@ -498,32 +508,24 @@ let run ?gate ?storage_nodes deploy spec profiles =
   let queue = Event_queue.create ~dummy:(Arrive dummy_task) in
   let push t action = Event_queue.push queue t action in
 
-  (* bookkeeping *)
-  let log_rev = ref [] in
-  (* exact mode appends straight to the global log; bounded mode
-     buffers (seq, line) on the task so the verdict can keep or drop
-     the whole lane, and kept lanes merge back chronologically *)
+  (* bookkeeping: log lines buffer as (seq, line) on the task so the
+     verdict can keep or drop the whole lane, and kept lanes merge back
+     chronologically *)
   let tlogf task fmt =
     Printf.ksprintf
       (fun s ->
-        if bounded then begin
-          let n = !log_seq in
-          incr log_seq;
-          task.lines_rev <- (n, s) :: task.lines_rev
-        end
-        else log_rev := s :: !log_rev)
+        let n = !log_seq in
+        incr log_seq;
+        task.lines_rev <- (n, s) :: task.lines_rev)
       fmt
   in
   let submitted = ref 0
   and completed = ref 0
   and shed = ref 0
   and denied = ref 0 in
-  (* legacy mode digests latencies at the end (newest-first, exactly
-     the old float-summation order); bounded mode folds them into one
-     histogram as they complete, O(1) memory at 10^6 sessions *)
-  let latencies_rev = ref [] in
+  (* latencies fold into one histogram as they complete: O(1) memory
+     at 10^6 sessions *)
   let lat_hist = Obs.Histogram.create () in
-  let records_rev = ref [] in
   let makespan = ref 0.0 in
   let n_events = ref 0 in
   let c_submitted = Obs.Obs.counter ~scope:"sched" "submitted" in
@@ -562,15 +564,10 @@ let run ?gate ?storage_nodes deploy spec profiles =
       r_start_ns = start_ns;
       r_done_ns = done_ns;
       r_outcome = outcome;
-      r_segments =
-        (if bounded && seg_cap <> max_int then ring_segments task
-         else List.rev task.segments_rev);
+      r_segments = ring_segments task;
     }
   in
-  let finish_record task outcome ~start_ns ~done_ns =
-    records_rev := make_record task outcome ~start_ns ~done_ns :: !records_rev
-  in
-  (* bounded-mode verdict: anomalous lanes are kept unconditionally;
+  (* the verdict: anomalous lanes are kept unconditionally;
      normal lanes offer themselves to the K-exemplar reservoir
      (Algorithm R on the dedicated splitmix64 stream — deterministic in
      verdict order) *)
@@ -722,13 +719,9 @@ let run ?gate ?storage_nodes deploy spec profiles =
         cursor = 0;
         lane = session;
         last_s = 0;
-        (* exact mode records directly ([sampled]); bounded mode buffers
-           undecided on the task until its verdict *)
-        sampled = not bounded;
         step_act = Arrive dummy_task;
         ck = { c_arrive = arrive_ns; c_h = arrive_ns; c_start = arrive_ns };
         s = Array.make n_storage arrive_ns;
-        segments_rev = [];
         lines_rev = [];
         seg_labels = [||];
         seg_times = [||];
@@ -799,9 +792,7 @@ let run ?gate ?storage_nodes deploy spec profiles =
             ];
         tlogf task "%.0f deny q%d tenant=%s (%s)" t task.qid
           tenants.(task.tenant) e;
-        if task.sampled then finish_record task (Denied e) ~start_ns:t ~done_ns:t
-        else if bounded then
-          settle task (Denied e) ~start_ns:t ~done_ns:t ~anom:true;
+        settle task (Denied e) ~start_ns:t ~done_ns:t ~anom:true;
         slo_tick t;
         session_next task.session t
     | Ok () ->
@@ -850,14 +841,9 @@ let run ?gate ?storage_nodes deploy spec profiles =
           ];
       tlogf task "%.0f shed q%d queue_full depth=%d" t task.qid
         spec.queue_depth;
-      if task.sampled then
-        finish_record task
-          (Shed (Queue_full { depth = spec.queue_depth }))
-          ~start_ns:t ~done_ns:t
-      else if bounded then
-        settle task
-          (Shed (Queue_full { depth = spec.queue_depth }))
-          ~start_ns:t ~done_ns:t ~anom:true;
+      settle task
+        (Shed (Queue_full { depth = spec.queue_depth }))
+        ~start_ns:t ~done_ns:t ~anom:true;
       slo_tick t;
       session_next task.session t
     end
@@ -872,8 +858,7 @@ let run ?gate ?storage_nodes deploy spec profiles =
     (* same data, same bucket extraction: the registry's p99 for
        sched/latency_ns matches the report's percentile table *)
     Obs.Obs.observe_via s_latency latency;
-    if bounded then Obs.Histogram.observe lat_hist latency
-    else latencies_rev := latency :: !latencies_rev;
+    Obs.Histogram.observe lat_hist latency;
     if slo_on then Obs.Histogram.observe slo_hist latency;
     note_done done_t;
     let tail_anom = spec.tail_slo_ns > 0.0 && latency > spec.tail_slo_ns in
@@ -888,14 +873,9 @@ let run ?gate ?storage_nodes deploy spec profiles =
           ]
     end;
     tlogf task "%.0f done q%d latency=%.0f" done_t task.qid latency;
-    if task.sampled then
-      finish_record task
-        (Completed { latency_ns = latency })
-        ~start_ns:task.ck.c_start ~done_ns:done_t
-    else if bounded then
-      settle task
-        (Completed { latency_ns = latency })
-        ~start_ns:task.ck.c_start ~done_ns:done_t ~anom:tail_anom;
+    settle task
+      (Completed { latency_ns = latency })
+      ~start_ns:task.ck.c_start ~done_ns:done_t ~anom:tail_anom;
     slo_tick done_t;
     decr inflight;
     release_lane task;
@@ -905,46 +885,37 @@ let run ?gate ?storage_nodes deploy spec profiles =
   in
 
   (* one compiled-tape charge: route to the server, advance the task's
-     clock, record the segment. Exact mode appends to the task's list;
-     bounded mode pushes into the per-lane ring (keeping the most
-     recent [lane_frames] undecided, flight-recorder-style). Zero-ns
-     charges are skipped entirely (as before — no clock movement, no
+     clock, and push the segment into the per-lane ring (keeping the
+     most recent [lane_frames] undecided, flight-recorder-style).
+     Zero-ns charges are skipped entirely (no clock movement, no
      segment). *)
   let seg_push task label start fin =
-    if task.sampled then
-      task.segments_rev <- (label, start, fin) :: task.segments_rev
-    else if bounded then begin
-      if seg_cap = max_int then
-        task.segments_rev <- (label, start, fin) :: task.segments_rev
-      else begin
-        let cur = Array.length task.seg_labels in
-        (* grow geometrically toward [seg_cap]; the ring stays linear
-           (start = 0) until it reaches full capacity, so growth is a
-           plain blit *)
-        if task.seg_len = cur && cur < seg_cap then begin
-          let cap' = min seg_cap (max 4 (2 * cur)) in
-          let labels' = Array.make cap' "" in
-          let times' = Array.make (2 * cap') 0.0 in
-          Array.blit task.seg_labels 0 labels' 0 cur;
-          Array.blit task.seg_times 0 times' 0 (2 * cur);
-          task.seg_labels <- labels';
-          task.seg_times <- times'
-        end;
-        let cap = Array.length task.seg_labels in
-        if task.seg_len < cap then begin
-          let j = (task.seg_start + task.seg_len) mod cap in
-          task.seg_labels.(j) <- label;
-          task.seg_times.(2 * j) <- start;
-          task.seg_times.((2 * j) + 1) <- fin;
-          task.seg_len <- task.seg_len + 1
-        end
-        else begin
-          task.seg_labels.(task.seg_start) <- label;
-          task.seg_times.(2 * task.seg_start) <- start;
-          task.seg_times.((2 * task.seg_start) + 1) <- fin;
-          task.seg_start <- (task.seg_start + 1) mod seg_cap
-        end
-      end
+    let cur = Array.length task.seg_labels in
+    (* grow geometrically toward [seg_cap]; the ring stays linear
+       (start = 0) until it reaches full capacity, so growth is a plain
+       blit — an uncapped ring never wraps *)
+    if task.seg_len = cur && cur < seg_cap then begin
+      let cap' = min seg_cap (max 4 (2 * cur)) in
+      let labels' = Array.make cap' "" in
+      let times' = Array.make (2 * cap') 0.0 in
+      Array.blit task.seg_labels 0 labels' 0 cur;
+      Array.blit task.seg_times 0 times' 0 (2 * cur);
+      task.seg_labels <- labels';
+      task.seg_times <- times'
+    end;
+    let cap = Array.length task.seg_labels in
+    if task.seg_len < cap then begin
+      let j = (task.seg_start + task.seg_len) mod cap in
+      task.seg_labels.(j) <- label;
+      task.seg_times.(2 * j) <- start;
+      task.seg_times.((2 * j) + 1) <- fin;
+      task.seg_len <- task.seg_len + 1
+    end
+    else begin
+      task.seg_labels.(task.seg_start) <- label;
+      task.seg_times.(2 * task.seg_start) <- start;
+      task.seg_times.((2 * task.seg_start) + 1) <- fin;
+      task.seg_start <- (task.seg_start + 1) mod seg_cap
     end
   in
   let exec_charge task ~kind ~idx ~epc ~ns ~label =
@@ -1055,45 +1026,39 @@ let run ?gate ?storage_nodes deploy spec profiles =
              ])
            [ lat_slo; err_slo ])
   end;
-  (* bounded mode: reassemble retained forensics — anomalous lanes plus
-     reservoir exemplars, records back in qid order and log lines merged
-     by their global sequence (a chronological subsequence of the exact
-     log) *)
+  (* reassemble retained forensics — anomalous lanes plus reservoir
+     exemplars, records back in qid order and log lines merged by their
+     global sequence (a chronological subsequence of the full log, all
+     of it under [sample_sessions = -1]) *)
   let retained =
-    if not bounded then []
-    else
-      List.rev !kept_rev
-      @ (Array.to_list reservoir |> List.filter_map Fun.id)
+    List.rev !kept_rev @ (Array.to_list reservoir |> List.filter_map Fun.id)
   in
   let rep_records =
-    if bounded then
-      List.sort
-        (fun (a : record) b -> Int.compare a.r_qid b.r_qid)
-        (List.map fst retained)
-    else List.sort (fun a b -> Int.compare a.r_qid b.r_qid) !records_rev
+    List.sort
+      (fun (a : record) b -> Int.compare a.r_qid b.r_qid)
+      (List.map fst retained)
   in
   let rep_event_log =
-    if bounded then
-      List.concat_map snd retained
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      |> List.map snd
-    else List.rev !log_rev
+    List.concat_map snd retained
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
   in
+  (* latency digest from the log-bucketed histogram: mean and max exact,
+     percentiles bucket-resolution nearest-rank — the extraction the
+     metrics registry applies to sched/latency_ns, so the two p99s agree
+     on the same completions *)
   let latency =
-    if bounded then
-      let v = Obs.Histogram.view lat_hist in
-      if v.Obs.Histogram.v_count = 0 then
-        { mean_ns = 0.0; p50_ns = 0.0; p95_ns = 0.0; p99_ns = 0.0; max_ns = 0.0 }
-      else
-        {
-          mean_ns =
-            v.Obs.Histogram.v_sum /. float_of_int v.Obs.Histogram.v_count;
-          p50_ns = Obs.Histogram.percentile_of_view v 0.50;
-          p95_ns = Obs.Histogram.percentile_of_view v 0.95;
-          p99_ns = Obs.Histogram.percentile_of_view v 0.99;
-          max_ns = v.Obs.Histogram.v_max;
-        }
-    else latency_stats_of !latencies_rev
+    let v = Obs.Histogram.view lat_hist in
+    if v.Obs.Histogram.v_count = 0 then
+      { mean_ns = 0.0; p50_ns = 0.0; p95_ns = 0.0; p99_ns = 0.0; max_ns = 0.0 }
+    else
+      {
+        mean_ns = v.Obs.Histogram.v_sum /. float_of_int v.Obs.Histogram.v_count;
+        p50_ns = Obs.Histogram.percentile_of_view v 0.50;
+        p95_ns = Obs.Histogram.percentile_of_view v 0.95;
+        p99_ns = Obs.Histogram.percentile_of_view v 0.99;
+        max_ns = v.Obs.Histogram.v_max;
+      }
   in
   {
     rep_config = config;

@@ -69,26 +69,25 @@ type spec = {
   channel_streams : int;  (** concurrent host<->storage transfers *)
   control_ns : float;  (** per-query control-path charge on the host *)
   sample_sessions : int;
-      (** forensics bound. [-1] (the default) records the event log,
-          per-query records and trace segments for every lane — the
-          legacy exact mode, byte-identical to pre-interning output.
-          [>= 0] switches to {e tail-based} retention: every task
-          buffers its log lines plus a bounded ring of recent segments
+      (** forensics retention, {e tail-based} at every setting: each
+          task buffers its log lines plus a ring of recent segments
           undecided, and the verdict at completion keeps anomalous
           lanes (shed, denied, tail-latency breach — all of them) while
           normal lanes pass through a deterministic splitmix64
           K-exemplar reservoir (K = this field; the side stream is
           split off [seed], so the arrival schedule is untouched).
-          Counts, per-tenant stats, utilization, makespan and the
-          latency distribution remain exact over {e all} sessions
-          (percentile mean may differ in the last bits: latencies fold
-          into the histogram chronologically instead of newest-first).
-          Retained log lines merge back in chronological order — a
-          subsequence of the exact log. *)
+          [-1] (the default) keeps every lane in full: K is [queries]
+          and the segment ring has no cap, so the event log, records
+          and trace segments cover every session. Counts, per-tenant
+          stats, utilization, makespan and the latency distribution
+          are exact over {e all} sessions at any setting. Retained log
+          lines merge back in chronological order — a subsequence of
+          the full log. *)
   lane_frames : int;
-      (** bounded mode: per-task ring capacity for undecided trace
-          segments ([<= 0] = unlimited); kept lanes carry their most
-          recent [lane_frames] segments. Default 32. *)
+      (** per-task ring capacity for undecided trace segments ([<= 0]
+          = no cap); kept lanes carry their most recent [lane_frames]
+          segments. Ignored at [sample_sessions = -1], which keeps
+          every segment. Default 32. *)
   tail_slo_ns : float;
       (** [> 0.0] arms tail classification and the SLO burn-rate
           watchdog: completions slower than this are anomalous
@@ -104,10 +103,22 @@ type spec = {
 val default_spec : spec
 (** Open loop at 100 q/s, 32 queries, one tenant, 8-way admission with
     a 16-deep run queue, device QD 8, 2 channel streams, no control
-    charge, unbounded forensics ([sample_sessions = -1]), 32-segment
-    lane rings, SLO watchdog off. *)
+    charge, every lane retained in full ([sample_sessions = -1]; the
+    32-segment [lane_frames] cap applies only once a sample size is
+    set), SLO watchdog off. *)
 
 val arrival_name : arrival -> string
+
+val capacity_qps : Ironsafe.Deployment.t -> spec -> query_profile list -> float
+(** Analytic capacity of [profiles] as a uniform mix on the deployment's
+    single storage node: each contended server class's mean per-query
+    occupancy, read off the interned tapes — host charges over the host
+    cores, other charges over the storage cores, IO charges over
+    [spec.device_queue_depth], sync transfers over
+    [spec.channel_streams] — divided by its slots. The largest quotient
+    is the bottleneck; the result is [1e9 /. bottleneck_ns] queries per
+    second ([infinity] for tapes that charge nothing).
+    @raise Invalid_argument on an empty mix. *)
 
 (** {2 Outcomes} *)
 
@@ -133,6 +144,12 @@ type record = {
       (** (resource.category, begin, end), chronological *)
 }
 
+(** Latency digest of the completed queries, folded into the shared
+    log-bucketed histogram ({!Ironsafe_obs.Histogram}) as they
+    complete: mean and max exact, percentiles bucket-resolution
+    nearest-rank — the same extraction the metrics registry applies to
+    its [sched/latency_ns] series, so the two p99s agree exactly on the
+    same completions. *)
 type latency_stats = {
   mean_ns : float;
   p50_ns : float;
@@ -140,13 +157,6 @@ type latency_stats = {
   p99_ns : float;
   max_ns : float;
 }
-
-val latency_stats_of : float list -> latency_stats
-(** Digest of a latency sample via the shared log-bucketed histogram
-    ({!Ironsafe_obs.Histogram}): mean and max exact, percentiles
-    bucket-resolution nearest-rank — the same extraction the metrics
-    registry applies to its [sched/latency_ns] series, so the two p99s
-    agree exactly on the same completions. *)
 
 type tenant_stats = {
   mutable t_submitted : int;
@@ -167,8 +177,8 @@ type report = {
   rep_latency : latency_stats;  (** over completed queries *)
   rep_per_tenant : (string * tenant_stats) list;
   rep_records : record list;
-      (** qid order; with [sample_sessions >= 0], every anomalous lane
-          plus the reservoir exemplars *)
+      (** qid order: every anomalous lane plus the reservoir exemplars
+          (every lane at [sample_sessions = -1]) *)
   rep_event_log : string list;  (** chronological, deterministic *)
   rep_util : (string * float) list;  (** server -> utilization, [0,1] *)
   rep_events : int;
@@ -180,8 +190,9 @@ type report = {
       (** [Gc.top_heap_words] sampled after the run: process peak live
           heap, the memory-guard datum of the saturation sweep *)
   rep_anomalous : int;
-      (** bounded mode: anomalous lanes (shed/denied/tail-breach)
-          retained in full — 100% of them, by construction *)
+      (** anomalous lanes (shed/denied/tail-breach) retained in full —
+          100% of them, by construction, at every [sample_sessions]
+          setting; [rep_shed + rep_denied + rep_tail_breaches] *)
   rep_tail_breaches : int;
       (** completions slower than [tail_slo_ns] (0 when unarmed) *)
   rep_slo : Ironsafe_obs.Slo.summary list;

@@ -350,29 +350,57 @@ let test_obs_does_not_perturb_accounting () =
     (Option.is_some on.Runner.profile);
   Alcotest.(check bool) "obs-off run does not" true (off.Runner.profile = None)
 
-(* Scheduler percentile table and the metrics registry draw from the
-   same bucketed histogram, so their p99s agree exactly. *)
+(* The scheduler's report and the metrics registry draw from the same
+   bucketed histogram extraction, so on a real run their p99s (and
+   p50s) agree exactly over the same completions. *)
 let test_sched_p99_matches_registry () =
+  let module Sched = Ironsafe_sched.Sched in
+  Obs.disable ();
   Obs.reset ();
+  let d =
+    Deployment.create ~seed:"forensics-sched"
+      ~populate:(fun db -> ignore (Tpch.Dbgen.populate db ~scale:0.002))
+      ()
+  in
+  let profiles =
+    List.map
+      (fun id ->
+        let q = Tpch.Queries.by_id id in
+        Sched.profile d Config.Scs
+          ~label:(Printf.sprintf "q%d" id)
+          ~sql:q.Tpch.Queries.sql)
+      [ 1; 6 ]
+  in
+  (* contended open loop with a run queue deep enough that nothing
+     sheds: latencies spread over many buckets *)
+  let spec =
+    {
+      Sched.default_spec with
+      Sched.seed = 23;
+      arrival = Sched.Open_loop { qps = 1500.0 };
+      queries = 200;
+      max_inflight = 4;
+      queue_depth = 200;
+    }
+  in
   Obs.enable ();
   Fun.protect
     ~finally:(fun () ->
       Obs.disable ();
       Obs.reset ())
     (fun () ->
-      let module Sched = Ironsafe_sched.Sched in
-      let latencies =
-        List.init 200 (fun i -> float_of_int ((i * 7919 mod 200) + 1) *. 1e6)
-      in
-      (* the scheduler observes each completion into sched/latency_ns
-         and digests the same list for its report *)
-      List.iter (Obs.observe ~scope:"sched" "latency_ns") latencies;
-      let stats = Sched.latency_stats_of latencies in
+      let r = Sched.run d spec profiles in
       let snap = Obs.metrics () in
-      Alcotest.(check int) "all latencies observed" 200
+      Alcotest.(check int) "every query completed" 200 r.Sched.rep_completed;
+      Alcotest.(check int) "every completion observed" r.Sched.rep_completed
         (Metrics.hist_count snap ~scope:"sched" "latency_ns");
-      Alcotest.(check (float 1e-9)) "registry p99 = report p99"
-        stats.Sched.p99_ns
+      Alcotest.(check bool) "latencies spread" true
+        (r.Sched.rep_latency.Sched.p99_ns > r.Sched.rep_latency.Sched.p50_ns);
+      Alcotest.(check (float 0.0)) "registry p50 = report p50"
+        r.Sched.rep_latency.Sched.p50_ns
+        (Metrics.hist_percentile snap ~scope:"sched" "latency_ns" 0.50);
+      Alcotest.(check (float 0.0)) "registry p99 = report p99"
+        r.Sched.rep_latency.Sched.p99_ns
         (Metrics.hist_percentile snap ~scope:"sched" "latency_ns" 0.99))
 
 let suite =

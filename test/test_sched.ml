@@ -276,7 +276,11 @@ let test_tenant_gate () =
    predate the pairing-heap/interning rework — the refactor must
    reproduce it byte for byte. Regenerate (only when intentionally
    changing replay semantics) with
-   IRONSAFE_WRITE_GOLDEN=$PWD/test/golden/sched_replay.golden. *)
+   IRONSAFE_WRITE_GOLDEN=$PWD/test/golden/sched_replay.golden.
+
+   The same loop also digests each scenario's Chrome trace and JSON
+   report (SHA-256, hex), which the transcript does not cover: records,
+   trace segments and the report's JSON rendering. *)
 let replay_transcript () =
   let d =
     Deployment.create ~seed:"golden-replay"
@@ -287,7 +291,13 @@ let replay_transcript () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "attestation failed: %s" e);
   let buf = Buffer.create 65536 in
+  let digests = ref [] in
   let add_report tag r =
+    digests :=
+      ( tag,
+        Ironsafe_crypto.Sha256.hex (Sched.trace_json r),
+        Ironsafe_crypto.Sha256.hex (Sched.json_of_report r) )
+      :: !digests;
     Buffer.add_string buf (Printf.sprintf "== %s\n" tag);
     List.iter
       (fun l ->
@@ -359,10 +369,13 @@ let replay_transcript () =
   in
   add_report "cluster-2shard open"
     (Sched.run ?storage_nodes:(Cluster.sched_storage_nodes cl) d spec profiles);
-  Buffer.contents buf
+  (Buffer.contents buf, List.rev !digests)
+
+(* one replay of the corpus serves both checks below *)
+let replay = lazy (replay_transcript ())
 
 let test_byte_identity_golden () =
-  let got = replay_transcript () in
+  let got = fst (Lazy.force replay) in
   match Sys.getenv_opt "IRONSAFE_WRITE_GOLDEN" with
   | Some path ->
       let oc = open_out path in
@@ -381,6 +394,52 @@ let test_byte_identity_golden () =
       close_in ic;
       Alcotest.(check string) "replay transcript matches pre-refactor golden"
         want got
+
+(* Pinned SHA-256 (hex) of [Sched.trace_json] and [Sched.json_of_report]
+   for every golden scenario, computed with the retain-everything
+   default ([sample_sessions = -1]): per-query records, their resource
+   segments and the JSON report must stay byte-identical too. *)
+let pinned_digests =
+  [
+    ("hons open",
+     "c06f54e2942e025eae9c63296a60399cf075004eff23dd40da52b26710a3b02b",
+     "5759616ce8a25f0dc7ac56536508b31e8d9eac0bbd967567d906b9905f451563");
+    ("hons closed",
+     "2761ddd38e419f0c79f99883e5959793e0736b184aeffcfcbe3a4840b4f8a5aa",
+     "75e580050e6b2316433acd316e817b4fd3ae78e4654305810ef41e50cc4c2fa6");
+    ("hos open",
+     "db3843c5004296d7b9730d366f97f8a1262e4074e8fa10bd92544d9cca9f3aa9",
+     "850b244b4bd14f12b5f9a73e9ad5ee552d18928b863c1d6cd429ceab49443ee5");
+    ("hos closed",
+     "8fb73243d4c180a9bf4f9fde186964a781fda0af5e57207213c79616ddbf2a3c",
+     "7f1fcaa9e38379383a21de197ca8501010e8e6fc736498cecb6cd93638b9ce4c");
+    ("vcs open",
+     "8ee4b541b79e168c8b620c28a04f6bd6a284dfaf26fc3d249d323d7e989ba291",
+     "2a16f7d4973ab6ecc329f0a4b5ddbd24811c401ae4a3ebf372e78786ac30fd42");
+    ("vcs closed",
+     "1560b49b33e73736a7143cf23314d8f4e32a15e487d687190061ed31dfcb27ee",
+     "0a562fe72e4ffe54cb61990f879e18aebb22807e230d8a16e9e73c6b85e60724");
+    ("scs open",
+     "5f0258bc7ffd209bd9cffae5430c8ae702b9369d5757f100f9cb120e2a53b29a",
+     "482353502ee96a2a3f85220cbd030a77ce50fa195318c92414978fe5062a43bd");
+    ("scs closed",
+     "6da4a01ff3dccfb46ebeb6d79730d9f6baf3243ce9f3822aefdb355c531a9de9",
+     "cea34faa8fa2207fe6cb9eb5332cd6eb4a6412d47d8f66c1e97e52c5585fc87b");
+    ("sos open",
+     "b8fd20300ccc74624ea4ea68225230a1d423effc153709630429879807c82777",
+     "85d876643a50c015e123655e7c0b8c1a7ed5bd5364258f55f2bcccff78726e7a");
+    ("sos closed",
+     "01e5c167262cf346c0d4d5f145402563ff78f27d2ef16b1c614e0f6d3bb8c4fa",
+     "d3513ae1e67a1473653371c8f1fd3c29041a7649dfea9f146c9ea89a5e7986fe");
+    ("cluster-2shard open",
+     "311a1cac01259ba4b48c5ed3e3e455a294340a7c99ffd85b051357a49c5dd1b3",
+     "52bf95659bec797ce09a4f211d81978db152862b2697a0f7510046245b27e6cd");
+  ]
+
+let test_golden_digests () =
+  Alcotest.(check (list (triple string string string)))
+    "trace/report digests" pinned_digests
+    (snd (Lazy.force replay))
 
 (* -- event queue --------------------------------------------------------- *)
 
@@ -544,10 +603,11 @@ let test_lane_order () =
 (* -- bounded forensics --------------------------------------------------- *)
 
 (* sample_sessions >= 0 bounds the forensic channels (records, event
-   log, segments) to the sampled lanes while every aggregate — counts,
+   log, segments) to the retained lanes while every aggregate — counts,
    per-tenant stats, latency percentiles, makespan, utilization — stays
-   exact: the percentile table renders identically to the legacy exact
-   mode on the same spec. *)
+   exact: the percentile table renders identically to the keep-every-
+   lane default ([-1]) on the same spec. Both runs take the one
+   retention path; only its reservoir and ring sizes differ. *)
 let test_bounded_forensics () =
   let d = Lazy.force deploy in
   let profiles = mix_profiles d Config.Scs in
@@ -721,6 +781,105 @@ let test_tail_retention_acceptance () =
        must stay within 2x the recorder-off footprint"
       grew_bytes budget
 
+(* The default retention ([sample_sessions = -1]) keeps every lane and
+   still classifies each one: with the tail SLO armed, the anomalous
+   count is exactly sheds + denials + tail breaches, as in a sampled
+   run. *)
+let test_default_retention_counts_anomalies () =
+  let d = Lazy.force deploy in
+  let profiles = mix_profiles d Config.Scs in
+  let spec =
+    {
+      Sched.default_spec with
+      Sched.seed = 19;
+      arrival = Sched.Open_loop { qps = 500.0 };
+      queries = 120;
+      tenants = [ "a"; "b" ];
+      max_inflight = 4;
+      queue_depth = 4;
+      tail_slo_ns = 12e6;
+    }
+  in
+  let calls = ref 0 in
+  let gate ~tenant:_ ~sql:_ =
+    incr calls;
+    if !calls mod 5 = 0 then Error "quota: synthetic denial" else Ok ()
+  in
+  let r = Sched.run ~gate d spec profiles in
+  Alcotest.(check bool) "sheds occurred" true (r.Sched.rep_shed > 0);
+  Alcotest.(check bool) "denials occurred" true (r.Sched.rep_denied > 0);
+  Alcotest.(check bool) "tail breaches occurred" true
+    (r.Sched.rep_tail_breaches > 0);
+  Alcotest.(check int) "anomalous = shed + denied + tail breaches"
+    (r.Sched.rep_shed + r.Sched.rep_denied + r.Sched.rep_tail_breaches)
+    r.Sched.rep_anomalous;
+  Alcotest.(check bool) "normal lanes too" true
+    (r.Sched.rep_anomalous < r.Sched.rep_submitted);
+  Alcotest.(check int) "every lane retained" r.Sched.rep_submitted
+    (List.length r.Sched.rep_records)
+
+(* -- analytic capacity ---------------------------------------------------- *)
+
+(* Two synthetic profiles with known charges on a 10-core host and a
+   16-core storage node: A charges host 6 ms, storage cores 8 ms, IO
+   3 ms and a 1 ms sync transfer; B charges host 2 ms. Mean per-query
+   demand is host 4 ms, cores 4 ms, IO 1.5 ms, transfer 0.5 ms. *)
+let test_capacity_qps () =
+  let d =
+    Deployment.create ~seed:"capacity" ~host_cores:10 ~storage_cores:16
+      ~populate:ignore ()
+  in
+  let host = d.Deployment.host and storage = d.Deployment.storage in
+  let metrics () =
+    {
+      Runner.config = Config.Scs;
+      end_to_end_ns = 0.0;
+      host_breakdown = [];
+      storage_breakdown = [];
+      bytes_shipped = 0;
+      pages_scanned = 0;
+      page_hits = 0;
+      host_rows = 0;
+      storage_rows = 0;
+      affected = 0;
+      result = { Ironsafe_sql.Exec.columns = []; rows = [] };
+      profile = None;
+    }
+  in
+  let a =
+    Sched.profile_run ~label:"a" ~sql:"a" Config.Scs (fun () ->
+        Sim.Node.charge host ~category:"cpu" 6e6;
+        Sim.Node.charge storage ~category:"cpu" 8e6;
+        Sim.Node.charge storage ~category:"io" 3e6;
+        Sim.Clock.sync (Sim.Node.clock host) (Sim.Node.clock storage) 1e6;
+        metrics ())
+  in
+  let b =
+    Sched.profile_run ~label:"b" ~sql:"b" Config.Scs (fun () ->
+        Sim.Node.charge host ~category:"cpu" 2e6;
+        metrics ())
+  in
+  let cap spec = Sched.capacity_qps d spec [ a; b ] in
+  let feq = Alcotest.float 1e-6 in
+  (* default spec (device QD 8, 2 streams): host 4 ms / 10 cores =
+     0.4 ms beats cores 4 ms / 16 = 0.25 ms, IO 1.5 ms / 8 and
+     transfer 0.5 ms / 2 *)
+  Alcotest.check feq "host-bound" 2500.0 (cap Sched.default_spec);
+  (* one NVMe slot: IO 1.5 ms / 1 is the bottleneck *)
+  Alcotest.check feq "device-bound" (1e9 /. 1.5e6)
+    (cap { Sched.default_spec with Sched.device_queue_depth = 1 });
+  (* a single profile: host 0.6 ms vs cores 0.5 ms per query; with one
+     stream the 1 ms transfer dominates *)
+  Alcotest.check feq "single profile, host-bound" (1e9 /. 6e5)
+    (Sched.capacity_qps d Sched.default_spec [ a ]);
+  Alcotest.check feq "single profile, channel-bound" 1000.0
+    (Sched.capacity_qps d
+       { Sched.default_spec with Sched.channel_streams = 1 }
+       [ a ]);
+  Alcotest.check_raises "empty mix rejected"
+    (Invalid_argument "Sched.capacity_qps: empty query mix") (fun () ->
+      ignore (Sched.capacity_qps d Sched.default_spec []))
+
 (* -- rendering ----------------------------------------------------------- *)
 
 let test_rendering () =
@@ -763,12 +922,16 @@ let suite =
     ("contention is monotone", `Quick, test_contention_monotone);
     ("admission control sheds", `Quick, test_admission_shed);
     ("byte identity vs pre-refactor golden", `Quick, test_byte_identity_golden);
+    ("golden trace and report digests", `Quick, test_golden_digests);
     ("event queue pop order", `Quick, test_event_queue_order);
     ("prng split and jump", `Quick, test_prng_split_jump);
     ("lane assignment order", `Quick, test_lane_order);
     ("bounded forensics stay exact", `Quick, test_bounded_forensics);
     ("per-session memory budget", `Quick, test_memory_budget);
     ("tail retention acceptance", `Quick, test_tail_retention_acceptance);
+    ("default retention counts anomalies", `Quick,
+      test_default_retention_counts_anomalies);
     ("tenant gate denies", `Quick, test_tenant_gate);
+    ("analytic capacity", `Quick, test_capacity_qps);
     ("rendering", `Quick, test_rendering);
   ]
