@@ -27,6 +27,7 @@ let () =
       ("wal", Test_wal.suite);
       ("sched", Test_sched.suite);
       ("cluster", Test_cluster.suite);
+      ("pinned", Test_pinned.suite);
       (* Alcotest pads the suite column to the longest suite name (18
          characters, this one) and truncates long test names to fit 80
          columns, so dropping or renaming the longest suite changes how
