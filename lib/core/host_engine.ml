@@ -1,5 +1,5 @@
 (* The host engine (Fig. 3, SGX enclave): receives the filtered,
-   projected rows from the storage engine, materializes them as
+   projected rows from the storage engine, registers them as resident
    in-memory tables, and runs the host portion of the query (joins,
    group-bys, aggregations, ordering). *)
 
@@ -10,12 +10,13 @@ type phase = {
   counters : Sql.Observer.counters;
 }
 
-(* Rebuild the shipped tables in a fresh in-memory database (schemas
-   are the projected subsets of the storage schemas) and execute the
-   host statement over them. *)
+(* Register the shipped rows as resident tables of a fresh database
+   (schemas are the projected subsets of the storage schemas) and
+   execute the host statement over them. The rows stay the values the
+   storage engine produced: nothing is re-encoded into pages. *)
 let run_host ?exec_mode:_ ~storage_catalog (plan : Partitioner.plan)
     (offload : Storage_engine.phase) : phase =
-  let host_db = Sql.Database.create ~pager:(Sql.Pager.in_memory ()) in
+  let host_db = Sql.Database.create_resident () in
   let obs, counters = Sql.Observer.counting () in
   Sql.Database.set_observer host_db obs;
   Fun.protect
@@ -45,8 +46,6 @@ let run_host ?exec_mode:_ ~storage_catalog (plan : Partitioner.plan)
                 ]
             | cols -> List.map (column Sql.Value.TStr) cols
           in
-          Sql.Database.create_table host_db
-            (Sql.Schema.create ~name:st.table ~columns);
           let rows =
             match
               List.find_opt
@@ -56,7 +55,9 @@ let run_host ?exec_mode:_ ~storage_catalog (plan : Partitioner.plan)
             | Some r -> r.Storage_engine.off_rows
             | None -> []
           in
-          Sql.Database.insert_rows host_db st.table rows)
+          Sql.Database.add_resident_table host_db
+            (Sql.Schema.create ~name:st.table ~columns)
+            rows)
         plan.Partitioner.shipped;
       let result =
         match Sql.Database.exec_ast host_db plan.Partitioner.host_stmt with

@@ -1,5 +1,6 @@
-(** The host engine (Fig. 3): materializes the shipped rows and runs
-    the host portion of the query (joins, aggregation, ordering). *)
+(** The host engine (Fig. 3): registers the shipped rows as resident
+    tables and runs the host portion of the query (joins, aggregation,
+    ordering). *)
 
 type phase = {
   result : Ironsafe_sql.Exec.result;

@@ -2,7 +2,7 @@
    indexes), sharing one pager. *)
 
 type t = {
-  pager : Pager.t;
+  pager : Pager.t option; (* [None]: resident tables only *)
   tables : (string, Heap_file.t) Hashtbl.t;
   indexes : (string, Index.t list) Hashtbl.t; (* table -> indexes *)
   index_names : (string, Index.t) Hashtbl.t;
@@ -13,7 +13,7 @@ exception Duplicate_table of string
 exception Unknown_index of string
 exception Duplicate_index of string
 
-let create ~pager =
+let make pager =
   {
     pager;
     tables = Hashtbl.create 16;
@@ -21,14 +21,25 @@ let create ~pager =
     index_names = Hashtbl.create 16;
   }
 
+let create ~pager = make (Some pager)
+let create_resident () = make None
 let pager t = t.pager
 
-let create_table t schema =
+let register t schema hf =
   let name = Schema.name schema in
   if Hashtbl.mem t.tables name then raise (Duplicate_table name);
-  let hf = Heap_file.create ~pager:t.pager ~schema in
+  let hf = hf () in
   Hashtbl.replace t.tables name hf;
   hf
+
+let create_table t schema =
+  match t.pager with
+  | Some pager ->
+      register t schema (fun () -> Heap_file.create ~pager ~schema)
+  | None -> invalid_arg "Catalog.create_table: catalog has no pager"
+
+let add_resident t schema rows =
+  ignore (register t schema (fun () -> Heap_file.resident ~schema rows))
 
 let find t name =
   let name = String.lowercase_ascii name in

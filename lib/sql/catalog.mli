@@ -9,8 +9,17 @@ exception Unknown_index of string
 exception Duplicate_index of string
 
 val create : pager:Pager.t -> t
-val pager : t -> Pager.t
+
+val create_resident : unit -> t
+(** A catalog with no pager: it holds only tables added with
+    {!add_resident}, and {!create_table} raises [Invalid_argument]. *)
+
+val pager : t -> Pager.t option
 val create_table : t -> Schema.t -> Heap_file.t
+
+val add_resident : t -> Schema.t -> Row.t list -> unit
+(** Register [rows] as a resident table ({!Heap_file.resident}). *)
+
 val find : t -> string -> Heap_file.t
 val find_opt : t -> string -> Heap_file.t option
 val drop_table : t -> string -> unit

@@ -13,27 +13,39 @@ type outcome =
 let create ~pager =
   { catalog = Catalog.create ~pager; observer = Observer.null }
 
+let create_resident () =
+  { catalog = Catalog.create_resident (); observer = Observer.null }
+
 let catalog t = t.catalog
 let reload_storage t = Catalog.reload_tables t.catalog
 
 let set_observer t obs =
   t.observer <- obs;
-  Pager.set_observer (Catalog.pager t.catalog) obs
+  Option.iter (fun p -> Pager.set_observer p obs) (Catalog.pager t.catalog)
 
 let state t = { Exec.catalog = t.catalog; obs = t.observer }
 
 let create_table t schema = ignore (Catalog.create_table t.catalog schema)
 
+(* Loading charges one row step per row and each row's footprint,
+   whether the rows are written to pages or kept resident. *)
+let charge_load t rows =
+  t.observer.Observer.on_rows (List.length rows);
+  List.iter (fun r -> t.observer.Observer.on_alloc (Row.heap_size r)) rows
+
 let insert_rows t table rows =
   let hf = Catalog.find t.catalog table in
-  t.observer.Observer.on_rows (List.length rows);
+  charge_load t rows;
   List.iter
     (fun r ->
-      t.observer.Observer.on_alloc (Row.heap_size r);
       let page = Heap_file.append_page hf r in
       Catalog.note_insert t.catalog ~table ~page r)
     rows;
   Heap_file.flush hf
+
+let add_resident_table t schema rows =
+  charge_load t rows;
+  Catalog.add_resident t.catalog schema rows
 
 (* Evaluate a constant expression (INSERT values). *)
 let const_value st expr =

@@ -10,6 +10,11 @@ type outcome =
   | Dropped of string
 
 val create : pager:Pager.t -> t
+
+val create_resident : unit -> t
+(** A database with no pager, holding only resident tables
+    ({!add_resident_table}); it can run queries but not DDL/DML. *)
+
 val catalog : t -> Catalog.t
 
 val reload_storage : t -> unit
@@ -24,6 +29,10 @@ val create_table : t -> Schema.t -> unit
 
 val insert_rows : t -> string -> Row.t list -> unit
 (** Bulk load pre-built rows (bypasses the SQL layer). *)
+
+val add_resident_table : t -> Schema.t -> Row.t list -> unit
+(** Register [rows] as a resident table ({!Heap_file.resident}). The
+    observer is charged exactly as {!insert_rows} charges it. *)
 
 val exec_ast : t -> Ast.stmt -> outcome
 val exec : t -> string -> outcome

@@ -1,15 +1,37 @@
 (* Query planning and execution.
 
-   The executor runs row at a time and is materializing (each stage
-   produces row lists), which suits analytic scans; plans are compiled
-   closures with all column references resolved to array indices up
-   front.
+   Plans are compiled closures with all column references resolved to
+   array indices up front. Execution is push-based: a row source (a
+   base-table scan, a derived table's result, a join) hands each row to
+   a sink, and the stages of a SELECT — pushdown filter, join probes,
+   post-join filters, correlated narrowing — are sinks stacked over
+   the source, ending in the projection or the group table. Each row
+   is decoded once and passes through without per-stage row lists.
+
+   Rows are materialized only where the algorithm or the page-read
+   order needs them:
+   - join build sides (a hash index, or a row list for a nested loop);
+   - the leftmost FROM unit of a join, because the build sides are
+     scanned after it and probing must wait for them;
+   - the ORDER BY input, and the group table of an aggregate;
+   - the stage-A memo (and the semijoin index over it) of a plan that
+     can run more than once: a subquery or a derived table under an
+     outer scope;
+   - a live scan whose downstream stage evaluates a subquery: the scan
+     completes before the subquery first runs, so the secure medium
+     sees the same page-read sequence as a stage-at-a-time executor
+     (fault plans and buffer-pool hits depend on it).
+   Every observer charge (row steps, bytes materialized) is made as if
+   each stage materialized its output, so the cost model does not
+   depend on how the rows flow.
 
    Join strategy: left-deep over the FROM list with a greedy reorder —
    at each step prefer a table connected to the accumulated result by
    an equi-predicate (hash join); otherwise fall back to a filtered
    nested loop. Explicit JOIN ... ON (including LEFT OUTER) is planned
-   structurally.
+   structurally. Hash keys are value arrays compared with SQL equality
+   ([Value.key_equal]): a join, IN or semijoin key holding NULL matches
+   nothing, while GROUP BY keeps NULLs in one group.
 
    Subqueries (EXISTS / IN / scalar) are planned in two stages:
    stage A — everything independent of the outer row — runs and is
@@ -100,18 +122,25 @@ let arith_binop = function
   | Div -> Some `Div
   | _ -> None
 
+(* Hash keys: a value per key expression. *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = Value.t array
+
+  let equal a b =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec go i = i = n || (Value.key_equal a.(i) b.(i) && go (i + 1)) in
+    go 0
+
+  let hash k = Array.fold_left (fun h v -> (h * 31) + Value.hash v) 0 k
+end)
+
+let eval_key ckeys env = Array.map (fun c -> c env) ckeys
+let has_null key = Array.exists (function Value.Null -> true | _ -> false) key
+
 (* Set of values for IN-subquery probing. *)
-type value_set = { mutable has_null : bool; table : (string, unit) Hashtbl.t }
-
-let encode_value v =
-  let buf = Buffer.create 16 in
-  Value.encode buf v;
-  Buffer.contents buf
-
-let encode_values vs =
-  let buf = Buffer.create 32 in
-  List.iter (Value.encode buf) vs;
-  Buffer.contents buf
+type value_set = { mutable has_null : bool; table : unit Key_tbl.t }
 
 (* Subquery runtime: a function from the (optional) outer env to the
    result rows of the subquery. *)
@@ -120,6 +149,40 @@ type subplan = {
   sub_correlated : bool;
   sub_run : env option -> Row.t list;
 }
+
+(* A row source pushes its rows, in order, into a sink. [live]: it
+   reads pages while it pushes (a base-table scan), so a sink that
+   reads pages itself — one that evaluates a subquery — must wait for
+   it to finish. *)
+type source = { live : bool; iter : env option -> (Row.t -> unit) -> unit }
+
+let collect src outer_env =
+  let acc = ref [] in
+  src.iter outer_env (fun r -> acc := r :: !acc);
+  List.rev !acc
+
+let of_rows run = { live = false; iter = (fun o k -> List.iter k (run o)) }
+
+(* Push [src] into [sink]. [reads]: the sink may read pages; a live
+   source then completes into a list first. *)
+let drain src ~reads outer_env sink =
+  if src.live && reads then List.iter sink (collect src outer_env)
+  else src.iter outer_env sink
+
+(* [src] with [stage] stacked on it; a stage maps the downstream sink
+   to the sink it offers upstream. *)
+let pipe src ~reads stage =
+  {
+    live = src.live || reads;
+    iter = (fun o k -> drain src ~reads o (stage o k));
+  }
+
+(* Row filter stage, charging one row step per input row. *)
+let filter_stage (state : state) ~env_of preds =
+  fun outer_env k (r : Row.t) ->
+    state.obs.Observer.on_rows 1;
+    let env = env_of outer_env r in
+    if List.for_all (fun f -> Value.as_bool (f env)) preds then k r
 
 let rec compile ctx expr : compiled =
   match expr with
@@ -227,22 +290,23 @@ let rec compile ctx expr : compiled =
           | Some s -> s
           | None ->
               let rows = sub.sub_run (Some env) in
-              let s = { has_null = false; table = Hashtbl.create 64 } in
+              let s = { has_null = false; table = Key_tbl.create 64 } in
               List.iter
                 (fun (r : Row.t) ->
                   match r.(0) with
                   | Value.Null -> s.has_null <- true
-                  | v -> Hashtbl.replace s.table (encode_value v) ())
+                  | v -> Key_tbl.replace s.table [| v |] ())
                 rows;
               if not correlated then Hashtbl.reset memo;
               Hashtbl.replace memo key s;
               s
         in
-        let v = cs env in
-        let mem = v <> Value.Null && Hashtbl.mem set.table (encode_value v) in
-        if mem then Value.Bool (not negated)
-        else if set.has_null || v = Value.Null then Value.Null
-        else Value.Bool negated
+        (match cs env with
+        | Value.Null -> Value.Null
+        | v ->
+            if Key_tbl.mem set.table [| v |] then Value.Bool (not negated)
+            else if set.has_null then Value.Null
+            else Value.Bool negated)
   | Exists { negated; select } ->
       let sub = plan_select ctx.state ~outer:(Some ctx) select in
       fun env ->
@@ -379,7 +443,7 @@ and index_access state table filters =
       | Some a, None -> Some a)
     None filters
 
-(* Base-table scan: resolved output columns and a run closure that
+(* Base-table scan: resolved output columns and a live source that
    applies the compiled pushdown filters to either the index-selected
    pages or the whole heap file. *)
 and scan_table state ~binding table ~filters ~ctx_parent =
@@ -412,122 +476,101 @@ and scan_table state ~binding table ~filters ~ctx_parent =
           ~f:(fun ~page:_ row -> f row)
     | None -> Heap_file.iter hf ~f
   in
-  let run _outer_env =
-    let acc = ref [] in
+  let iter _outer_env k =
     iter_rows (fun row ->
         state.obs.Observer.on_rows 1;
-        let env = mk_env row in
-        if List.for_all (fun f -> Value.as_bool (f env)) cfilters then begin
+        if
+          cfilters = []
+          || List.for_all (fun f -> Value.as_bool (f (mk_env row))) cfilters
+        then begin
           state.obs.Observer.on_alloc (Row.heap_size row);
-          acc := row :: !acc
-        end);
-    List.rev !acc
+          k row
+        end)
   in
-  (cols, run)
+  (cols, { live = true; iter })
 
-(* Hash join: build on the right input, probe with the left. *)
-and hash_join state ~left_rows ~right_rows ~lkeys ~rkeys ~out_arity:_
-    ~residual ~combined_width =
-  let index : (string, Row.t list) Hashtbl.t =
-    Hashtbl.create (max 16 (List.length right_rows))
-  in
+(* Join build sides and probe stages. A build drains its source into
+   a hash index (or a row list); the probe stage then joins each
+   left row against it and pushes the combined rows that pass the
+   residual. *)
+and build_index state src outer_env ckeys =
+  let index = Key_tbl.create 16 in
+  src.iter outer_env (fun (r : Row.t) ->
+      state.obs.Observer.on_rows 1;
+      let key = eval_key ckeys (mk_env r) in
+      (* a key holding NULL can never match *)
+      if not (has_null key) then
+        Key_tbl.replace index key
+          (r :: Option.value ~default:[] (Key_tbl.find_opt index key)));
+  index
+
+(* Joins [l] with each row of [rights] (a build bucket, newest first —
+   as built), pushing the combined rows that pass [residual]; returns
+   whether any did. *)
+and join_rows state ~residual ~combined_width (l : Row.t) rights k =
+  let matched = ref false in
   List.iter
     (fun (r : Row.t) ->
       state.obs.Observer.on_rows 1;
-      let env = mk_env r in
-      let key = encode_values (List.map (fun k -> k env) rkeys) in
-      let bucket = Option.value ~default:[] (Hashtbl.find_opt index key) in
-      Hashtbl.replace index key (r :: bucket))
-    right_rows;
-  let out = ref [] in
-  List.iter
-    (fun (l : Row.t) ->
-      state.obs.Observer.on_rows 1;
-      let lenv = mk_env l in
-      let key = encode_values (List.map (fun k -> k lenv) lkeys) in
-      match Hashtbl.find_opt index key with
-      | None -> ()
-      | Some bucket ->
-          List.iter
-            (fun (r : Row.t) ->
-              state.obs.Observer.on_rows 1;
-              let joined = Array.make combined_width Value.Null in
-              Array.blit l 0 joined 0 (Array.length l);
-              Array.blit r 0 joined (Array.length l) (Array.length r);
-              let env = mk_env joined in
-              if List.for_all (fun f -> Value.as_bool (f env)) residual then begin
-                state.obs.Observer.on_alloc (Row.heap_size joined);
-                out := joined :: !out
-              end)
-            bucket)
-    left_rows;
-  List.rev !out
-
-and nested_loop_join state ~left_rows ~right_rows ~residual ~combined_width =
-  let out = ref [] in
-  List.iter
-    (fun (l : Row.t) ->
-      List.iter
-        (fun (r : Row.t) ->
-          state.obs.Observer.on_rows 1;
-          let joined = Array.make combined_width Value.Null in
-          Array.blit l 0 joined 0 (Array.length l);
-          Array.blit r 0 joined (Array.length l) (Array.length r);
-          let env = mk_env joined in
-          if List.for_all (fun f -> Value.as_bool (f env)) residual then begin
-            state.obs.Observer.on_alloc (Row.heap_size joined);
-            out := joined :: !out
-          end)
-        right_rows)
-    left_rows;
-  List.rev !out
-
-and left_outer_join state ~left_rows ~right_rows ~lkeys ~rkeys ~residual
-    ~left_width ~right_width =
-  let combined_width = left_width + right_width in
-  let index : (string, Row.t list) Hashtbl.t =
-    Hashtbl.create (max 16 (List.length right_rows))
-  in
-  List.iter
-    (fun (r : Row.t) ->
-      state.obs.Observer.on_rows 1;
-      let env = mk_env r in
-      let key = encode_values (List.map (fun k -> k env) rkeys) in
-      let bucket = Option.value ~default:[] (Hashtbl.find_opt index key) in
-      Hashtbl.replace index key (r :: bucket))
-    right_rows;
-  let out = ref [] in
-  List.iter
-    (fun (l : Row.t) ->
-      state.obs.Observer.on_rows 1;
-      let lenv = mk_env l in
-      let matches = ref false in
-      (if lkeys <> [] || Hashtbl.length index > 0 then
-         let key = encode_values (List.map (fun k -> k lenv) lkeys) in
-         let bucket =
-           if lkeys = [] then List.concat_map snd (Hashtbl.fold (fun k v a -> (k, v) :: a) index [])
-           else Option.value ~default:[] (Hashtbl.find_opt index key)
-         in
-         List.iter
-           (fun (r : Row.t) ->
-             state.obs.Observer.on_rows 1;
-             let joined = Array.make combined_width Value.Null in
-             Array.blit l 0 joined 0 left_width;
-             Array.blit r 0 joined left_width right_width;
-             let env = mk_env joined in
-             if List.for_all (fun f -> Value.as_bool (f env)) residual then begin
-               matches := true;
-               state.obs.Observer.on_alloc (Row.heap_size joined);
-               out := joined :: !out
-             end)
-           bucket);
-      if not !matches then begin
-        let joined = Array.make combined_width Value.Null in
-        Array.blit l 0 joined 0 left_width;
-        out := joined :: !out
+      let joined = Array.make combined_width Value.Null in
+      Array.blit l 0 joined 0 (Array.length l);
+      Array.blit r 0 joined (Array.length l) (Array.length r);
+      if List.for_all (fun f -> Value.as_bool (f (mk_env joined))) residual
+      then begin
+        matched := true;
+        state.obs.Observer.on_alloc (Row.heap_size joined);
+        k joined
       end)
-    left_rows;
-  List.rev !out
+    rights;
+  !matched
+
+and probe_bucket state index lkeys (l : Row.t) =
+  state.obs.Observer.on_rows 1;
+  let key = eval_key lkeys (mk_env l) in
+  if has_null key then []
+  else Option.value ~default:[] (Key_tbl.find_opt index key)
+
+(* A join step: build the right side now (its pages are read here,
+   after the left side's), and return the probe stage. *)
+and join_step state ~kind ~lkeys ~rkeys ~residual ~left_width ~right_width
+    right outer_env =
+  let combined_width = left_width + right_width in
+  match kind with
+  | `Inner when Array.length lkeys > 0 ->
+      let index = build_index state right outer_env rkeys in
+      fun k l ->
+        ignore
+          (join_rows state ~residual ~combined_width l
+             (probe_bucket state index lkeys l)
+             k)
+  | `Inner ->
+      let rights = collect right outer_env in
+      fun k l -> ignore (join_rows state ~residual ~combined_width l rights k)
+  | `Left ->
+      let index = build_index state right outer_env rkeys in
+      fun k l ->
+        let bucket = probe_bucket state index lkeys l in
+        if not (join_rows state ~residual ~combined_width l bucket k) then begin
+          let joined = Array.make combined_width Value.Null in
+          Array.blit l 0 joined 0 left_width;
+          k joined
+        end
+
+(* The left input of a join completes first, then every step builds
+   its right side in order, then the left rows stream through the
+   probes. *)
+and join_source left steps =
+  {
+    live = false;
+    iter =
+      (fun outer_env k ->
+        let lefts = collect left outer_env in
+        let probes_rev =
+          List.fold_left (fun acc step -> step outer_env :: acc) [] steps
+        in
+        let k = List.fold_left (fun k probe -> probe k) k probes_rev in
+        List.iter k lefts);
+  }
 
 (* -- SELECT planning -------------------------------------------------- *)
 
@@ -638,8 +681,8 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
       (function
         | `Base (binding, table, cols) -> (cols, `Scan (binding, table))
         | `Join fi ->
-            let cols, runner = plan_join_tree state ~parent_ctx ~uses_outer fi in
-            (cols, `Planned runner))
+            let cols, src = plan_join_tree state ~parent_ctx ~uses_outer fi in
+            (cols, `Planned src))
       item_cols
   in
   let combined_cols = Array.concat (List.map fst units) in
@@ -686,11 +729,11 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
             let filters =
               Option.value ~default:[] (Hashtbl.find_opt single_table binding)
             in
-            let _, run =
+            let _, src =
               scan_table state ~binding table ~filters ~ctx_parent:parent_ctx
             in
-            (cols, run)
-        | `Planned run ->
+            (cols, src)
+        | `Planned src ->
             (* single-binding WHERE conjuncts on a derived table or a
                JOIN tree apply as a filter over the unit's output *)
             let filters =
@@ -700,7 +743,7 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
                     (Hashtbl.find_opt single_table b))
                 (bindings_of_cols cols)
             in
-            if filters = [] then (cols, run)
+            if filters = [] then (cols, src)
             else begin
               let uctx =
                 {
@@ -712,15 +755,11 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
                 }
               in
               let cfilters = List.map (compile uctx) filters in
-              let run outer_env =
-                List.filter
-                  (fun (r : Row.t) ->
-                    state.obs.Observer.on_rows 1;
-                    let env = mk_env ?up:outer_env r in
-                    List.for_all (fun f -> Value.as_bool (f env)) cfilters)
-                  (run outer_env)
-              in
-              (cols, run)
+              ( cols,
+                pipe src ~reads:false
+                  (filter_stage state
+                     ~env_of:(fun o r -> mk_env ?up:o r)
+                     cfilters) )
             end)
       units
   in
@@ -773,14 +812,13 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
      resolvable. *)
   let consumed = Array.make (List.length join_preds) false in
   let join_pred_arr = Array.of_list join_preds in
-  let steps = ref [] in
-  (* (cols_so_far, step) *)
+  let first = ref None and steps = ref [] in
   let acc_cols = ref [||] in
   List.iteri
-    (fun ui (cols, run) ->
+    (fun ui (cols, src) ->
       if ui = 0 then begin
         acc_cols := cols;
-        steps := `First run :: !steps
+        first := Some src
       end
       else begin
         let left_cols = !acc_cols in
@@ -856,20 +894,27 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
             state;
           }
         in
-        let clkeys = List.map (compile lctx) (List.rev !lkeys) in
-        let crkeys = List.map (compile rctx) (List.rev !rkeys) in
-        let cresidual = List.map (compile cctx) (List.rev !residual) in
-        let combined_width = Array.length combined in
+        let compile_keys ctx keys =
+          Array.of_list (List.map (compile ctx) (List.rev keys))
+        in
         let step =
-          if clkeys <> [] then
-            `Hash (run, clkeys, crkeys, cresidual, combined_width)
-          else `Nested (run, cresidual, combined_width)
+          join_step state ~kind:`Inner
+            ~lkeys:(compile_keys lctx !lkeys)
+            ~rkeys:(compile_keys rctx !rkeys)
+            ~residual:(List.map (compile cctx) (List.rev !residual))
+            ~left_width:(Array.length left_cols) ~right_width:(Array.length cols)
+            src
         in
         steps := step :: !steps;
         acc_cols := combined
       end)
     ordered_units;
-  let steps = List.rev !steps in
+  let from_source =
+    match (!first, !steps) with
+    | Some src, [] -> src
+    | Some src, steps -> join_source src (List.rev steps)
+    | None, _ -> assert false
+  in
   let joined_cols = !acc_cols in
   (* join predicates never consumed become post-join filters *)
   let unconsumed = ref [] in
@@ -925,14 +970,73 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
   let corr_residual = List.rev !corr_residual in
   (* compile stage-B predicates *)
   let cpost = List.map (compile joined_ctx) final_post_preds in
-  let csemi_inner = List.map (compile joined_ctx) semi_inner in
+  let csemi_inner = Array.of_list (List.map (compile joined_ctx) semi_inner) in
   let csemi_outer =
     (* outer key exprs compiled against a ctx whose local frame is the
        joined ctx but resolution will land in the parent; evaluated
        with env whose row is a dummy and up = outer env *)
-    List.map (compile joined_ctx) semi_outer
+    Array.of_list (List.map (compile joined_ctx) semi_outer)
   in
   let ccorr_residual = List.map (compile joined_ctx) corr_residual in
+  let with_outer outer_env r = mk_env ?up:outer_env r in
+  (* -- stage A: FROM + WHERE, memoized under an outer scope ----------- *)
+  let stage_a =
+    if cpost = [] then from_source
+    else
+      pipe from_source
+        ~reads:(List.exists contains_subquery final_post_preds)
+        (filter_stage state ~env_of:with_outer cpost)
+  in
+  let stage_a =
+    if Option.is_none parent_ctx then stage_a
+    else begin
+      let memo = ref None in
+      of_rows (fun outer_env ->
+          match !memo with
+          | Some rows -> rows
+          | None ->
+              let rows = collect stage_a outer_env in
+              memo := Some rows;
+              rows)
+    end
+  in
+  (* -- correlated narrowing: semijoin probe, then residuals ----------- *)
+  let narrowed =
+    if Array.length csemi_inner = 0 then stage_a
+    else begin
+      let index = ref None in
+      let get_index outer_env =
+        match !index with
+        | Some idx -> idx
+        | None ->
+            let idx = build_index state stage_a outer_env csemi_inner in
+            (* buckets back into stage-A order *)
+            Key_tbl.filter_map_inplace (fun _ b -> Some (List.rev b)) idx;
+            index := Some idx;
+            idx
+      in
+      {
+        live = false;
+        iter =
+          (fun outer_env k ->
+            let idx = get_index outer_env in
+            match outer_env with
+            | None -> fail "correlated subquery evaluated without outer row"
+            | Some oenv ->
+                let key = eval_key csemi_outer (mk_env ~up:oenv [||]) in
+                state.obs.Observer.on_rows 1;
+                if not (has_null key) then
+                  List.iter k
+                    (Option.value ~default:[] (Key_tbl.find_opt idx key)));
+      }
+    end
+  in
+  let narrowed =
+    if ccorr_residual = [] then narrowed
+    else
+      pipe narrowed ~reads:false
+        (filter_stage state ~env_of:with_outer ccorr_residual)
+  in
   (* -- aggregation & projection --------------------------------------- *)
   let items =
     List.concat_map
@@ -955,247 +1059,126 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
     || List.exists contains_agg item_exprs
     || Option.fold ~none:false ~some:contains_agg having_expr
   in
-  if not is_agg_query then begin
-    (* compile projection/sort directly over joined ctx *)
-    let citems = List.map (compile joined_ctx) item_exprs in
-    let corder =
-      List.map (fun (e, d) -> (compile joined_ctx e, d)) order_exprs
-    in
-    let cwhere_having =
-      match having_expr with
-      | None -> []
-      | Some h -> [ compile joined_ctx h ]
-    in
-    let project_row outer_env (r : Row.t) =
-      let env = mk_env ?up:outer_env r in
-      let keys = List.map (fun (c, d) -> (c env, d)) corder in
-      (Array.of_list (List.map (fun c -> c env) citems), keys)
-    in
-    let run_stage_a = make_stage_a state steps in
-    let memo = ref None in
-    let semijoin = make_semijoin state ~csemi_inner in
-    fun_of_stages state ~out_cols ~run_stage_a ~memo ~uses_outer ~cpost
-      ~semijoin ~csemi_outer ~ccorr_residual
-      ~finish:(fun rows outer_env ->
-        let with_env (r : Row.t) = mk_env ?up:outer_env r in
-        let rows =
-          if cwhere_having = [] then rows
-          else
-            List.filter
-              (fun r ->
-                List.for_all
-                  (fun f -> Value.as_bool (f (with_env r)))
-                  cwhere_having)
-              rows
+  let run =
+    if not is_agg_query then begin
+      (* compile projection/sort directly over joined ctx *)
+      let citems = Array.of_list (List.map (compile joined_ctx) item_exprs) in
+      let corder =
+        List.map (fun (e, d) -> (compile joined_ctx e, d)) order_exprs
+      in
+      let rows =
+        match having_expr with
+        | None -> narrowed
+        | Some h ->
+            let ch = compile joined_ctx h in
+            pipe narrowed ~reads:(contains_subquery h) (fun outer_env k r ->
+                if Value.as_bool (ch (with_outer outer_env r)) then k r)
+      in
+      let reads =
+        List.exists contains_subquery item_exprs
+        || List.exists (fun (e, _) -> contains_subquery e) order_exprs
+      in
+      fun outer_env ->
+        let projected = ref [] in
+        drain rows ~reads outer_env (fun r ->
+            state.obs.Observer.on_rows 1;
+            let env = with_outer outer_env r in
+            let keys = List.map (fun (c, d) -> (c env, d)) corder in
+            projected := (Array.map (fun c -> c env) citems, keys) :: !projected);
+        sort_and_limit state (List.rev !projected) q.limit
+    end
+    else begin
+      (* aggregate pipeline *)
+      let agg_nodes =
+        let acc = List.fold_left collect_aggs [] item_exprs in
+        let acc =
+          Option.fold ~none:acc ~some:(collect_aggs acc) having_expr
         in
-        let projected =
-          List.map
-            (fun r ->
-              state.obs.Observer.on_rows 1;
-              project_row outer_env r)
-            rows
+        List.fold_left (fun acc (e, _) -> collect_aggs acc e) acc order_exprs
+      in
+      let agg_slots = List.mapi (fun i e -> (e, i)) agg_nodes in
+      let agg_ctx = { joined_ctx with agg_slots } in
+      let group_exprs = List.map (substitute_aliases items) q.group_by in
+      let cgroup = Array.of_list (List.map (compile joined_ctx) group_exprs) in
+      let agg_args =
+        List.map
+          (function Agg { arg; _ } -> arg | _ -> assert false)
+          agg_nodes
+      in
+      let cagg_args = List.map (Option.map (compile joined_ctx)) agg_args in
+      let agg_specs =
+        List.map
+          (function
+            | Agg { func; distinct; _ } -> (func, distinct)
+            | _ -> assert false)
+          agg_nodes
+      in
+      let citems = List.map (compile agg_ctx) item_exprs in
+      let chaving = Option.map (compile agg_ctx) having_expr in
+      let corder = List.map (fun (e, d) -> (compile agg_ctx e, d)) order_exprs in
+      let agg_cost = 1 + List.length cagg_args in
+      let reads =
+        List.exists contains_subquery group_exprs
+        || List.exists (Option.fold ~none:false ~some:contains_subquery) agg_args
+      in
+      let new_group_states () =
+        Array.of_list
+          (List.map (fun (f, d) -> Agg_state.create f ~distinct:d) agg_specs)
+      in
+      (* Group accumulation and finalization: group discovery order —
+         and with it output order — is scan order. *)
+      let agg_add groups order outer_env (r : Row.t) =
+        let env = with_outer outer_env r in
+        let key = eval_key cgroup env in
+        let states =
+          match Key_tbl.find_opt groups key with
+          | Some (_, states) -> states
+          | None ->
+              let entry = (r, new_group_states ()) in
+              Key_tbl.replace groups key entry;
+              order := entry :: !order;
+              state.obs.Observer.on_alloc 64;
+              snd entry
         in
-        sort_and_limit state projected q.limit)
-  end
-  else begin
-    (* aggregate pipeline *)
-    let agg_nodes =
-      let acc = List.fold_left collect_aggs [] item_exprs in
-      let acc =
-        Option.fold ~none:acc ~some:(collect_aggs acc) having_expr
+        List.iteri
+          (fun i arg ->
+            match arg with
+            | None -> Agg_state.update states.(i) `Star
+            | Some c -> Agg_state.update states.(i) (`Value (c env)))
+          cagg_args
       in
-      List.fold_left (fun acc (e, _) -> collect_aggs acc e) acc order_exprs
-    in
-    let agg_slots = List.mapi (fun i e -> (e, i)) agg_nodes in
-    let agg_ctx = { joined_ctx with agg_slots } in
-    let group_exprs = List.map (substitute_aliases items) q.group_by in
-    let cgroup = List.map (compile joined_ctx) group_exprs in
-    let cagg_args =
-      List.map
-        (function
-          | Agg { arg = Some e; _ } -> Some (compile joined_ctx e)
-          | Agg { arg = None; _ } -> None
-          | _ -> assert false)
-        agg_nodes
-    in
-    let agg_specs =
-      List.map
-        (function
-          | Agg { func; distinct; _ } -> (func, distinct)
-          | _ -> assert false)
-        agg_nodes
-    in
-    let citems = List.map (compile agg_ctx) item_exprs in
-    let chaving = Option.map (compile agg_ctx) having_expr in
-    let corder = List.map (fun (e, d) -> (compile agg_ctx e, d)) order_exprs in
-    let agg_cost = 1 + List.length cagg_args in
-    let new_group_states () =
-      Array.of_list
-        (List.map (fun (f, d) -> Agg_state.create f ~distinct:d) agg_specs)
-    in
-    (* Group accumulation and finalization: group discovery order —
-       and with it output order — is scan order. *)
-    let agg_add groups order outer_env (r : Row.t) =
-      let env = mk_env ?up:outer_env r in
-      let key = encode_values (List.map (fun c -> c env) cgroup) in
-      let _, states =
-        match Hashtbl.find_opt groups key with
-        | Some entry -> entry
-        | None ->
-            let entry = (r, new_group_states ()) in
-            Hashtbl.replace groups key entry;
-            order := key :: !order;
-            state.obs.Observer.on_alloc 64;
-            entry
-      in
-      List.iteri
-        (fun i arg ->
-          match arg with
-          | None -> Agg_state.update states.(i) `Star
-          | Some c -> Agg_state.update states.(i) (`Value (c env)))
-        cagg_args
-    in
-    let agg_finish (groups : (string, Row.t * Agg_state.t array) Hashtbl.t)
-        order outer_env =
-      let keys_in_order = List.rev !order in
-      let group_list =
-        if cgroup = [] && keys_in_order = [] then
-          (* aggregate over empty input: one group of empties *)
-          [ ([||], new_group_states ()) ]
-        else List.map (fun k -> Hashtbl.find groups k) keys_in_order
-      in
-      let finished =
-        List.filter_map
-          (fun (rep, states) ->
-            let aggs = Array.map Agg_state.finish states in
-            let env = { row = rep; aggs; up = outer_env } in
-            match chaving with
-            | Some h when not (Value.as_bool (h env)) -> None
-            | _ ->
-                state.obs.Observer.on_rows 1;
-                let keys = List.map (fun (c, d) -> (c env, d)) corder in
-                Some (Array.of_list (List.map (fun c -> c env) citems), keys))
-          group_list
-      in
-      sort_and_limit state finished q.limit
-    in
-    let run_stage_a = make_stage_a state steps in
-    let memo = ref None in
-    let semijoin = make_semijoin state ~csemi_inner in
-    fun_of_stages state ~out_cols ~run_stage_a ~memo ~uses_outer ~cpost
-      ~semijoin ~csemi_outer ~ccorr_residual
-      ~finish:(fun rows outer_env ->
-        let groups = Hashtbl.create 64 in
-        let order = ref [] in
-        List.iter
-          (fun (r : Row.t) ->
-            state.obs.Observer.on_rows agg_cost;
-            agg_add groups order outer_env r)
-          rows;
-        agg_finish groups order outer_env)
-  end
-
-and make_stage_a state steps =
-  fun outer_env ->
-  List.fold_left
-    (fun acc step ->
-      match step with
-      | `First run -> run outer_env
-      | `Hash (run, lkeys, rkeys, residual, w) ->
-          let right = run outer_env in
-          hash_join state ~left_rows:acc ~right_rows:right ~lkeys ~rkeys
-            ~out_arity:w ~residual ~combined_width:w
-      | `Nested (run, residual, w) ->
-          let right = run outer_env in
-          nested_loop_join state ~left_rows:acc ~right_rows:right ~residual
-            ~combined_width:w)
-    [] steps
-
-and make_semijoin state ~csemi_inner =
-  if csemi_inner = [] then None
-  else begin
-    let index : (string, Row.t list) Hashtbl.t option ref = ref None in
-    Some
-      (fun rows ->
-        match !index with
-        | Some idx -> idx
-        | None ->
-            let idx = Hashtbl.create (max 16 (List.length rows)) in
-            List.iter
-              (fun (r : Row.t) ->
-                state.obs.Observer.on_rows 1;
-                let env = mk_env r in
-                let key =
-                  encode_values (List.map (fun c -> c env) csemi_inner)
-                in
-                let b = Option.value ~default:[] (Hashtbl.find_opt idx key) in
-                Hashtbl.replace idx key (r :: b))
-              rows;
-            index := Some idx;
-            idx)
-  end
-
-and fun_of_stages state ~out_cols ~run_stage_a ~memo ~uses_outer ~cpost
-    ~semijoin ~csemi_outer ~ccorr_residual ~finish =
-  let stage_a outer_env =
-    match !memo with
-    | Some rows -> rows
-    | None ->
-        let rows = run_stage_a outer_env in
-        let rows =
-          if cpost = [] then rows
-          else
-            List.filter
-              (fun (r : Row.t) ->
-                state.obs.Observer.on_rows 1;
-                let env = mk_env ?up:outer_env r in
-                List.for_all (fun f -> Value.as_bool (f env)) cpost)
-              rows
+      let agg_finish entries outer_env =
+        let group_list =
+          if Array.length cgroup = 0 && entries = [] then
+            (* aggregate over empty input: one group of empties *)
+            [ ([||], new_group_states ()) ]
+          else entries
         in
-        memo := Some rows;
-        rows
-  in
-  let plan =
-    {
-      sub_cols = out_cols;
-      sub_correlated = !uses_outer;
-      sub_run =
-        (fun outer_env ->
-          let rows = stage_a outer_env in
-          (* correlated narrowing *)
-          let rows =
-            match semijoin with
-            | None -> rows
-            | Some get_index -> (
-                let idx = get_index rows in
-                match outer_env with
-                | None -> fail "correlated subquery evaluated without outer row"
-                | Some oenv ->
-                    let probe_env = mk_env ~up:oenv [||] in
-                    let key =
-                      encode_values
-                        (List.map (fun c -> c probe_env) csemi_outer)
-                    in
-                    state.obs.Observer.on_rows 1;
-                    Option.value ~default:[] (Hashtbl.find_opt idx key)
-                    |> List.rev)
-          in
-          let rows =
-            if ccorr_residual = [] then rows
-            else
-              List.filter
-                (fun (r : Row.t) ->
+        let finished =
+          List.filter_map
+            (fun (rep, states) ->
+              let aggs = Array.map Agg_state.finish states in
+              let env = { row = rep; aggs; up = outer_env } in
+              match chaving with
+              | Some h when not (Value.as_bool (h env)) -> None
+              | _ ->
                   state.obs.Observer.on_rows 1;
-                  let env = mk_env ?up:outer_env r in
-                  List.for_all
-                    (fun f -> Value.as_bool (f env))
-                    ccorr_residual)
-                rows
-          in
-          finish rows outer_env);
-    }
+                  let keys = List.map (fun (c, d) -> (c env, d)) corder in
+                  Some (Array.of_list (List.map (fun c -> c env) citems), keys))
+            group_list
+        in
+        sort_and_limit state finished q.limit
+      in
+      fun outer_env ->
+        let groups = Key_tbl.create 64 in
+        let order = ref [] in
+        drain narrowed ~reads outer_env (fun r ->
+            state.obs.Observer.on_rows agg_cost;
+            agg_add groups order outer_env r);
+        agg_finish (List.rev !order) outer_env
+    end
   in
-  plan
+  { sub_cols = out_cols; sub_correlated = !uses_outer; sub_run = run }
 
 and sort_and_limit state projected limit =
   let sorted =
@@ -1225,14 +1208,11 @@ and sort_and_limit state projected limit =
 
 (* Explicit JOIN ... ON trees (inner and left outer). *)
 and plan_join_tree state ~parent_ctx ~uses_outer fi :
-    (string option * string) array * (env option -> Row.t list) =
+    (string option * string) array * source =
   match fi with
   | Table { table; alias } ->
       let binding = Option.value ~default:table alias in
-      let cols, run =
-        scan_table state ~binding table ~filters:[] ~ctx_parent:parent_ctx
-      in
-      (cols, run)
+      scan_table state ~binding table ~filters:[] ~ctx_parent:parent_ctx
   | Derived { select; alias } ->
       let sub = plan_select state ~outer:parent_ctx select in
       if sub.sub_correlated then uses_outer := true;
@@ -1240,10 +1220,10 @@ and plan_join_tree state ~parent_ctx ~uses_outer fi :
       let cols =
         Array.of_list (List.map (fun n -> (Some alias, n)) sub.sub_cols)
       in
-      (cols, sub.sub_run)
+      (cols, of_rows sub.sub_run)
   | Join { kind; left; right; on } ->
-      let lcols, lrun = plan_join_tree state ~parent_ctx ~uses_outer left in
-      let rcols, rrun = plan_join_tree state ~parent_ctx ~uses_outer right in
+      let lcols, lsrc = plan_join_tree state ~parent_ctx ~uses_outer left in
+      let rcols, rsrc = plan_join_tree state ~parent_ctx ~uses_outer right in
       let combined = Array.append lcols rcols in
       let lctx = mk_ctx ~state lcols
       and rctx = mk_ctx ~state rcols
@@ -1271,35 +1251,23 @@ and plan_join_tree state ~parent_ctx ~uses_outer fi :
               right_only := pred :: !right_only
           | pred -> residual := pred :: !residual)
         on_conjuncts;
-      let clkeys = List.map (compile lctx) (List.rev !lkeys) in
-      let crkeys = List.map (compile rctx) (List.rev !rkeys) in
+      let compile_keys ctx keys =
+        Array.of_list (List.map (compile ctx) (List.rev keys))
+      in
+      let clkeys = compile_keys lctx !lkeys in
+      let crkeys = compile_keys rctx !rkeys in
       let cright_only = List.map (compile rctx) (List.rev !right_only) in
       let cresidual = List.map (compile cctx) (List.rev !residual) in
-      let run outer_env =
-        let lrows = lrun outer_env in
-        let rrows =
-          rrun outer_env
-          |> List.filter (fun (r : Row.t) ->
-                 state.obs.Observer.on_rows 1;
-                 let env = mk_env r in
-                 List.for_all (fun f -> Value.as_bool (f env)) cright_only)
-        in
-        match kind with
-        | `Inner ->
-            if clkeys <> [] then
-              hash_join state ~left_rows:lrows ~right_rows:rrows ~lkeys:clkeys
-                ~rkeys:crkeys ~out_arity:(Array.length combined)
-                ~residual:cresidual ~combined_width:(Array.length combined)
-            else
-              nested_loop_join state ~left_rows:lrows ~right_rows:rrows
-                ~residual:cresidual ~combined_width:(Array.length combined)
-        | `Left ->
-            left_outer_join state ~left_rows:lrows ~right_rows:rrows
-              ~lkeys:clkeys ~rkeys:crkeys ~residual:cresidual
-              ~left_width:(Array.length lcols)
-              ~right_width:(Array.length rcols)
+      let right =
+        pipe rsrc ~reads:false
+          (filter_stage state ~env_of:(fun _ r -> mk_env r) cright_only)
       in
-      (combined, run)
+      let step =
+        join_step state ~kind ~lkeys:clkeys ~rkeys:crkeys ~residual:cresidual
+          ~left_width:(Array.length lcols) ~right_width:(Array.length rcols)
+          right
+      in
+      (combined, join_source lsrc [ step ])
 
 (* -- Public entry points --------------------------------------------- *)
 

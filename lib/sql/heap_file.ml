@@ -1,10 +1,14 @@
 (* Heap files: a table's rows packed into pager pages in insertion
    order. Page payload layout: u16 row count, then encoded rows. Rows
-   never span pages (every supported row fits one page). *)
+   never span pages (every supported row fits one page).
 
-type t = {
+   A resident heap file instead holds an immutable row list in memory,
+   with no pager behind it: the host engine registers the rows the
+   storage engine shipped this way, so they are neither re-encoded
+   into pages nor decoded back out of them. *)
+
+type paged = {
   pager : Pager.t;
-  schema : Schema.t;
   mutable pages : int list; (* in reverse order of allocation *)
   mutable row_count : int;
   (* write cursor over the last page *)
@@ -14,22 +18,45 @@ type t = {
   mutable dirty : bool;
 }
 
+type store = Paged of paged | Resident of Row.t list * int
+
+type t = { schema : Schema.t; store : store }
+
 let create ~pager ~schema =
   {
-    pager;
     schema;
-    pages = [];
-    row_count = 0;
-    cur_page = None;
-    cur_buf = Buffer.create 512;
-    cur_rows = 0;
-    dirty = false;
+    store =
+      Paged
+        {
+          pager;
+          pages = [];
+          row_count = 0;
+          cur_page = None;
+          cur_buf = Buffer.create 512;
+          cur_rows = 0;
+          dirty = false;
+        };
   }
 
-let schema t = t.schema
-let row_count t = t.row_count
+let resident ~schema rows =
+  let arity = Schema.arity schema in
+  if List.exists (fun r -> Array.length r <> arity) rows then
+    invalid_arg "Heap_file.resident: row arity mismatch";
+  { schema; store = Resident (rows, List.length rows) }
 
-let page_count t = List.length t.pages
+(* The paged store of [t]; resident files support only scans. *)
+let paged t fn =
+  match t.store with
+  | Paged p -> p
+  | Resident _ -> invalid_arg ("Heap_file." ^ fn ^ ": resident table")
+
+let schema t = t.schema
+
+let row_count t =
+  match t.store with Paged p -> p.row_count | Resident (_, n) -> n
+
+let page_count t =
+  match t.store with Paged p -> List.length p.pages | Resident _ -> 0
 
 let flush_current t =
   match t.cur_page with
@@ -43,8 +70,8 @@ let flush_current t =
       t.dirty <- false
   | Some _ -> ()
 
-let append t row =
-  if Array.length row <> Schema.arity t.schema then
+let append_paged schema t row =
+  if Array.length row <> Schema.arity schema then
     invalid_arg "Heap_file.append: row arity mismatch";
   let encoded = Row.encode row in
   if String.length encoded + 2 > Pager.capacity t.pager then
@@ -71,19 +98,23 @@ let append t row =
   t.row_count <- t.row_count + 1;
   t.dirty <- true
 
+let append t row = append_paged t.schema (paged t "append") row
+
 (* Like {!append} but reports the page the row landed on (used for
    index maintenance). *)
 let append_page t row =
-  append t row;
-  match t.cur_page with Some p -> p | None -> assert false
+  let p = paged t "append_page" in
+  append_paged t.schema p row;
+  match p.cur_page with Some page -> page | None -> assert false
 
 let append_all t rows = List.iter (append t) rows
 
 (* Make pending rows durable. Scans always flush first so they see a
    consistent on-storage image. *)
-let flush t = flush_current t
+let flush t = match t.store with Paged p -> flush_current p | Resident _ -> ()
 
-let stored_pages t = List.rev t.pages
+let stored_pages t =
+  match t.store with Paged p -> List.rev p.pages | Resident _ -> []
 
 (* Rebuild the volatile write cursor and row count from the on-storage
    image. After a crash-and-recover of the backing store, the pages
@@ -99,8 +130,7 @@ let stored_pages t = List.rev t.pages
    treated as the tail; an integrity violation
    ({!Pager.Integrity_failure}) is tamper detection and must
    propagate, never masquerade as truncation. *)
-let reload t =
-  let arity = Schema.arity t.schema in
+let reload_paged arity t =
   let kept = ref [] in
   let count = ref 0 in
   let last = ref None in
@@ -111,15 +141,14 @@ let reload t =
          let nrows =
            (Char.code payload.[0] lsl 8) lor Char.code payload.[1]
          in
-         let off = ref 2 in
+         let c = Value.cursor payload 2 in
          for _ = 1 to nrows do
-           let _, next = Row.decode ~arity payload !off in
-           off := next
+           ignore (Row.decode ~arity c)
          done;
          kept := page :: !kept;
          count := !count + nrows;
-         last := Some (page, nrows, String.sub payload 2 (!off - 2)))
-       (stored_pages t)
+         last := Some (page, nrows, String.sub payload 2 (c.Value.pos - 2)))
+       (List.rev t.pages)
    with Invalid_argument _ | Failure _ | Value.Type_error _ ->
      () (* unreadable tail: rolled-back allocation *));
   t.pages <- !kept;
@@ -135,32 +164,43 @@ let reload t =
       Buffer.add_string t.cur_buf rows_bytes);
   t.dirty <- false
 
+let reload t =
+  match t.store with
+  | Resident _ -> ()
+  | Paged p -> reload_paged (Schema.arity t.schema) p
+
 let iter_pages t pages ~f =
-  flush t;
+  let p = paged t "iter_pages" in
+  flush_current p;
   let arity = Schema.arity t.schema in
   List.iter
     (fun page ->
-      let payload = Pager.read t.pager page in
+      let payload = Pager.read p.pager page in
       let nrows = (Char.code payload.[0] lsl 8) lor Char.code payload.[1] in
-      let off = ref 2 in
+      let c = Value.cursor payload 2 in
       for _ = 1 to nrows do
-        let row, next = Row.decode ~arity payload !off in
-        f ~page row;
-        off := next
+        f ~page (Row.decode ~arity c)
       done)
     pages
 
-let iter t ~f = iter_pages t (stored_pages t) ~f:(fun ~page:_ row -> f row)
+let iter t ~f =
+  match t.store with
+  | Resident (rows, _) -> List.iter f rows
+  | Paged _ -> iter_pages t (stored_pages t) ~f:(fun ~page:_ row -> f row)
 
 let to_list t =
-  let acc = ref [] in
-  iter t ~f:(fun row -> acc := row :: !acc);
-  List.rev !acc
+  match t.store with
+  | Resident (rows, _) -> rows
+  | Paged _ ->
+      let acc = ref [] in
+      iter t ~f:(fun row -> acc := row :: !acc);
+      List.rev !acc
 
 (* Rewrite the file with [f] applied to every row ([None] deletes).
    Used by UPDATE/DELETE: pages are rewritten in place, surplus pages
    left allocated but empty. Returns number of affected rows. *)
 let rewrite t ~f =
+  let p = paged t "rewrite" in
   let rows = to_list t in
   let affected = ref 0 in
   let kept =
@@ -178,40 +218,40 @@ let rewrite t ~f =
   in
   (* reset and re-append into the existing page list *)
   let old_pages = stored_pages t in
-  t.pages <- [];
-  t.row_count <- 0;
-  t.cur_page <- None;
-  Buffer.clear t.cur_buf;
-  t.cur_rows <- 0;
-  t.dirty <- false;
+  p.pages <- [];
+  p.row_count <- 0;
+  p.cur_page <- None;
+  Buffer.clear p.cur_buf;
+  p.cur_rows <- 0;
+  p.dirty <- false;
   let available = ref old_pages in
   let take_page () =
     match !available with
-    | p :: rest ->
+    | page :: rest ->
         available := rest;
-        p
-    | [] -> Pager.allocate t.pager
+        page
+    | [] -> Pager.allocate p.pager
   in
   List.iter
     (fun row ->
       let encoded = Row.encode row in
-      (match t.cur_page with
-      | Some _ when Buffer.length t.cur_buf + String.length encoded + 2
-                    <= Pager.capacity t.pager ->
+      (match p.cur_page with
+      | Some _ when Buffer.length p.cur_buf + String.length encoded + 2
+                    <= Pager.capacity p.pager ->
           ()
       | Some _ | None ->
-          flush_current t;
+          flush_current p;
           let page = take_page () in
-          t.pages <- page :: t.pages;
-          t.cur_page <- Some page;
-          Buffer.clear t.cur_buf;
-          t.cur_rows <- 0);
-      Buffer.add_string t.cur_buf encoded;
-      t.cur_rows <- t.cur_rows + 1;
-      t.row_count <- t.row_count + 1;
-      t.dirty <- true)
+          p.pages <- page :: p.pages;
+          p.cur_page <- Some page;
+          Buffer.clear p.cur_buf;
+          p.cur_rows <- 0);
+      Buffer.add_string p.cur_buf encoded;
+      p.cur_rows <- p.cur_rows + 1;
+      p.row_count <- p.row_count + 1;
+      p.dirty <- true)
     kept;
   flush t;
   (* zero out any now-unused pages *)
-  List.iter (fun p -> Pager.write t.pager p "\000\000") !available;
+  List.iter (fun page -> Pager.write p.pager page "\000\000") !available;
   !affected

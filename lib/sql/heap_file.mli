@@ -1,8 +1,17 @@
-(** Heap files: rows packed into pager pages in insertion order. *)
+(** Heap files: rows packed into pager pages in insertion order, or
+    held resident in memory. *)
 
 type t
 
 val create : pager:Pager.t -> schema:Schema.t -> t
+
+val resident : schema:Schema.t -> Row.t list -> t
+(** An immutable in-memory table over [rows], with no pager behind it:
+    scans ({!iter}, {!to_list}) return the rows themselves, in order.
+    Writes and page-level access raise [Invalid_argument]; it has no
+    stored pages.
+    @raise Invalid_argument if a row's arity differs from the schema's. *)
+
 val schema : t -> Schema.t
 val row_count : t -> int
 val page_count : t -> int

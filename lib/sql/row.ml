@@ -15,20 +15,21 @@ let encode row =
   Bytes.blit_string body 0 out 2 n;
   Bytes.to_string out
 
-let encoded_size row = String.length (encode row)
+let encoded_size row =
+  Array.fold_left (fun acc v -> acc + Value.encoded_size v) 2 row
 
-(* Decode one row of [arity] values at [off]; returns row and next offset. *)
-let decode ~arity s off =
+(* Decode one row of [arity] values at the cursor, leaving the cursor
+   past the row. *)
+let decode ~arity (c : Value.cursor) =
+  let s = c.src and off = c.pos in
   let len = (Char.code s.[off] lsl 8) lor Char.code s.[off + 1] in
+  c.pos <- off + 2;
   let row = Array.make arity Value.Null in
-  let pos = ref (off + 2) in
   for i = 0 to arity - 1 do
-    let v, next = Value.decode s !pos in
-    row.(i) <- v;
-    pos := next
+    row.(i) <- Value.decode c
   done;
-  if !pos <> off + 2 + len then failwith "Row.decode: length mismatch";
-  (row, !pos)
+  if c.pos <> off + 2 + len then failwith "Row.decode: length mismatch";
+  row
 
 let heap_size row =
   Array.fold_left (fun acc v -> acc + Value.heap_size v) 16 row

@@ -176,7 +176,14 @@ let encode buf v =
       Buffer.add_char buf 'A';
       add_i64 d
 
-let decode s off =
+(* A read position in an encoded buffer; [decode] advances it past the
+   value it returns. *)
+type cursor = { src : string; mutable pos : int }
+
+let cursor src pos = { src; pos }
+
+let decode c =
+  let s = c.src and off = c.pos in
   let get_i64 off =
     (* sign-extend from the top byte; values fit OCaml's 63-bit int *)
     let b0 = Char.code s.[off] in
@@ -184,15 +191,22 @@ let decode s off =
     for i = 1 to 7 do
       v := (!v lsl 8) lor Char.code s.[off + i]
     done;
-    (!v, off + 8)
+    !v
   in
   match s.[off] with
-  | 'N' -> (Null, off + 1)
-  | 'T' -> (Bool true, off + 1)
-  | 'F' -> (Bool false, off + 1)
+  | 'N' ->
+      c.pos <- off + 1;
+      Null
+  | 'T' ->
+      c.pos <- off + 1;
+      Bool true
+  | 'F' ->
+      c.pos <- off + 1;
+      Bool false
   | 'I' ->
-      let v, off = get_i64 (off + 1) in
-      (Int v, off)
+      let v = get_i64 (off + 1) in
+      c.pos <- off + 9;
+      Int v
   | 'D' ->
       let bits = ref 0L in
       for i = 0 to 7 do
@@ -200,14 +214,59 @@ let decode s off =
           Int64.logor (Int64.shift_left !bits 8)
             (Int64.of_int (Char.code s.[off + 1 + i]))
       done;
-      (Float (Int64.float_of_bits !bits), off + 9)
+      c.pos <- off + 9;
+      Float (Int64.float_of_bits !bits)
   | 'S' ->
       let len = (Char.code s.[off + 1] lsl 8) lor Char.code s.[off + 2] in
-      (Str (String.sub s (off + 3) len), off + 3 + len)
+      let v = Str (String.sub s (off + 3) len) in
+      c.pos <- off + 3 + len;
+      v
   | 'A' ->
-      let v, off = get_i64 (off + 1) in
-      (Date v, off)
-  | c -> type_error "corrupt value tag %C" c
+      let v = get_i64 (off + 1) in
+      c.pos <- off + 9;
+      Date v
+  | ch -> type_error "corrupt value tag %C" ch
+
+let encoded_size = function
+  | Null | Bool _ -> 1
+  | Int _ | Float _ | Date _ -> 9
+  | Str s -> 3 + String.length s
+
+(* -- Hash keys ------------------------------------------------------- *)
+
+(* Key equality: [equal], except that NULL equals NULL (GROUP BY keeps
+   NULLs in one group; probes skip NULL keys before they get here) and
+   values of incomparable kinds are simply unequal. *)
+let key_equal a b =
+  match (a, b) with
+  | Int x, Int y | Date x, Date y -> x = y
+  | Str x, Str y -> String.equal x y
+  | Float x, Float y -> Float.compare x y = 0
+  | Null, Null -> true
+  | Null, _ | _, Null -> false
+  | _ -> (
+      match compare_opt a b with
+      | Some c -> c = 0
+      | None -> false
+      | exception Type_error _ -> false)
+
+(* Consistent with [key_equal]: an [Int], a [Date] and an integral
+   [Float] that compare equal hash alike. Below 2^53 the conversion
+   between int and float is exact, so such numbers hash as ints; above
+   it both sides hash as floats. *)
+let hash =
+  let exact = 1 lsl 53 in
+  function
+  | Null -> 0
+  | Bool b -> Hashtbl.hash b
+  | Int n | Date n ->
+      if n > -exact && n < exact then Hashtbl.hash n
+      else Hashtbl.hash (float_of_int n)
+  | Float f ->
+      if Float.is_integer f && Float.abs f < float_of_int exact then
+        Hashtbl.hash (int_of_float f)
+      else Hashtbl.hash f
+  | Str s -> Hashtbl.hash s
 
 (* Approximate in-memory footprint, for the memory meter. *)
 let heap_size = function

@@ -41,7 +41,27 @@ val like : pattern:string -> string -> bool
 (** SQL LIKE with [%] and [_]. *)
 
 val encode : Buffer.t -> t -> unit
-val decode : string -> int -> t * int
+
+type cursor = { src : string; mutable pos : int }
+(** A read position in an encoded buffer. *)
+
+val cursor : string -> int -> cursor
+
+val decode : cursor -> t
+(** Decode the value at the cursor and advance past it.
+    @raise Type_error on an unknown tag, [Invalid_argument] when the
+    buffer ends early. *)
+
+val encoded_size : t -> int
+(** [String.length] of what {!encode} writes, without encoding. *)
+
+val key_equal : t -> t -> bool
+(** Hash-key equality: {!equal}, except that NULL equals NULL and
+    values of incomparable kinds are unequal rather than an error. *)
+
+val hash : t -> int
+(** Consistent with {!key_equal}: [Int n], [Date n] and [Float f] with
+    [f = float_of_int n] hash alike. *)
 
 val heap_size : t -> int
 (** Approximate in-memory footprint in bytes (for the memory meter). *)

@@ -28,6 +28,7 @@ let () =
       ("sched", Test_sched.suite);
       ("cluster", Test_cluster.suite);
       ("pinned", Test_pinned.suite);
+      ("alloc-budget", Test_alloc.suite);
       (* Alcotest pads the suite column to the longest suite name (18
          characters, this one) and truncates long test names to fit 80
          columns, so dropping or renaming the longest suite changes how

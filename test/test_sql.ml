@@ -103,8 +103,11 @@ let test_value_encoding () =
     (fun v ->
       let buf = Buffer.create 16 in
       Value.encode buf v;
-      let v', _ = Value.decode (Buffer.contents buf) 0 in
-      Alcotest.(check bool) (Value.to_string v) true (v = v'))
+      let c = Value.cursor (Buffer.contents buf) 0 in
+      let v' = Value.decode c in
+      Alcotest.(check bool) (Value.to_string v) true (v = v');
+      Alcotest.(check int) "cursor past the value" (Buffer.length buf) c.Value.pos;
+      Alcotest.(check int) "encoded_size" (Buffer.length buf) (Value.encoded_size v))
     values
 
 (* -- Rows ---------------------------------------------------------------- *)
@@ -112,9 +115,11 @@ let test_value_encoding () =
 let test_row_roundtrip () =
   let row = [| Value.Int 1; Value.Str "x"; Value.Null; Value.Float 2.5 |] in
   let encoded = Row.encode row in
-  let row', next = Row.decode ~arity:4 encoded 0 in
+  let c = Value.cursor encoded 0 in
+  let row' = Row.decode ~arity:4 c in
   Alcotest.(check bool) "row equal" true (row = row');
-  Alcotest.(check int) "consumed all" (String.length encoded) next
+  Alcotest.(check int) "consumed all" (String.length encoded) c.Value.pos;
+  Alcotest.(check int) "encoded_size" (String.length encoded) (Row.encoded_size row)
 
 (* -- Lexer / Parser --------------------------------------------------------- *)
 
@@ -505,13 +510,50 @@ let qcheck_tests =
         Gen.map (fun d -> Value.Date d) Gen.(-100_000 -- 100_000);
       ]
   in
+  (* every value kind, with the edges of each encoding *)
+  let edge_gen =
+    Gen.oneofl
+      [
+        Value.Int min_int; Value.Int max_int; Value.Int (-1); Value.Int 0;
+        Value.Float (-0.0); Value.Float Float.nan;
+        Value.Float (Int64.float_of_bits 0x7ff8_0000_0000_0123L);
+        Value.Float Float.infinity; Value.Float Float.neg_infinity;
+        Value.Float Float.max_float; Value.Str ""; Value.Date min_int;
+      ]
+  in
+  (* a row of many small values, or one string as long as a row can
+     hold: a body of exactly 0xffff bytes, the most [Row.encode]
+     accepts *)
+  let row_gen =
+    Gen.frequency
+      [
+        ( 9,
+          Gen.map Array.of_list
+            Gen.(list_size (1 -- 10) (frequency [ (3, value_gen); (1, edge_gen) ]))
+        );
+        (1, Gen.return [| Value.Str (String.make (0xffff - 3) 'r') |]);
+      ]
+  in
+  (* floats compare by bits, so NaN and -0.0 must survive exactly *)
+  let same a b =
+    match (a, b) with
+    | Value.Float x, Value.Float y ->
+        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    | _ -> a = b
+  in
+  let print_row r = Format.asprintf "%a" Row.pp r in
   [
-    Test.make ~name:"row encode/decode roundtrip" ~count:200
-      (make Gen.(list_size (1 -- 10) value_gen))
-      (fun vs ->
-        let row = Array.of_list vs in
-        let row', _ = Row.decode ~arity:(Array.length row) (Row.encode row) 0 in
-        row = row');
+    Test.make ~name:"row encode/decode roundtrip" ~count:300
+      (make ~print:print_row row_gen)
+      (fun row ->
+        let encoded = Row.encode row in
+        (* decode from a non-zero offset, as rows sit inside a page *)
+        let c = Value.cursor ("pg" ^ encoded) 2 in
+        let row' = Row.decode ~arity:(Array.length row) c in
+        Row.encoded_size row = String.length encoded
+        && c.Value.pos = 2 + String.length encoded
+        && Array.length row' = Array.length row
+        && Array.for_all2 same row row');
     Test.make ~name:"date ymd roundtrip" ~count:500
       (make Gen.(pair (1 -- 3000) (pair (1 -- 12) (1 -- 28))))
       (fun (y, (m, d)) -> Date.to_ymd (Date.of_ymd ~y ~m ~d) = (y, m, d));

@@ -329,6 +329,50 @@ let qcheck_tests =
         sorted "select distinct a from p" = sorted "select a from p group by a");
   ]
 
+(* -- hash paths agree with = ------------------------------------------------ *)
+
+(* Hash join, JOIN ON, IN-subquery and the correlated semijoin probe
+   hash tables; filters and IN (list) compare with [Value.equal]. Both
+   must give the same answers: 1 = 1.0, and NULL matches nothing. *)
+let test_hash_paths_agree_with_eq () =
+  let db = mkdb () in
+  List.iter
+    (fun sql -> ignore (Database.exec db sql))
+    [
+      "create table a (x integer)";
+      "insert into a values (1), (2), (null)";
+      "create table b (y double)";
+      "insert into b values (1.0), (3.0)";
+      "create table c (z integer)";
+      "insert into c values (null), (2)";
+    ];
+  let count sql = List.length (Database.query db sql).Exec.rows in
+  List.iter
+    (fun (want, sql) -> Alcotest.(check int) sql want (count sql))
+    [
+      (1, "select x from a where x in (1.0)");
+      (1, "select x from a where x in (select y from b)");
+      (1, "select x from a, b where x <= y and x >= y");
+      (1, "select x from a, b where x = y");
+      (1, "select x from a join b on x = y");
+      (1, "select x from a, c where x <= z and x >= z");
+      (1, "select x from a, c where x = z");
+      (1, "select x from a join c on x = z");
+      (3, "select x from a left join c on x = z");
+      (1, "select x from a where exists (select * from c where z = x)");
+      (1, "select x from a where x in (select z from c where z = x)");
+    ];
+  (* the unmatched left rows come back null-extended *)
+  check_rows "left join nulls match nothing"
+    [ [ "1"; "NULL" ]; [ "2"; "2" ]; [ "NULL"; "NULL" ] ]
+    (rows db "select x, z from a left join c on x = z");
+  (* GROUP BY keeps NULLs together, and 1 and 1.0 are one group *)
+  ignore (Database.exec db "create table g (v double)");
+  ignore (Database.exec db "insert into g values (null), (1.0), (null), (1)");
+  check_rows "group by keys"
+    [ [ "NULL"; "2" ]; [ "1.00"; "2" ] ]
+    (rows db "select v, count(*) as n from g group by v order by v")
+
 let suite =
   [
     ("nested subqueries", `Quick, test_nested_subqueries);
@@ -358,5 +402,6 @@ let suite =
     ("create duplicate table", `Quick, test_create_duplicate_table);
     ("rows at page capacity", `Quick, test_rows_at_page_capacity);
     ("row too large rejected", `Quick, test_row_too_large_rejected);
+    ("hash paths agree with =", `Quick, test_hash_paths_agree_with_eq);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests
