@@ -1211,22 +1211,36 @@ let microbench _scale =
   in
   (* Scheduler kernels: the two inner primitives of the 10^5-session
      replay loop. event_queue_push_pop works the pairing heap at a
-     realistic standing depth (64Ki pending events, pseudo-random
-     times), one push+pop per op. tape_cursor_replay walks a shared
-     interned tape the way a session's cursor does — per-event class /
-     node / duration / label reads — reported per event. *)
+     realistic standing depth (64Ki pending events), one push+pop per
+     op. Event times advance as the scheduler's do: each push lands a
+     pseudo-random delay after the last popped time, so the standing
+     set stays 64Ki events spread over the next 2^20 ns and the kernel
+     is stationary. (Times drawn from a fixed range instead drift: as
+     pops take the smallest, the standing set fills with the largest
+     times, every push becomes the new minimum and the pop pays no
+     combine, so the cost per op fell with the op count — and a short
+     --quick window read several times a long run's figure.)
+     tape_cursor_replay walks a shared interned tape the way a
+     session's cursor does — per-event class / node / duration / label
+     reads — reported per event. *)
   let module Eq = Ironsafe_sched.Event_queue in
   let eq = Eq.create ~dummy:0 in
   let eq_depth = 65536 in
   let eq_state = ref 0x2545F4914F6CDD1D in
+  let eq_now = ref 0.0 in
   let eq_next () =
-    (* xorshift64: deterministic event times in [0, 2^20) *)
+    (* xorshift64: deterministic delays in [0, 2^20) *)
     let x = !eq_state in
     let x = x lxor (x lsl 13) in
     let x = x lxor (x lsr 7) in
     let x = x lxor (x lsl 17) in
     eq_state := x;
-    float_of_int (x land 0xFFFFF)
+    !eq_now +. float_of_int (x land 0xFFFFF)
+  in
+  let eq_push_pop () =
+    Eq.push eq (eq_next ()) 0;
+    eq_now := Eq.min_time eq;
+    ignore (Eq.pop eq)
   in
   for i = 1 to eq_depth do
     Eq.push eq (eq_next ()) i
@@ -1236,8 +1250,7 @@ let microbench _scale =
      over the standing depth reaches the steady-state heap shape that
      the timed windows then measure, in quick and full runs alike *)
   for _ = 1 to eq_depth do
-    Eq.push eq (eq_next ()) 0;
-    ignore (Eq.pop eq)
+    eq_push_pop ()
   done;
   let replay_tape =
     Sim.Tape.intern
@@ -1372,10 +1385,7 @@ let microbench _scale =
          Ironsafe_obs.Flight_recorder.enable ();
          Ironsafe_obs.Flight_recorder.append ~ts_ns:(bclock ()) ~scope:"bench"
            ~kind:"charge" emit_fields);
-      ("event_queue_push_pop", 1,
-       fun () ->
-         Eq.push eq (eq_next ()) 0;
-         ignore (Eq.pop eq));
+      ("event_queue_push_pop", 1, eq_push_pop);
       ("tape_cursor_replay", replay_len,
        fun () ->
          let acc = ref 0.0 in

@@ -25,21 +25,19 @@ let create ~pager = make (Some pager)
 let create_resident () = make None
 let pager t = t.pager
 
-let register t schema hf =
-  let name = Schema.name schema in
+let register t hf =
+  let name = Schema.name (Heap_file.schema hf) in
   if Hashtbl.mem t.tables name then raise (Duplicate_table name);
-  let hf = hf () in
   Hashtbl.replace t.tables name hf;
   hf
 
 let create_table t schema =
   match t.pager with
-  | Some pager ->
-      register t schema (fun () -> Heap_file.create ~pager ~schema)
+  | Some pager -> register t (Heap_file.create ~pager ~schema)
   | None -> invalid_arg "Catalog.create_table: catalog has no pager"
 
 let add_resident t schema rows =
-  ignore (register t schema (fun () -> Heap_file.resident ~schema rows))
+  ignore (register t (Heap_file.resident ~schema rows))
 
 let find t name =
   let name = String.lowercase_ascii name in

@@ -504,9 +504,9 @@ and build_index state src outer_env ckeys =
           (r :: Option.value ~default:[] (Key_tbl.find_opt index key)));
   index
 
-(* Joins [l] with each row of [rights] (a build bucket, newest first —
-   as built), pushing the combined rows that pass [residual]; returns
-   whether any did. *)
+(* Joins [l] with each row of [rights], in list order (a hash bucket
+   holds the newest build row first), pushing the combined rows that
+   pass [residual]; returns whether any did. *)
 and join_rows state ~residual ~combined_width (l : Row.t) rights k =
   let matched = ref false in
   List.iter

@@ -18,7 +18,7 @@ type paged = {
   mutable dirty : bool;
 }
 
-type store = Paged of paged | Resident of Row.t list * int
+type store = Paged of paged | Resident of Row.t list
 
 type t = { schema : Schema.t; store : store }
 
@@ -42,7 +42,7 @@ let resident ~schema rows =
   let arity = Schema.arity schema in
   if List.exists (fun r -> Array.length r <> arity) rows then
     invalid_arg "Heap_file.resident: row arity mismatch";
-  { schema; store = Resident (rows, List.length rows) }
+  { schema; store = Resident rows }
 
 (* The paged store of [t]; resident files support only scans. *)
 let paged t fn =
@@ -53,7 +53,7 @@ let paged t fn =
 let schema t = t.schema
 
 let row_count t =
-  match t.store with Paged p -> p.row_count | Resident (_, n) -> n
+  match t.store with Paged p -> p.row_count | Resident rows -> List.length rows
 
 let page_count t =
   match t.store with Paged p -> List.length p.pages | Resident _ -> 0
@@ -185,12 +185,12 @@ let iter_pages t pages ~f =
 
 let iter t ~f =
   match t.store with
-  | Resident (rows, _) -> List.iter f rows
+  | Resident rows -> List.iter f rows
   | Paged _ -> iter_pages t (stored_pages t) ~f:(fun ~page:_ row -> f row)
 
 let to_list t =
   match t.store with
-  | Resident (rows, _) -> rows
+  | Resident rows -> rows
   | Paged _ ->
       let acc = ref [] in
       iter t ~f:(fun row -> acc := row :: !acc);
