@@ -554,6 +554,24 @@ let qcheck_tests =
         && c.Value.pos = 2 + String.length encoded
         && Array.length row' = Array.length row
         && Array.for_all2 same row row');
+    (* hash tables key on [Value.key_equal]; equal keys must hash alike,
+       across Int/Float/Date and past 2^53 where int->float rounds *)
+    Test.make ~name:"value hash agrees with key_equal" ~count:500
+      (make
+         Gen.(
+           pair
+             (oneof [ int; int_range (-4) 4; map (fun e -> (1 lsl 53) + e) (int_range (-3) 3) ])
+             (int_range 0 3)))
+      (fun (n, kind) ->
+        let a = Value.Int n in
+        let b =
+          match kind with
+          | 0 -> Value.Float (float_of_int n)
+          | 1 -> Value.Date n
+          | 2 -> Value.Float (float_of_int n +. 0.5)
+          | _ -> Value.Int n
+        in
+        (not (Value.key_equal a b)) || Value.hash a = Value.hash b);
     Test.make ~name:"date ymd roundtrip" ~count:500
       (make Gen.(pair (1 -- 3000) (pair (1 -- 12) (1 -- 28))))
       (fun (y, (m, d)) -> Date.to_ymd (Date.of_ymd ~y ~m ~d) = (y, m, d));
