@@ -15,6 +15,9 @@
    - pinned_reads.golden: per query, a digest of the page-id sequence a
      logging pager over the secure store sees, for whole-query
      execution (hos/sos) and for the offloaded scans (scs).
+   - pinned_cluster.golden: the pinned_clock digest of the TPC-H
+     queries and the first 40 generated ones, run through a 2-shard
+     hash cluster and a 4-shard range cluster.
 
    Regenerate (only when a change moves these figures on purpose) with
    IRONSAFE_WRITE_GOLDEN=$PWD/test/golden/<file>.golden, running this
@@ -89,13 +92,14 @@ let metrics_line (m : Runner.metrics) =
     m.Runner.result.Sql.Exec.rows;
   short_digest (Buffer.contents b)
 
+let pinned_deployment () =
+  Deployment.create ~seed:"pinned" ~pool_frames:16
+    ~crypto_mode:Sec.Secure_store.Cbc
+    ~populate:(fun db -> ignore (Tpch.Dbgen.populate db ~scale))
+    ()
+
 let test_clock_golden () =
-  let d =
-    Deployment.create ~seed:"pinned" ~pool_frames:16
-      ~crypto_mode:Sec.Secure_store.Cbc
-      ~populate:(fun db -> ignore (Tpch.Dbgen.populate db ~scale))
-      ()
-  in
+  let d = pinned_deployment () in
   let out = Buffer.create 65536 in
   List.iter
     (fun (tag, sql) ->
@@ -107,6 +111,38 @@ let test_clock_golden () =
         Config.all)
     (Lazy.force corpus);
   check_golden "pinned_clock.golden" (Buffer.contents out)
+
+(* -- the same figures through the sharded cluster ------------------------- *)
+
+(* The 17 TPC-H queries and the first 40 generated ones, under every
+   config, through a 2-shard hash cluster and a 4-shard range cluster
+   over the same deployment. The shards' media carry no buffer pool, so
+   the base deployment's pool must not reach the cluster's charges. *)
+let test_cluster_clock_golden () =
+  let d = pinned_deployment () in
+  let module Cluster = Ironsafe_cluster.Cluster in
+  let queries =
+    List.filteri (fun i _ -> i < List.length Tpch.Queries.all + 40)
+      (Lazy.force corpus)
+  in
+  let out = Buffer.create 32768 in
+  List.iter
+    (fun (ctag, shards, scheme) ->
+      let cl = Cluster.create ~shards ~scheme d in
+      (match Cluster.attest cl with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: attestation failed: %s" ctag e);
+      List.iter
+        (fun (tag, sql) ->
+          List.iter
+            (fun cfg ->
+              let m = Cluster.run_query cl cfg sql in
+              Printf.bprintf out "%s %s %s %s\n" ctag tag (Config.abbrev cfg)
+                (metrics_line m))
+            Config.all)
+        queries)
+    [ ("2h", 2, Partitioner.Hash); ("4r", 4, Partitioner.Range) ];
+  check_golden "pinned_cluster.golden" (Buffer.contents out)
 
 (* -- page-read order on the secure medium --------------------------------- *)
 
@@ -168,4 +204,5 @@ let suite =
   [
     ("virtual clock and counters", `Slow, test_clock_golden);
     ("secure page-read order", `Slow, test_read_order_golden);
+    ("pinned cluster clock", `Slow, test_cluster_clock_golden);
   ]
