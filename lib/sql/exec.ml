@@ -37,7 +37,9 @@
    stage A — everything independent of the outer row — runs and is
    memoized once; correlated equi-predicates become a hash semi-join
    index over stage-A rows, so correlated evaluation is a bucket probe
-   plus residual filters instead of a rescan per outer row. *)
+   plus residual filters instead of a rescan per outer row. A
+   post-filter whose subquery reads the outer row is such a residual:
+   it runs per outer row in stage B. *)
 
 open Ast
 
@@ -184,6 +186,14 @@ let filter_stage (state : state) ~env_of preds =
     let env = env_of outer_env r in
     if List.for_all (fun f -> Value.as_bool (f env)) preds then k r
 
+(* A reference [depth] scopes up makes every scope it crosses depend on
+   the outer row, not only the innermost one. *)
+let rec mark_outer ctx depth =
+  if depth > 0 then begin
+    ctx.uses_outer := true;
+    Option.iter (fun p -> mark_outer p (depth - 1)) ctx.parent
+  end
+
 let rec compile ctx expr : compiled =
   match expr with
   | Lit v -> fun _ -> v
@@ -192,7 +202,7 @@ let rec compile ctx expr : compiled =
       match resolve ctx qualifier name 0 with
       | Some (0, i) -> fun env -> env.row.(i)
       | Some (depth, i) ->
-          ctx.uses_outer := true;
+          mark_outer ctx depth;
           fun env -> (climb env depth).row.(i)
       | None ->
           fail "unknown column %s%s"
@@ -968,8 +978,21 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
     correlated_preds;
   let semi_inner = List.rev !semi_inner and semi_outer = List.rev !semi_outer in
   let corr_residual = List.rev !corr_residual in
-  (* compile stage-B predicates *)
-  let cpost = List.map (compile joined_ctx) final_post_preds in
+  (* post-filters that read the outer row (through a subquery) belong
+     to stage B: they must see every outer row, not the memoized first *)
+  let local_post, outer_post =
+    List.partition_map
+      (fun pred ->
+        let refs_outer = ref false in
+        let c = compile { joined_ctx with uses_outer = refs_outer } pred in
+        if !refs_outer then begin
+          uses_outer := true;
+          Right (pred, c)
+        end
+        else Left (pred, c))
+      final_post_preds
+  in
+  let cpost = List.map snd local_post in
   let csemi_inner = Array.of_list (List.map (compile joined_ctx) semi_inner) in
   let csemi_outer =
     (* outer key exprs compiled against a ctx whose local frame is the
@@ -984,7 +1007,7 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
     if cpost = [] then from_source
     else
       pipe from_source
-        ~reads:(List.exists contains_subquery final_post_preds)
+        ~reads:(List.exists (fun (p, _) -> contains_subquery p) local_post)
         (filter_stage state ~env_of:with_outer cpost)
   in
   let stage_a =
@@ -1031,11 +1054,13 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
       }
     end
   in
+  let stage_b = ccorr_residual @ List.map snd outer_post in
   let narrowed =
-    if ccorr_residual = [] then narrowed
+    if stage_b = [] then narrowed
     else
-      pipe narrowed ~reads:false
-        (filter_stage state ~env_of:with_outer ccorr_residual)
+      pipe narrowed
+        ~reads:(outer_post <> [])
+        (filter_stage state ~env_of:with_outer stage_b)
   in
   (* -- aggregation & projection --------------------------------------- *)
   let items =

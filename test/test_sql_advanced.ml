@@ -373,6 +373,56 @@ let test_hash_paths_agree_with_eq () =
     [ [ "NULL"; "2" ]; [ "1.00"; "2" ] ]
     (rows db "select v, count(*) as n from g group by v order by v")
 
+(* A post-filter subquery that reads the outer row runs per outer row;
+   the inner select's outer-independent part is still memoized. *)
+let test_post_filter_reads_outer_row () =
+  let db = mkdb () in
+  List.iter
+    (fun sql -> ignore (Database.exec db sql))
+    [
+      "create table o (k integer, g integer)";
+      "insert into o values (1, 1), (2, 1), (3, 2), (4, 2), (5, 3)";
+      "create table r (g integer)";
+      "insert into r values (1), (2), (3)";
+      "create table s (k integer)";
+      "insert into s values (1)";
+    ];
+  let count sql =
+    match (Database.query db sql).Exec.rows with
+    | [ [| v |] ] -> Value.as_int v
+    | _ -> Alcotest.failf "expected one count row: %s" sql
+  in
+  Alcotest.(check int) "exists" 1
+    (count
+       "select count(*) from o where exists (select * from r where r.g = \
+        o.g and o.k in (select k from s))");
+  Alcotest.(check int) "not exists" 4
+    (count
+       "select count(*) from o where not exists (select * from r where r.g \
+        = o.g and o.k in (select k from s))")
+
+(* DISTINCT aggregates use the GROUP BY equality: 1 and 1.0 are one
+   value. *)
+let test_distinct_uses_key_equality () =
+  let db = mkdb () in
+  ignore (Database.exec db "create table v (x double)");
+  ignore (Database.exec db "insert into v values (1.0), (1), (2.5), (null)");
+  check_rows "count distinct" [ [ "2" ] ]
+    (rows db "select count(distinct x) from v");
+  List.iter
+    (fun f ->
+      check_rows
+        (f ^ " distinct = over group by")
+        (rows db
+           (Printf.sprintf "select %s(x) from (select x from v group by x) t"
+              f))
+        (rows db (Printf.sprintf "select %s(distinct x) from v" f)))
+    [ "count"; "sum"; "avg" ];
+  ignore (Database.exec db "create table w (x double)");
+  ignore (Database.exec db "insert into w values (1.0), (1)");
+  check_rows "1.0 and 1 are one value" [ [ "1" ] ]
+    (rows db "select count(distinct x) from w")
+
 let suite =
   [
     ("nested subqueries", `Quick, test_nested_subqueries);
@@ -403,5 +453,7 @@ let suite =
     ("rows at page capacity", `Quick, test_rows_at_page_capacity);
     ("row too large rejected", `Quick, test_row_too_large_rejected);
     ("hash paths agree with =", `Quick, test_hash_paths_agree_with_eq);
+    ("post-filter reads outer row", `Quick, test_post_filter_reads_outer_row);
+    ("distinct uses key equality", `Quick, test_distinct_uses_key_equality);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests
