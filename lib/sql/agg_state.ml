@@ -9,7 +9,16 @@ type acc =
   | Min_acc of { mutable v : Value.t }
   | Max_acc of { mutable v : Value.t }
 
-type t = { acc : acc; distinct : (string, unit) Hashtbl.t option }
+(* DISTINCT keeps the values it has seen under the same equality as
+   GROUP BY and the join keys: 1 and 1.0 are one value. *)
+module Seen = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.key_equal
+  let hash = Value.hash
+end)
+
+type t = { acc : acc; distinct : unit Seen.t option }
 
 let create func ~distinct =
   let acc =
@@ -20,20 +29,17 @@ let create func ~distinct =
     | Ast.Min -> Min_acc { v = Value.Null }
     | Ast.Max -> Max_acc { v = Value.Null }
   in
-  { acc; distinct = (if distinct then Some (Hashtbl.create 16) else None) }
+  { acc; distinct = (if distinct then Some (Seen.create 16) else None) }
 
 let seen_before t v =
   match t.distinct with
   | None -> false
   | Some table ->
-      let buf = Buffer.create 16 in
-      Value.encode buf v;
-      let key = Buffer.contents buf in
-      if Hashtbl.mem table key then true
-      else begin
-        Hashtbl.add table key ();
-        false
-      end
+      Seen.mem table v
+      || begin
+           Seen.add table v ();
+           false
+         end
 
 let update t input =
   match (t.acc, input) with
