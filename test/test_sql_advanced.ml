@@ -399,7 +399,12 @@ let test_post_filter_reads_outer_row () =
   Alcotest.(check int) "not exists" 4
     (count
        "select count(*) from o where not exists (select * from r where r.g \
-        = o.g and o.k in (select k from s))")
+        = o.g and o.k in (select k from s))");
+  (* the outer row read two scopes down, inside the nested subquery *)
+  Alcotest.(check int) "nested reference" 1
+    (count
+       "select count(*) from o where exists (select * from r where r.g = \
+        o.g and exists (select * from s where s.k = o.k))")
 
 (* DISTINCT aggregates use the GROUP BY equality: 1 and 1.0 are one
    value. *)
