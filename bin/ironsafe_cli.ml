@@ -298,10 +298,11 @@ let write_artifact ?(validate = false) ~what file contents =
   close_out oc;
   Fmt.pr "-- %s written to %s@." what file
 
-let run_query ?(profile = false) ?trace_out ?jsonl_out ?metrics_out
-    ?(sample_every = 1) ?(faults = Fault.none) ?(pool_frames = 0) ?crypto_mode
-    ?crypto_lanes ?(recorder_frames = 256) ?dump_dir ?(slo_p99_ms = 0.0) scale
-    config policy sql =
+(* Observability for one CLI query: arm the recorder and the collectors
+   the flags ask for. Returns whether collection is on and the function
+   that writes the requested artifacts once the query is over. *)
+let start_exports ~profile ?trace_out ?jsonl_out ?metrics_out ~sample_every
+    ~recorder_frames dump_dir =
   let recorder = arm_recorder ~frames:recorder_frames dump_dir in
   let obs_on =
     profile || trace_out <> None || jsonl_out <> None || metrics_out <> None
@@ -334,6 +335,16 @@ let run_query ?(profile = false) ?trace_out ?jsonl_out ?metrics_out
           (Ironsafe_obs.Obs.to_openmetrics ())
     | None -> ());
     report_recorder ()
+  in
+  (obs_on, write_exports)
+
+let run_query ?(profile = false) ?trace_out ?jsonl_out ?metrics_out
+    ?(sample_every = 1) ?(faults = Fault.none) ?(pool_frames = 0) ?crypto_mode
+    ?crypto_lanes ?(recorder_frames = 256) ?dump_dir ?(slo_p99_ms = 0.0) scale
+    config policy sql =
+  let _, write_exports =
+    start_exports ~profile ?trace_out ?jsonl_out ?metrics_out ~sample_every
+      ~recorder_frames dump_dir
   in
   let deploy =
     build_deployment ~faults ~pool_frames ?crypto_mode ?crypto_lanes scale
@@ -369,34 +380,9 @@ let run_cluster_query ?trace_out ?jsonl_out ?metrics_out ?(sample_every = 1)
     ?(faults = Fault.none) ?(pool_frames = 0) ?crypto_mode ?crypto_lanes
     ?(recorder_frames = 256) ?dump_dir ?(slo_p99_ms = 0.0)
     ~shards ~scheme scale config policy sql =
-  let recorder = arm_recorder ~frames:recorder_frames dump_dir in
-  let obs_on =
-    trace_out <> None || jsonl_out <> None || metrics_out <> None || recorder
-  in
-  if obs_on then begin
-    Ironsafe_obs.Obs.enable ();
-    Ironsafe_obs.Obs.set_sample_every sample_every;
-    match jsonl_out with
-    | Some f -> Ironsafe_obs.Event_log.open_sink f
-    | None -> ()
-  end;
-  let write_exports () =
-    (match trace_out with
-    | Some f ->
-        write_artifact ~validate:true ~what:"trace" f
-          (Ironsafe_obs.Obs.to_chrome_json ())
-    | None -> ());
-    (match jsonl_out with
-    | Some f ->
-        Ironsafe_obs.Event_log.close_sink ();
-        Fmt.pr "-- event log (JSONL) streamed to %s@." f
-    | None -> ());
-    (match metrics_out with
-    | Some f ->
-        write_artifact ~what:"metrics (OpenMetrics)" f
-          (Ironsafe_obs.Obs.to_openmetrics ())
-    | None -> ());
-    report_recorder ()
+  let obs_on, write_exports =
+    start_exports ~profile:false ?trace_out ?jsonl_out ?metrics_out
+      ~sample_every ~recorder_frames dump_dir
   in
   let deploy =
     build_deployment ~faults ~pool_frames ?crypto_mode ?crypto_lanes scale

@@ -17,9 +17,18 @@
    when a purely structural eligibility check proves they reproduce
    the single-node answer exactly.
 
-   With [shards = 1] everything — execution, charging, spans, events —
-   delegates to the single-node {!Ironsafe.Runner}, so a one-shard
-   cluster is byte-identical to no cluster at all. *)
+   The cluster is N applications of the single storage-node path, not
+   a copy of it: each shard is booted, provisioned and attested with
+   {!Ironsafe.Deployment}'s storage-node functions (one retry loop for
+   the whole cluster), charged {!Ironsafe.Runner.storage_share} for its
+   slice, and the host {!Ironsafe.Runner.host_share} for the gather; the
+   query runs inside the runner's root span and fault-aware outcome
+   wrapper, so pre-flight TEE faults and outcome events reach sharded
+   queries exactly as single-node ones.
+
+   With [shards = 1] execution delegates to the single-node
+   {!Ironsafe.Runner}, so a one-shard cluster is byte-identical to no
+   cluster at all. *)
 
 module Sim = Ironsafe_sim
 module Storage = Ironsafe_storage
@@ -43,7 +52,6 @@ type shard = {
   sh_tz : Tee.Trustzone.device;
   sh_booted : Tee.Trustzone.booted;
   sh_device : Storage.Block_device.t;
-  sh_rpmb : Storage.Rpmb.t;
   sh_store : Sec.Secure_store.t;
   sh_plain_db : Sql.Database.t;
   sh_secure_db : Sql.Database.t;
@@ -136,7 +144,7 @@ let create ?(storage_cores = 16) ?(storage_version = 1)
     let instance = !instances in
     let params = base.Deployment.params in
     let page_mode = Sec.Secure_store.page_mode base.Deployment.secure_store in
-    let images = [ Deployment.atf_image; Deployment.optee_image ] in
+    let who = "Cluster.create" in
     (* per-shard TrustZone identity + empty plain replica *)
     let protos =
       Array.init n (fun i ->
@@ -145,21 +153,12 @@ let create ?(storage_cores = 16) ?(storage_version = 1)
               ~name:(Printf.sprintf "shard%d" i)
               Sim.Cpu.Storage_arm
           in
-          let tz =
-            Tee.Trustzone.manufacture ~location:storage_location
+          let tz, booted =
+            Deployment.boot_storage_tee ~who ~location:storage_location
               ~device_id:
                 (Printf.sprintf "clearfog-cx-lx2k-c%d-shard%d" instance i)
+              ~normal_world:base.Deployment.storage_nw_image
               base.Deployment.drbg
-          in
-          Tee.Trustzone.provision tz images;
-          let booted =
-            match
-              Tee.Trustzone.secure_boot tz ~secure_stages:images
-                ~normal_world:base.Deployment.storage_nw_image
-            with
-            | Ok b -> b
-            | Error e ->
-                invalid_arg ("Cluster.create: secure boot failed: " ^ e)
           in
           let plain_db = Sql.Database.create ~pager:(Sql.Pager.in_memory ()) in
           (node, tz, booted, plain_db))
@@ -192,31 +191,18 @@ let create ?(storage_cores = 16) ?(storage_version = 1)
     let shards =
       Array.mapi
         (fun i (node, tz, booted, plain_db) ->
-          let plain_pages =
-            Sql.Catalog.total_pages (Sql.Database.catalog plain_db)
+          let m =
+            Deployment.provision_secure ~who ~page_mode
+              ~plain_pages:
+                (Sql.Catalog.total_pages (Sql.Database.catalog plain_db))
+              tz base.Deployment.drbg
           in
-          let data_pages = plain_pages + (plain_pages / 4) + 64 in
-          let device =
-            Storage.Block_device.create
-              ~pages:(Sec.Secure_store.device_pages_for ~data_pages)
+          let secure_db =
+            Sql.Database.create ~pager:(Sql.Pager.secure m.Deployment.store)
           in
-          let rpmb = Storage.Rpmb.create () in
-          let store =
-            match
-              Sec.Secure_store.initialize ~device ~rpmb
-                ~hardware_key:(Tee.Trustzone.hardware_key tz) ~page_mode
-                ~data_pages ~drbg:base.Deployment.drbg ()
-            with
-            | Ok s -> s
-            | Error e ->
-                invalid_arg
-                  (Fmt.str "Cluster.create: secure store init failed: %a"
-                     Sec.Secure_store.pp_error e)
-          in
-          let secure_db = Sql.Database.create ~pager:(Sql.Pager.secure store) in
           Deployment.copy_database plain_db secure_db;
-          Sec.Secure_store.reset_stats store;
-          Storage.Block_device.reset_counters device;
+          Sec.Secure_store.reset_stats m.Deployment.store;
+          Storage.Block_device.reset_counters m.Deployment.device;
           Monitor.Trusted_monitor.trust_storage_device base.Deployment.monitor
             ~device_id:(Tee.Trustzone.device_id tz)
             ~rotpk:(Tee.Trustzone.rotpk tz)
@@ -226,19 +212,14 @@ let create ?(storage_cores = 16) ?(storage_version = 1)
              (the flaky shard); the rest stay pristine so a faulted
              cluster degrades or rejects, never answers wrongly *)
           let faults = base.Deployment.faults in
-          if i = 0 && Fault.enabled faults then begin
-            Storage.Block_device.set_faults device faults;
-            Storage.Rpmb.set_faults rpmb faults;
-            Sec.Secure_store.set_faults store faults
-          end;
+          if i = 0 && Fault.enabled faults then Deployment.fault_medium faults m;
           {
             sh_id = i;
             sh_node = node;
             sh_tz = tz;
             sh_booted = booted;
-            sh_device = device;
-            sh_rpmb = rpmb;
-            sh_store = store;
+            sh_device = m.Deployment.device;
+            sh_store = m.Deployment.store;
             sh_plain_db = plain_db;
             sh_secure_db = secure_db;
           })
@@ -268,57 +249,24 @@ let attest ?host_location ?(storage_location = "eu-west") t =
   | Error e -> Error e
   | Ok () ->
       let monitor = t.base.Deployment.monitor in
-      let faults = t.base.Deployment.faults in
       let rec go i =
         if i >= Array.length t.shards then Ok ()
         else
           let sh = t.shards.(i) in
-          let shard_faults = if i = 0 then faults else Fault.none in
+          (* only the flaky shard's TEE sees the fault plan *)
+          let faults = if i = 0 then t.base.Deployment.faults else Fault.none in
           match
-            Sim.Node.with_span sh.sh_node ~name:"attest.storage" (fun () ->
-                let challenge =
-                  Monitor.Trusted_monitor.fresh_challenge monitor
-                in
-                let response =
-                  Tee.Trustzone.attest ~faults:shard_faults sh.sh_booted
-                    ~challenge
-                in
-                Monitor.Trusted_monitor.attest_storage ~shard:i monitor
-                  ~challenge ~response ~location:storage_location)
+            Deployment.attest_storage_node ~shard:i ~faults
+              ~location:storage_location monitor sh.sh_node sh.sh_booted
           with
           | Error e -> Error (Printf.sprintf "shard %d: %s" i e)
-          | Ok _ -> go (i + 1)
+          | Ok () -> go (i + 1)
       in
       go 0
 
-let attest_reliable ?host_location ?storage_location ?(max_attempts = 5) t =
-  let faults = t.base.Deployment.faults in
-  let mark = Fault.incident_count faults in
-  let rec attempt n =
-    match attest ?host_location ?storage_location t with
-    | Ok () ->
-        if n > 0 then Fault.note_recovered_since faults mark;
-        Ok ()
-    | Error e when Fault.enabled faults && n + 1 < max_attempts ->
-        ignore e;
-        Fault.note_retry faults ~action:"attest";
-        Fault.note_reattestation faults;
-        let wait =
-          Fault.backoff_ns
-            ~base_ns:t.base.Deployment.params.Sim.Params.net_latency_ns
-            ~attempt:n
-        in
-        Sim.Node.fixed t.base.Deployment.host ~category:"recovery" wait;
-        Sim.Node.fixed t.base.Deployment.storage ~category:"recovery" wait;
-        Array.iter
-          (fun sh -> Sim.Node.fixed sh.sh_node ~category:"recovery" wait)
-          t.shards;
-        attempt (n + 1)
-    | Error e ->
-        Fault.note_rejected faults;
-        Error e
-  in
-  attempt 0
+let attest_reliable ?host_location ?storage_location ?max_attempts t =
+  Deployment.retry_attestation ?max_attempts ~also:(shard_nodes t) t.base
+    (fun () -> attest ?host_location ?storage_location t)
 
 (* Every shard's device must satisfy the execution policy the monitor
    evaluated; one non-compliant shard fails the whole cluster query. *)
@@ -370,22 +318,6 @@ let column_ty schema name =
          String.lowercase_ascii c.Sql.Schema.col_name = name)
   |> Option.map (fun c -> c.Sql.Schema.col_ty)
 
-(* Replicates the executor's output naming so direct gather results
-   carry the same column labels as a single-node run. *)
-let output_label i (item : Sql.Ast.select_item) =
-  match item with
-  | Sql.Ast.Item (_, Some alias) -> String.lowercase_ascii alias
-  | Sql.Ast.Item (Sql.Ast.Col { name; _ }, None) -> String.lowercase_ascii name
-  | Sql.Ast.Item (Sql.Ast.Agg { func; _ }, None) -> (
-      match func with
-      | Sql.Ast.Sum -> "sum"
-      | Sql.Ast.Avg -> "avg"
-      | Sql.Ast.Min -> "min"
-      | Sql.Ast.Max -> "max"
-      | Sql.Ast.Count -> "count")
-  | Sql.Ast.Item (_, None) -> Printf.sprintf "col%d" (i + 1)
-  | Sql.Ast.Star -> invalid_arg "Cluster.output_label: Star"
-
 let clean_where (q : Sql.Ast.select) =
   match q.Sql.Ast.where with
   | None -> true
@@ -432,7 +364,8 @@ let partial_agg_mode catalog (q : Sql.Ast.select) =
                     Some
                       {
                         a_func = func;
-                        a_label = output_label i item;
+                        (* the executor's own output naming *)
+                        a_label = Sql.Exec.output_name i item;
                         a_width =
                           (match func with Sql.Ast.Avg -> 2 | _ -> 1);
                       }
@@ -655,21 +588,12 @@ let kway_merge cmp (lists : Sql.Row.t list array) =
 let cmp_ord (a : Sql.Row.t) (b : Sql.Row.t) =
   compare (Sql.Value.as_int a.(0)) (Sql.Value.as_int b.(0))
 
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
+let take n l = List.filteri (fun i _ -> i < n) l
+
+let zero_counters () = snd (Sql.Observer.counting ())
 
 let sum_counters (cs : Sql.Observer.counters list) =
-  let acc =
-    {
-      Sql.Observer.rows = 0;
-      page_reads = 0;
-      page_hits = 0;
-      page_writes = 0;
-      bytes_allocated = 0;
-    }
-  in
+  let acc = zero_counters () in
   List.iter
     (fun (c : Sql.Observer.counters) ->
       acc.Sql.Observer.rows <- acc.Sql.Observer.rows + c.Sql.Observer.rows;
@@ -684,19 +608,9 @@ let sum_counters (cs : Sql.Observer.counters list) =
     cs;
   acc
 
-let zero_counters () =
-  {
-    Sql.Observer.rows = 0;
-    page_reads = 0;
-    page_hits = 0;
-    page_writes = 0;
-    bytes_allocated = 0;
-  }
-
 type shard_run = {
   sr_results : Sql.Exec.result list;
   sr_counters : Sql.Observer.counters;
-  sr_crypto : int * int * int * int;  (* decrypts, macs, merkle, rpmb *)
   sr_bytes : int;  (* encoded size of the rows this shard shipped *)
 }
 
@@ -704,7 +618,7 @@ type shard_run = {
    merging the shard streams on the hidden ord column, then strip it.
    The reconstructed offload phase is bitwise what the single-node
    storage engine would have shipped. *)
-let gather_concat (plan : Partitioner.plan) (runs : shard_run array) =
+let gather_concat (plan : Partitioner.plan) ~counters (runs : shard_run array) =
   let results =
     List.mapi
       (fun ti (st : Partitioner.shipped_table) ->
@@ -729,9 +643,7 @@ let gather_concat (plan : Partitioner.plan) (runs : shard_run array) =
   in
   {
     Storage_engine.results;
-    counters =
-      sum_counters
-        (Array.to_list (Array.map (fun r -> r.sr_counters) runs));
+    counters;
     bytes_shipped =
       List.fold_left (fun a r -> a + r.Storage_engine.off_bytes) 0 results;
   }
@@ -763,22 +675,24 @@ let gather_merge_sort m (runs : shard_run array) =
     rows = List.map (fun r -> Array.sub r 0 m.m_items) merged;
   }
 
-(* NULL-skipping partial recombination, matching the executor's
-   accumulator semantics exactly: SUM folds with [Value.arith `Add]
-   from the first non-null partial; MIN/MAX replace on strict
-   comparison; COUNT is an integer sum; AVG divides the recombined
-   integer SUM by the recombined COUNT in one float division (integer
-   partials below 2^53 accumulate exactly, so this equals the
-   single-node float accumulator). *)
+(* Partial recombination through the executor's own accumulators
+   ({!Sql.Agg_state}), so NULL skipping, SUM's first-non-null start and
+   MIN/MAX's strict replacement are exactly the single-node semantics:
+   COUNT sums the per-shard counts; AVG divides the recombined integer
+   SUM by the recombined COUNT in one float division (integer partials
+   below 2^53 accumulate exactly, so this equals the single-node float
+   accumulator). *)
 let gather_partial slots (runs : shard_run array) =
   let shard_rows =
     Array.to_list runs
     |> List.concat_map (fun r -> (List.hd r.sr_results).Sql.Exec.rows)
   in
-  let add acc v =
-    if v = Sql.Value.Null then acc
-    else if acc = Sql.Value.Null then v
-    else Sql.Value.arith `Add acc v
+  let fold func j =
+    let acc = Sql.Agg_state.create func ~distinct:false in
+    List.iter
+      (fun (r : Sql.Row.t) -> Sql.Agg_state.update acc (`Value r.(j)))
+      shard_rows;
+    Sql.Agg_state.finish acc
   in
   let col = ref 0 in
   let values =
@@ -787,54 +701,15 @@ let gather_partial slots (runs : shard_run array) =
         let base = !col in
         col := !col + s.a_width;
         match s.a_func with
-        | Sql.Ast.Count ->
-            Sql.Value.Int
-              (List.fold_left
-                 (fun acc (r : Sql.Row.t) ->
-                   acc + Sql.Value.as_int r.(base))
-                 0 shard_rows)
-        | Sql.Ast.Sum ->
-            List.fold_left
-              (fun acc (r : Sql.Row.t) -> add acc r.(base))
-              Sql.Value.Null shard_rows
-        | Sql.Ast.Min ->
-            List.fold_left
-              (fun acc (r : Sql.Row.t) ->
-                let v = r.(base) in
-                if v = Sql.Value.Null then acc
-                else
-                  match Sql.Value.compare_opt v acc with
-                  | Some c when c < 0 -> v
-                  | Some _ -> acc
-                  | None -> v)
-              Sql.Value.Null shard_rows
-        | Sql.Ast.Max ->
-            List.fold_left
-              (fun acc (r : Sql.Row.t) ->
-                let v = r.(base) in
-                if v = Sql.Value.Null then acc
-                else
-                  match Sql.Value.compare_opt v acc with
-                  | Some c when c > 0 -> v
-                  | Some _ -> acc
-                  | None -> v)
-              Sql.Value.Null shard_rows
-        | Sql.Ast.Avg ->
-            let total =
-              List.fold_left
-                (fun acc (r : Sql.Row.t) -> add acc r.(base))
-                Sql.Value.Null shard_rows
-            in
-            let n =
-              List.fold_left
-                (fun acc (r : Sql.Row.t) ->
-                  acc + Sql.Value.as_int r.(base + 1))
-                0 shard_rows
-            in
-            if n = 0 then Sql.Value.Null
-            else
-              Sql.Value.Float
-                (Sql.Value.as_float total /. float_of_int n))
+        | Sql.Ast.Count -> fold Sql.Ast.Sum base
+        | Sql.Ast.Sum | Sql.Ast.Min | Sql.Ast.Max -> fold s.a_func base
+        | Sql.Ast.Avg -> (
+            match Sql.Value.as_int (fold Sql.Ast.Sum (base + 1)) with
+            | 0 -> Sql.Value.Null
+            | n ->
+                Sql.Value.Float
+                  (Sql.Value.as_float (fold Sql.Ast.Sum base)
+                  /. float_of_int n)))
       slots
   in
   {
@@ -844,19 +719,6 @@ let gather_partial slots (runs : shard_run array) =
 
 (* -- scatter-gather execution ------------------------------------------ *)
 
-let merge_breakdowns bds =
-  let tbl = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (List.iter (fun (k, v) ->
-         match Hashtbl.find_opt tbl k with
-         | Some x -> Hashtbl.replace tbl k (x +. v)
-         | None ->
-             Hashtbl.replace tbl k v;
-             order := k :: !order))
-    bds;
-  List.rev_map (fun k -> (k, Hashtbl.find tbl k)) !order
-
 let shard_db config sh =
   match config with
   | Config.Hons | Config.Vcs -> sh.sh_plain_db
@@ -864,14 +726,8 @@ let shard_db config sh =
 
 let run_scatter ?(reset = true) ?project t config (q : Sql.Ast.select) stmt =
   let d = t.base in
-  let params = d.Deployment.params in
   if reset then reset_counters t;
   let host = d.Deployment.host in
-  let lanes =
-    match Sec.Secure_store.page_mode d.Deployment.secure_store with
-    | Sec.Secure_store.Ctr -> params.Sim.Params.crypto_lanes
-    | Sec.Secure_store.Cbc -> 1
-  in
   let catalog = Sql.Database.catalog d.Deployment.plain_db in
   let plan = Partitioner.split ?project catalog stmt in
   let mode = choose_gather t.ord_col catalog q in
@@ -892,12 +748,6 @@ let run_scatter ?(reset = true) ?project t config (q : Sql.Ast.select) stmt =
                     | _ -> { Sql.Exec.columns = []; rows = [] })
                   sub_stmts)
           in
-          let crypto =
-            match config with
-            | Config.Hos | Config.Scs | Config.Sos ->
-                Runner.snapshot_secure_stats sh.sh_store
-            | Config.Hons | Config.Vcs -> (0, 0, 0, 0)
-          in
           let bytes =
             List.fold_left
               (fun acc (r : Sql.Exec.result) ->
@@ -906,8 +756,7 @@ let run_scatter ?(reset = true) ?project t config (q : Sql.Ast.select) stmt =
                   acc r.Sql.Exec.rows)
               0 results
           in
-          { sr_results = results; sr_counters = counters; sr_crypto = crypto;
-            sr_bytes = bytes })
+          { sr_results = results; sr_counters = counters; sr_bytes = bytes })
         t.shards
     in
     (* forensics fan-out: one plan.split event per shard *)
@@ -925,162 +774,70 @@ let run_scatter ?(reset = true) ?project t config (q : Sql.Ast.select) stmt =
                      (List.map fst plan.Partitioner.offload_sql)) );
             ])
         t.shards;
+    let totals =
+      sum_counters (Array.to_list (Array.map (fun r -> r.sr_counters) runs))
+    in
     let gathered_rows =
       Array.fold_left
         (fun acc r ->
-          acc
-          + List.fold_left
-              (fun a (res : Sql.Exec.result) ->
-                a + List.length res.Sql.Exec.rows)
-              0 r.sr_results)
+          List.fold_left
+            (fun a (res : Sql.Exec.result) -> a + List.length res.Sql.Exec.rows)
+            acc r.sr_results)
         0 runs
     in
     (* gather + host portion *)
     let result, hc =
       match mode with
       | Concat ->
-          let offload = gather_concat plan runs in
+          let offload = gather_concat plan ~counters:totals runs in
           let h = Host_engine.run_host ~storage_catalog:catalog plan offload in
           (h.Host_engine.result, h.Host_engine.counters)
       | Merge_sort m -> (gather_merge_sort m runs, zero_counters ())
       | Partial_agg p -> (gather_partial p.p_slots runs, zero_counters ())
     in
-    (* charging: every shard is a contended storage server on its own
-       lane; the same cost categories and constants as the single-node
-       arms, scattered per shard, plus the host's gather work *)
-    let bytes_shipped = ref 0 in
-    Array.iteri
-      (fun i sh ->
-        let r = runs.(i) in
-        let c = r.sr_counters in
-        let pages = c.Sql.Observer.page_reads in
-        let hits = c.Sql.Observer.page_hits in
-        let decrypts, macs, merkle, rpmb = r.sr_crypto in
-        let shard_t0 = Sim.Node.now sh.sh_node in
-        Runner.with_offload host sh.sh_node (fun () ->
-            match config with
-            | Config.Hons ->
-                let bytes = pages * params.Sim.Params.page_size in
-                bytes_shipped := !bytes_shipped + bytes;
-                Runner.charge_io sh.sh_node params pages;
-                Runner.charge_cache_hits host params hits;
-                Runner.charge_transfer params sh.sh_node host ~secure:false
-                  ~bytes ~messages:(Runner.message_count params bytes)
-            | Config.Hos ->
-                let bytes = pages * params.Sim.Params.page_size in
-                bytes_shipped := !bytes_shipped + bytes;
-                Runner.charge_io sh.sh_node params pages;
-                Runner.charge_cache_hits host params hits;
-                Runner.charge_transfer params sh.sh_node host ~secure:true
-                  ~bytes ~messages:(Runner.message_count params bytes);
-                (* crypto happens inside the host enclave *)
-                Runner.charge_crypto ~lanes host params ~decrypts ~macs
-                  ~merkle ~rpmb
-            | Config.Vcs ->
-                bytes_shipped := !bytes_shipped + r.sr_bytes;
-                Runner.charge_io sh.sh_node params pages;
-                Runner.charge_cache_hits sh.sh_node params hits;
-                Sim.Node.charge sh.sh_node ~category:"other"
-                  (float_of_int (List.length sub_stmts)
-                  *. params.Sim.Params.offload_session_ns);
-                Runner.charge_compute sh.sh_node ~rows:c.Sql.Observer.rows;
-                Runner.charge_memory sh.sh_node ~category:"spill"
-                  c.Sql.Observer.bytes_allocated;
-                Runner.charge_transfer params sh.sh_node host ~secure:false
-                  ~bytes:r.sr_bytes
-                  ~messages:(Runner.message_count params r.sr_bytes)
-            | Config.Scs ->
-                bytes_shipped := !bytes_shipped + r.sr_bytes;
-                Sim.Node.charge sh.sh_node ~category:"other"
-                  (float_of_int (List.length sub_stmts)
-                  *. params.Sim.Params.offload_session_ns);
-                Runner.charge_io sh.sh_node params pages;
-                Runner.charge_cache_hits sh.sh_node params hits;
-                Runner.charge_crypto ~lanes sh.sh_node params ~decrypts ~macs
-                  ~merkle ~rpmb;
-                Runner.charge_compute sh.sh_node ~rows:c.Sql.Observer.rows;
-                Runner.charge_memory sh.sh_node ~category:"spill"
-                  c.Sql.Observer.bytes_allocated;
-                Runner.charge_transfer params sh.sh_node host ~secure:true
-                  ~bytes:r.sr_bytes
-                  ~messages:(Runner.message_count params r.sr_bytes)
-            | Config.Sos ->
-                bytes_shipped := !bytes_shipped + r.sr_bytes;
-                Runner.charge_io sh.sh_node params pages;
-                Runner.charge_cache_hits sh.sh_node params hits;
-                Runner.charge_crypto ~parallel:false ~lanes sh.sh_node params
-                  ~decrypts ~macs ~merkle ~rpmb;
-                Sim.Node.compute_serial sh.sh_node ~category:"ndp"
-                  ~row_ops:c.Sql.Observer.rows;
-                Runner.charge_memory sh.sh_node ~category:"spill"
-                  c.Sql.Observer.bytes_allocated;
-                Runner.charge_transfer params sh.sh_node host ~secure:true
-                  ~bytes:r.sr_bytes ~messages:1);
-        (* per-shard scatter latency: virtual time this shard spent on
-           its slice, observed under the shard node's own scope so the
-           gather side can merge the distributions exactly *)
-        if Obs.enabled () then
-          Obs.observe
-            ~scope:(Sim.Node.name sh.sh_node)
-            "scatter_latency_ns"
-            (Sim.Node.now sh.sh_node -. shard_t0))
-      t.shards;
-    let shard_rows =
-      Array.fold_left
-        (fun a r -> a + r.sr_counters.Sql.Observer.rows)
-        0 runs
+    (* every shard is a contended storage server on its own lane,
+       charged the single-node storage share of its slice *)
+    let shipped =
+      Array.mapi
+        (fun i sh ->
+          let shard_t0 = Sim.Node.now sh.sh_node in
+          let share =
+            Runner.storage_share d config ~storage:sh.sh_node
+              ~store:sh.sh_store ~sessions:(List.length sub_stmts)
+              ~shipped:runs.(i).sr_bytes runs.(i).sr_counters
+          in
+          (* per-shard scatter latency: virtual time this shard spent on
+             its slice, observed under the shard node's own scope so the
+             gather side can merge the distributions exactly *)
+          if Obs.enabled () then
+            Obs.observe
+              ~scope:(Sim.Node.name sh.sh_node)
+              "scatter_latency_ns"
+              (Sim.Node.now sh.sh_node -. shard_t0);
+          share)
+        t.shards
     in
-    let shard_allocs =
-      Array.fold_left
-        (fun a r -> a + r.sr_counters.Sql.Observer.bytes_allocated)
-        0 runs
-    in
-    let total_pages =
-      Array.fold_left
-        (fun a r -> a + r.sr_counters.Sql.Observer.page_reads)
-        0 runs
-    in
-    let total_hits =
-      Array.fold_left
-        (fun a r -> a + r.sr_counters.Sql.Observer.page_hits)
-        0 runs
-    in
-    (* host side: gather/merge work, plus the config's enclave costs *)
-    (match config with
-    | Config.Hons ->
-        (* host-only semantics: all row work is host work *)
-        Runner.charge_compute host
-          ~rows:(shard_rows + gathered_rows + hc.Sql.Observer.rows)
-    | Config.Hos ->
-        Runner.charge_compute host
-          ~rows:(shard_rows + gathered_rows + hc.Sql.Observer.rows);
-        Runner.charge_enclave_transitions host params (2 * total_pages);
-        let merkle_ws =
-          Array.fold_left
-            (fun a sh -> a + Runner.merkle_bytes sh.sh_store)
-            0 t.shards
-        in
-        Runner.charge_epc host d.Deployment.host_enclave params
-          ~working_set:
-            (hc.Sql.Observer.bytes_allocated + shard_allocs + merkle_ws)
-          ~accesses:(3 * total_pages)
-    | Config.Vcs ->
-        Runner.charge_compute host
-          ~rows:(hc.Sql.Observer.rows + gathered_rows)
-    | Config.Scs ->
-        Runner.charge_compute host
-          ~rows:(hc.Sql.Observer.rows + gathered_rows);
-        let msgs =
-          Array.fold_left
-            (fun a r -> a + Runner.message_count params r.sr_bytes)
-            0 runs
-        in
-        Runner.charge_enclave_transitions host params (2 * msgs);
-        Runner.charge_epc host d.Deployment.host_enclave params
-          ~working_set:hc.Sql.Observer.bytes_allocated ~accesses:msgs
-    | Config.Sos ->
-        Runner.charge_compute host
-          ~rows:(hc.Sql.Observer.rows + gathered_rows));
+    let shard_rows = totals.Sql.Observer.rows in
+    let total_pages = totals.Sql.Observer.page_reads in
+    (* host side: gather/merge work, plus the config's enclave costs;
+       under hons/hos the host does every row step itself *)
+    let host_rows = hc.Sql.Observer.rows + gathered_rows in
+    Runner.host_share d config
+      ~rows:
+        (match config with
+        | Config.Hons | Config.Hos -> shard_rows + host_rows
+        | Config.Vcs | Config.Scs | Config.Sos -> host_rows)
+      ~pages:total_pages
+      ~messages:(Array.fold_left (fun a (_, m) -> a + m) 0 shipped)
+      ~working_set:
+        (match config with
+        | Config.Hos ->
+            hc.Sql.Observer.bytes_allocated
+            + totals.Sql.Observer.bytes_allocated
+            + Array.fold_left
+                (fun a sh -> a + Runner.merkle_bytes sh.sh_store)
+                0 t.shards
+        | _ -> hc.Sql.Observer.bytes_allocated);
     Array.iter
       (fun sh ->
         Sim.Clock.sync (Sim.Node.clock host) (Sim.Node.clock sh.sh_node) 0.0)
@@ -1090,42 +847,22 @@ let run_scatter ?(reset = true) ?project t config (q : Sql.Ast.select) stmt =
       end_to_end_ns = Sim.Node.now host;
       host_breakdown = Sim.Trace.breakdown (Sim.Node.trace host);
       storage_breakdown =
-        merge_breakdowns
-          (Array.to_list
-             (Array.map
-                (fun sh -> Sim.Trace.breakdown (Sim.Node.trace sh.sh_node))
-                t.shards));
-      bytes_shipped = !bytes_shipped;
+        (let merged = Sim.Trace.create () in
+         Array.iter
+           (fun sh -> Sim.Trace.merge ~into:merged (Sim.Node.trace sh.sh_node))
+           t.shards;
+         Sim.Trace.breakdown merged);
+      bytes_shipped = Array.fold_left (fun a (b, _) -> a + b) 0 shipped;
       pages_scanned = total_pages;
-      page_hits = total_hits;
-      host_rows = hc.Sql.Observer.rows + gathered_rows;
+      page_hits = totals.Sql.Observer.page_hits;
+      host_rows;
       storage_rows = shard_rows;
       affected = 0;
       result;
       profile = None;
     }
   in
-  let tok = Obs.begin_query () in
-  let m =
-    Sim.Node.with_span host ~name:"query"
-      ~attrs:
-        (("config", Config.abbrev config)
-        :: ("shards", string_of_int t.nshards)
-        :: Obs.trace_attrs ())
-      exec
-  in
-  if Obs.enabled () then
-    Obs.event ~scope:"core" ~kind:"query.done"
-      [
-        ("config", Ev.S (Config.abbrev config));
-        ("end_to_end_ns", Ev.F m.Runner.end_to_end_ns);
-        ("bytes_shipped", Ev.I m.Runner.bytes_shipped);
-        ("pages", Ev.I m.Runner.pages_scanned);
-        ("rows", Ev.I (List.length m.Runner.result.Sql.Exec.rows));
-      ];
-  match Obs.finish_query tok with
-  | Some p -> { m with Runner.profile = Some p }
-  | None -> m
+  Runner.with_query ~attrs:[ ("shards", string_of_int t.nshards) ] d config exec
 
 let run_stmt ?reset ?project t config stmt =
   if t.nshards = 1 then Runner.run_stmt ?reset ?project t.base config stmt
@@ -1139,54 +876,33 @@ let run_stmt ?reset ?project t config stmt =
 
 let run_query t config sql = run_stmt t config (Sql.Parser.parse sql)
 
-(* Fault-aware wrapper, reusing the single-node outcome type: a flaky
-   shard degrades (faults recovered mid-query) or rejects (integrity
-   failure survives the re-read budget / a shard is unattested) — it
-   never silently returns wrong rows. *)
+(* Fault-aware execution through the single-node outcome wrapper: an
+   unattested shard rejects the query before it scatters, the TEE
+   faults strike in pre-flight as on one node (a failed world switch is
+   retried on the flaky shard, the one the plan strikes), and a flaky
+   shard degrades or rejects the query — it never silently returns
+   wrong rows. *)
 let run_stmt_outcome ?reset ?project t config stmt =
-  if t.nshards = 1 then
-    Runner.run_stmt_outcome ?reset ?project t.base config stmt
-  else
-    let faults = t.base.Deployment.faults in
-    let attested =
-      Monitor.Trusted_monitor.attested_storage_nodes t.base.Deployment.monitor
-    in
-    let missing =
-      Array.to_list t.shards
-      |> List.filter_map (fun sh ->
-             let id = Tee.Trustzone.device_id sh.sh_tz in
-             if List.mem id attested then None else Some id)
-    in
-    match missing with
-    | id :: _ ->
-        Fault.note_rejected faults;
-        Obs.count ~scope:"fault" "rejected";
-        Runner.Rejected
-          {
-            Runner.v_site = "cluster.attest";
-            v_detail = Printf.sprintf "shard device %s is not attested" id;
-          }
-    | [] -> (
-        let mark = Fault.incident_count faults in
-        match run_stmt ?reset ?project t config stmt with
-        | m -> (
-            match Fault.incidents_since faults mark with
-            | [] -> Runner.Ok m
-            | incidents ->
-                Fault.note_recovered_since faults mark;
-                Runner.Degraded (m, incidents))
-        | exception Sql.Pager.Integrity_failure detail ->
-            Fault.note_rejected faults;
-            Obs.count ~scope:"fault" "rejected";
-            Runner.Rejected
-              (Runner.violation_of_faults faults ~default:"securestore"
-                 ~detail)
-        | exception Tee.Sgx.Enclave_aborted ->
-            Fault.note_rejected faults;
-            Obs.count ~scope:"fault" "rejected";
-            Runner.Rejected
-              (Runner.violation_of_faults faults ~default:"sgx.abort"
-                 ~detail:"enclave died mid-query"))
+  let attested =
+    Monitor.Trusted_monitor.attested_storage_nodes t.base.Deployment.monitor
+  in
+  let admit () =
+    Array.to_list t.shards
+    |> List.find_map (fun sh ->
+           let id = Tee.Trustzone.device_id sh.sh_tz in
+           if List.mem id attested then None
+           else
+             Some
+               {
+                 Runner.v_site = "cluster.attest";
+                 v_detail = Printf.sprintf "shard device %s is not attested" id;
+               })
+  in
+  let storage =
+    if t.nshards = 1 then None else Some t.shards.(0).sh_node
+  in
+  Runner.with_outcome ~admit ?storage t.base config (fun () ->
+      run_stmt ?reset ?project t config stmt)
 
 let run_query_outcome t config sql =
   run_stmt_outcome t config (Sql.Parser.parse sql)

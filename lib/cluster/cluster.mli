@@ -9,6 +9,12 @@
     reconstructs the exact single-node scan order from a hidden
     per-row insertion index and is therefore exact for every SELECT).
 
+    Each shard is one application of the single storage-node path:
+    {!Ironsafe.Deployment}'s boot, provisioning and attestation
+    functions build and attest it, {!Ironsafe.Runner.storage_share}
+    charges its slice of a query, and the query runs inside the
+    runner's root span and outcome wrapper.
+
     [shards = 1] delegates everything to {!Ironsafe.Runner}: a
     one-shard cluster is byte-identical — results, charges, spans,
     events — to no cluster at all. *)
@@ -74,8 +80,9 @@ val attest_reliable :
   ?max_attempts:int ->
   t ->
   (unit, string) result
-(** {!attest} with bounded exponential-backoff re-attestation (only
-    under an enabled fault plan), charging the backoff to the host and
+(** {!attest} under {!Ironsafe.Deployment.retry_attestation}: bounded
+    exponential-backoff re-attestation (only under an enabled fault
+    plan), charging the backoff to the host, the base storage node and
     every shard lane. *)
 
 val policy_compliant : t -> Ironsafe_monitor.Trusted_monitor.authorization -> bool
@@ -97,9 +104,9 @@ val run_stmt :
   Ironsafe.Runner.metrics
 (** Scatter–gather execution under a Table-2 configuration. Results
     are exactly the single-node {!Ironsafe.Runner.run_stmt} results;
-    shard charges land on each shard's own lane (parallel contended
-    storage servers) with the same cost categories and constants as
-    the single-node arms, plus the host's gather work.
+    each shard is charged {!Ironsafe.Runner.storage_share} on its own
+    lane (parallel contended storage servers), and the host
+    {!Ironsafe.Runner.host_share} for the gather and host portion.
 
     @raise Invalid_argument for non-SELECT statements when
     [nshards > 1] (shard replicas are read-only). *)
@@ -113,10 +120,13 @@ val run_stmt_outcome :
   Ironsafe.Config.t ->
   Ironsafe_sql.Ast.stmt ->
   Ironsafe.Runner.outcome
-(** Fault-aware execution reusing the single-node outcome type. A
-    flaky shard degrades the query (faults recovered mid-query) or
-    rejects it (unattested shard, integrity failure surviving the
-    re-read budget) — typed outcomes, never silently-wrong rows. *)
+(** Fault-aware execution through {!Ironsafe.Runner.with_outcome}: an
+    unattested shard rejects the query first (site [cluster.attest]);
+    then the pre-flight TEE faults strike as on one node (a failed
+    world switch is retried on shard 0, the flaky shard); a flaky shard
+    degrades the query (faults recovered mid-query) or rejects it
+    (integrity failure surviving the re-read budget) — typed outcomes
+    with their outcome events, never silently-wrong rows. *)
 
 val run_query_outcome : t -> Ironsafe.Config.t -> string -> Ironsafe.Runner.outcome
 

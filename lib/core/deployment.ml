@@ -86,10 +86,53 @@ let copy_database src dst =
       Sql.Heap_file.flush out)
     (Sql.Catalog.table_names (Sql.Database.catalog src))
 
+(* -- one storage node: TEE, secure medium, attestation ----------------- *)
+
+(* Manufacture a TrustZone device, sign the reference secure-world
+   images onto it and boot it, measuring [normal_world]. *)
+let boot_storage_tee ~who ~location ~device_id ~normal_world drbg =
+  let tz = Tee.Trustzone.manufacture ~location ~device_id drbg in
+  let secure_stages = [ atf_image; optee_image ] in
+  Tee.Trustzone.provision tz secure_stages;
+  match Tee.Trustzone.secure_boot tz ~secure_stages ~normal_world with
+  | Ok booted -> (tz, booted)
+  | Error e -> invalid_arg (who ^ ": secure boot failed: " ^ e)
+
+type secure_medium = {
+  device : Storage.Block_device.t;
+  rpmb : Storage.Rpmb.t;
+  store : Sec.Secure_store.t;
+}
+
+(* A fresh secure medium keyed to [tz]'s hardware key, sized for a
+   database of [plain_pages] pages plus a quarter of headroom. *)
+let provision_secure ~who ~page_mode ~plain_pages tz drbg =
+  let data_pages = plain_pages + (plain_pages / 4) + 64 in
+  let device =
+    Storage.Block_device.create
+      ~pages:(Sec.Secure_store.device_pages_for ~data_pages)
+  in
+  let rpmb = Storage.Rpmb.create () in
+  match
+    Sec.Secure_store.initialize ~device ~rpmb
+      ~hardware_key:(Tee.Trustzone.hardware_key tz) ~page_mode ~data_pages
+      ~drbg ()
+  with
+  | Ok store -> { device; rpmb; store }
+  | Error e ->
+      invalid_arg
+        (Fmt.str "%s: secure store init failed: %a" who
+           Sec.Secure_store.pp_error e)
+
+let fault_medium faults m =
+  Storage.Block_device.set_faults m.device faults;
+  Storage.Rpmb.set_faults m.rpmb faults;
+  Sec.Secure_store.set_faults m.store faults
+
 let create ?(params = Sim.Params.default) ?(host_cores = 10)
     ?(storage_cores = 16) ?storage_mem_limit ?(host_version = 1)
     ?(storage_version = 1) ?(storage_location = "eu-west")
-    ?(host_location = "eu-west") ?(faults = Fault.none) ?(pool_frames = 0)
+    ?(faults = Fault.none) ?(pool_frames = 0)
     ?(crypto_mode = Sec.Secure_store.Cbc) ?(wal = false)
     ?(wal_window_ns = 0.0) ?(wal_log_pages = 512) ~seed ~populate () =
   let drbg = C.Drbg.create ~seed in
@@ -116,39 +159,17 @@ let create ?(params = Sim.Params.default) ?(host_cores = 10)
      an in-memory pager suffices since we only count logical pages *)
   let device_plain = Storage.Block_device.create ~pages:(max 8 plain_pages) in
   (* 2. secure database: TrustZone device, RPMB, secure store *)
-  let tz_device =
-    Tee.Trustzone.manufacture ~location:storage_location
-      ~device_id:"clearfog-cx-lx2k-0001" drbg
-  in
+  let who = "Deployment.create" in
   let storage_nw_image = storage_engine_image ~version:storage_version in
-  Tee.Trustzone.provision tz_device [ atf_image; optee_image ];
-  let tz_booted =
-    match
-      Tee.Trustzone.secure_boot tz_device
-        ~secure_stages:[ atf_image; optee_image ]
-        ~normal_world:storage_nw_image
-    with
-    | Ok b -> b
-    | Error e -> invalid_arg ("Deployment.create: secure boot failed: " ^ e)
+  let tz_device, tz_booted =
+    boot_storage_tee ~who ~location:storage_location
+      ~device_id:"clearfog-cx-lx2k-0001" ~normal_world:storage_nw_image drbg
   in
-  let data_pages = plain_pages + (plain_pages / 4) + 64 in
-  let device_secure =
-    Storage.Block_device.create
-      ~pages:(Sec.Secure_store.device_pages_for ~data_pages)
+  let medium =
+    provision_secure ~who ~page_mode:crypto_mode ~plain_pages tz_device drbg
   in
-  let rpmb = Storage.Rpmb.create () in
-  let secure_store =
-    match
-      Sec.Secure_store.initialize ~device:device_secure ~rpmb
-        ~hardware_key:(Tee.Trustzone.hardware_key tz_device)
-        ~page_mode:crypto_mode ~data_pages ~drbg ()
-    with
-    | Ok s -> s
-    | Error e ->
-        invalid_arg
-          (Fmt.str "Deployment.create: secure store init failed: %a"
-             Sec.Secure_store.pp_error e)
-  in
+  let device_secure = medium.device and rpmb = medium.rpmb in
+  let secure_store = medium.store in
   (* Crash-safe write path: a WAL on its own device plus the
      transactional overlay; the secure pager then routes through the
      overlay so DML is logged and SELECTs can pin snapshots. Off (the
@@ -257,7 +278,6 @@ let create ?(params = Sim.Params.default) ?(host_cores = 10)
     ~device_id:(Tee.Trustzone.device_id tz_device)
     ~rotpk:(Tee.Trustzone.rotpk tz_device)
     ~normal_world:storage_nw_image ~version:storage_version;
-  ignore host_location;
   (* Wire the fault plan only after population: setup writes are always
      clean, faults hit the workload. Only the secure medium is faulted;
      the plain replica stays pristine so hons doubles as a fault-free
@@ -265,9 +285,7 @@ let create ?(params = Sim.Params.default) ?(host_cores = 10)
   if Fault.enabled faults then begin
     Fault.set_clock faults (fun () ->
         Float.max (Sim.Node.now host) (Sim.Node.now storage));
-    Storage.Block_device.set_faults device_secure faults;
-    Storage.Rpmb.set_faults rpmb faults;
-    Sec.Secure_store.set_faults secure_store faults;
+    fault_medium faults medium;
     Option.iter (fun ts -> Wal.Txn_store.set_faults ts faults) txn_store
   end;
   {
@@ -358,6 +376,19 @@ let corrupt_quote faults (q : Tee.Sgx.quote) =
   Bytes.set sg off (Char.chr (Char.code (Bytes.get sg off) lxor 0x01));
   { q with Tee.Sgx.signature = Bytes.to_string sg }
 
+(* Fig. 4b for one storage node: the monitor challenges the node's
+   attestation TA and checks the signed boot chain and normal world. *)
+let attest_storage_node ?shard ~faults ~location monitor node booted =
+  match
+    Sim.Node.with_span node ~name:"attest.storage" (fun () ->
+        let challenge = Monitor.Trusted_monitor.fresh_challenge monitor in
+        let response = Tee.Trustzone.attest ~faults booted ~challenge in
+        Monitor.Trusted_monitor.attest_storage ?shard monitor ~challenge
+          ~response ~location)
+  with
+  | Error e -> Error e
+  | Ok _ -> Ok ()
+
 (* Run both attestation protocols (Fig. 4a, 4b); returns an error if
    either node fails verification. *)
 let attest ?(host_location = "eu-west") ?(storage_location = "eu-west") t =
@@ -380,29 +411,19 @@ let attest ?(host_location = "eu-west") ?(storage_location = "eu-west") t =
   | Ok _ ->
       if Fault.enabled t.faults && Fault.fire t.faults Fault.Tz_world_switch
       then Error "storage: secure world switch failed"
-      else (
-        match
-          Sim.Node.with_span t.storage ~name:"attest.storage" (fun () ->
-              let challenge =
-                Monitor.Trusted_monitor.fresh_challenge t.monitor
-              in
-              let response =
-                Tee.Trustzone.attest ~faults:t.faults t.tz_booted ~challenge
-              in
-              Monitor.Trusted_monitor.attest_storage t.monitor ~challenge
-                ~response ~location:storage_location)
-        with
-        | Error e -> Error e
-        | Ok _ -> Ok ())
+      else
+        attest_storage_node ~faults:t.faults ~location:storage_location
+          t.monitor t.storage t.tz_booted
 
-(* Recovery: re-run the attestation protocols with bounded exponential
-   backoff. Each retry is a full re-attestation (fresh challenge, fresh
-   quote), so a transiently-faulted TEE re-joins the trusted set; a
-   persistently failing one exhausts the budget and stays rejected. *)
-let attest_reliable ?host_location ?storage_location ?(max_attempts = 5) t =
+(* Recovery: re-run [attest] with bounded exponential backoff, charged
+   to the host, the storage node and every node in [also]. Each retry is
+   a full re-attestation (fresh challenge, fresh quote), so a
+   transiently-faulted TEE re-joins the trusted set; a persistently
+   failing one exhausts the budget and stays rejected. *)
+let retry_attestation ?(max_attempts = 5) ?(also = []) t attest =
   let mark = Fault.incident_count t.faults in
   let rec attempt n =
-    match attest ?host_location ?storage_location t with
+    match attest () with
     | Ok () ->
         if n > 0 then Fault.note_recovered_since t.faults mark;
         Ok ()
@@ -414,14 +435,19 @@ let attest_reliable ?host_location ?storage_location ?(max_attempts = 5) t =
           Fault.backoff_ns ~base_ns:t.params.Sim.Params.net_latency_ns
             ~attempt:n
         in
-        Sim.Node.fixed t.host ~category:"recovery" wait;
-        Sim.Node.fixed t.storage ~category:"recovery" wait;
+        List.iter
+          (fun node -> Sim.Node.fixed node ~category:"recovery" wait)
+          (t.host :: t.storage :: also);
         attempt (n + 1)
     | Error e ->
         Fault.note_rejected t.faults;
         Error e
   in
   attempt 0
+
+let attest_reliable ?host_location ?storage_location ?max_attempts t =
+  retry_attestation ?max_attempts t (fun () ->
+      attest ?host_location ?storage_location t)
 
 (* Bytes the secure pool occupies when fully populated — charged
    against EPC residency where the decrypted cache lives inside the

@@ -49,7 +49,6 @@ val create :
   ?host_version:int ->
   ?storage_version:int ->
   ?storage_location:string ->
-  ?host_location:string ->
   ?faults:Ironsafe_fault.Fault.t ->
   ?pool_frames:int ->
   ?crypto_mode:Ironsafe_securestore.Secure_store.page_mode ->
@@ -126,6 +125,72 @@ val attest_reliable :
     to both nodes. Retries happen only under an enabled fault plan —
     a genuine attestation failure (wrong software) is never retried
     away. *)
+
+(** {2 One storage node}
+
+    The pieces {!create} and {!attest} build a storage node from; the
+    sharded cluster ({!Ironsafe_cluster.Cluster}) applies them once per
+    shard. *)
+
+val boot_storage_tee :
+  who:string ->
+  location:string ->
+  device_id:string ->
+  normal_world:Ironsafe_tee.Image.t ->
+  Ironsafe_crypto.Drbg.t ->
+  Ironsafe_tee.Trustzone.device * Ironsafe_tee.Trustzone.booted
+(** Manufacture a TrustZone device, provision the reference
+    secure-world images ({!atf_image}, {!optee_image}) and secure-boot
+    it with [normal_world] measured.
+
+    @raise Invalid_argument (prefixed with [who]) when boot fails. *)
+
+type secure_medium = {
+  device : Ironsafe_storage.Block_device.t;
+  rpmb : Ironsafe_storage.Rpmb.t;
+  store : Ironsafe_securestore.Secure_store.t;
+}
+
+val provision_secure :
+  who:string ->
+  page_mode:Ironsafe_securestore.Secure_store.page_mode ->
+  plain_pages:int ->
+  Ironsafe_tee.Trustzone.device ->
+  Ironsafe_crypto.Drbg.t ->
+  secure_medium
+(** A block device, an RPMB partition and an initialized secure store
+    keyed to the device's hardware key, with room for [plain_pages]
+    data pages plus a quarter of headroom.
+
+    @raise Invalid_argument (prefixed with [who]) when the store cannot
+    be initialized. *)
+
+val fault_medium : Ironsafe_fault.Fault.t -> secure_medium -> unit
+(** Wire a fault plan into the medium's device, RPMB and store. *)
+
+val attest_storage_node :
+  ?shard:int ->
+  faults:Ironsafe_fault.Fault.t ->
+  location:string ->
+  Ironsafe_monitor.Trusted_monitor.t ->
+  Ironsafe_sim.Node.t ->
+  Ironsafe_tee.Trustzone.booted ->
+  (unit, string) result
+(** Fig. 4b for one storage node, in an [attest.storage] span on the
+    node's lane: a fresh monitor challenge, the attestation TA's
+    signed response, the monitor's verdict ([shard] tags the audit
+    entry). *)
+
+val retry_attestation :
+  ?max_attempts:int ->
+  ?also:Ironsafe_sim.Node.t list ->
+  t ->
+  (unit -> (unit, string) result) ->
+  (unit, string) result
+(** The bounded re-attestation loop behind {!attest_reliable}: rerun
+    the protocol up to [max_attempts] (default 5) times, charging the
+    exponential backoff to the host, the storage node and every node in
+    [also]. *)
 
 val pool_bytes : t -> int
 (** Capacity of the secure medium's buffer pool in bytes (0 without a

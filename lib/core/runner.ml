@@ -286,197 +286,108 @@ let note_split config (plan : Partitioner.plan) =
                (List.map fst plan.Partitioner.offload_sql)) );
       ]
 
-(* -- per-configuration runners ---------------------------------------- *)
+(* -- one node's share of a query -------------------------------------- *)
 
-let run_stmt ?(reset = true) ?project deploy config stmt =
-  let d = deploy in
-  let params = d.Deployment.params in
-  if reset then Deployment.reset_counters d;
-  let host = d.Deployment.host and storage = d.Deployment.storage in
-  (* CTR pages decrypt on [crypto_lanes] cores; CBC chains blocks and
-     stays single-lane, so its charges are untouched by the knob *)
-  let lanes =
-    match Sec.Secure_store.page_mode d.Deployment.secure_store with
-    | Sec.Secure_store.Ctr -> params.Sim.Params.crypto_lanes
-    | Sec.Secure_store.Cbc -> 1
+(* CTR pages decrypt on [crypto_lanes] cores; CBC chains blocks and
+   stays single-lane, so its charges are untouched by the knob *)
+let crypto_lanes d =
+  match Sec.Secure_store.page_mode d.Deployment.secure_store with
+  | Sec.Secure_store.Ctr -> d.Deployment.params.Sim.Params.crypto_lanes
+  | Sec.Secure_store.Cbc -> 1
+
+let storage_share d config ~storage ~store ~sessions ~shipped
+    (c : Sql.Observer.counters) =
+  let params = d.Deployment.params and host = d.Deployment.host in
+  let lanes = crypto_lanes d in
+  let pages = c.Sql.Observer.page_reads and hits = c.Sql.Observer.page_hits in
+  let crypto ?parallel node =
+    let decrypts, macs, merkle, rpmb = snapshot_secure_stats store in
+    charge_crypto ?parallel ~lanes node params ~decrypts ~macs ~merkle ~rpmb
   in
-  let finish ?(hits = 0) ?(affected = 0) ~result ~bytes_shipped ~pages
-      ~host_rows ~storage_rows () =
-    (* result shipping back to the client is charged to the host side *)
-    Sim.Clock.sync (Sim.Node.clock host) (Sim.Node.clock storage) 0.0;
-    {
-      config;
-      end_to_end_ns = Sim.Node.now host;
-      host_breakdown = Sim.Trace.breakdown (Sim.Node.trace host);
-      storage_breakdown = Sim.Trace.breakdown (Sim.Node.trace storage);
-      bytes_shipped;
-      pages_scanned = pages;
-      page_hits = hits;
-      host_rows;
-      storage_rows;
-      affected;
-      result;
-      profile = None;
-    }
+  let offload_sessions () =
+    Sim.Node.charge storage ~category:"other"
+      (float_of_int sessions *. params.Sim.Params.offload_session_ns)
   in
-  let exec () =
-    match config with
-  | Config.Hons ->
-      (* everything on the host over NFS: all pages cross the network *)
-      let (result, affected), c = exec_whole d.Deployment.plain_db stmt in
-      let pages = c.Sql.Observer.page_reads in
-      let hits = c.Sql.Observer.page_hits in
+  let ship ~secure ~bytes ~messages =
+    charge_transfer params storage host ~secure ~bytes ~messages;
+    (bytes, messages)
+  in
+  match config with
+  | Config.Hons | Config.Hos ->
+      (* every page crosses the network (encrypted under hos); hits are
+         served from the host-side cache: no device read, no transfer *)
+      let secure = config = Config.Hos in
       let bytes = pages * params.Sim.Params.page_size in
-      with_offload host storage (fun () ->
-          charge_io storage params pages;
-          (* hits are served from the host-side page cache: no device
-             read, no transfer *)
-          charge_cache_hits host params hits;
-          charge_transfer params storage host ~secure:false ~bytes
-            ~messages:(message_count params bytes));
-      charge_compute host ~rows:c.Sql.Observer.rows;
-      finish ~result ~affected ~bytes_shipped:bytes ~pages ~hits
-        ~host_rows:c.Sql.Observer.rows ~storage_rows:0 ()
-  | Config.Hos ->
-      (* host-only secure: encrypted pages cross the network; the host
-         enclave decrypts and verifies freshness, keeping the Merkle
-         tree in EPC *)
-      let (result, affected), c = exec_whole d.Deployment.secure_db stmt in
-      let decrypts, macs, merkle, rpmb =
-        snapshot_secure_stats d.Deployment.secure_store
+      let shipped =
+        with_offload host storage (fun () ->
+            charge_io storage params pages;
+            charge_cache_hits host params hits;
+            ship ~secure ~bytes ~messages:(message_count params bytes))
       in
-      let pages = c.Sql.Observer.page_reads in
-      let hits = c.Sql.Observer.page_hits in
-      let bytes = pages * params.Sim.Params.page_size in
-      with_offload host storage (fun () ->
-          charge_io storage params pages;
-          (* a hit is a decrypted page already resident in the enclave:
-             no device read, no transfer, no decrypt/verify *)
-          charge_cache_hits host params hits;
-          charge_transfer params storage host ~secure:true ~bytes
-            ~messages:(message_count params bytes));
-      (* crypto happens inside the host enclave *)
-      charge_crypto ~lanes host params ~decrypts ~macs ~merkle ~rpmb;
-      charge_compute host ~rows:c.Sql.Observer.rows;
-      (* one ocall/ecall pair per page fetch *)
-      charge_enclave_transitions host params (2 * pages);
-      charge_epc host d.Deployment.host_enclave params
-        ~working_set:
-          (c.Sql.Observer.bytes_allocated
-          + merkle_bytes d.Deployment.secure_store
-          + Deployment.pool_bytes d)
-        ~accesses:(3 * pages);
-      finish ~result ~affected ~bytes_shipped:bytes ~pages ~hits
-        ~host_rows:c.Sql.Observer.rows ~storage_rows:0 ()
+      (* hos: decryption and freshness happen inside the host enclave *)
+      if secure then crypto host;
+      shipped
   | Config.Vcs ->
-      let plan, sc, hc, result, bytes =
-        run_split ?project ~src_db:d.Deployment.plain_db stmt
-      in
-      note_split config plan;
-      let pages = sc.Sql.Observer.page_reads in
-      let hits = sc.Sql.Observer.page_hits in
       with_offload host storage (fun () ->
           charge_io storage params pages;
           charge_cache_hits storage params hits;
-          Sim.Node.charge storage ~category:"other"
-            (float_of_int (List.length plan.Partitioner.offload_sql)
-            *. params.Sim.Params.offload_session_ns);
-          charge_compute storage ~rows:sc.Sql.Observer.rows;
-          charge_memory storage ~category:"spill"
-            sc.Sql.Observer.bytes_allocated;
-          charge_transfer params storage host ~secure:false ~bytes
-            ~messages:(message_count params bytes));
-      charge_compute host ~rows:hc.Sql.Observer.rows;
-      finish ~result ~bytes_shipped:bytes ~pages ~hits
-        ~host_rows:hc.Sql.Observer.rows ~storage_rows:sc.Sql.Observer.rows ()
+          offload_sessions ();
+          charge_compute storage ~rows:c.Sql.Observer.rows;
+          charge_memory storage ~category:"spill" c.Sql.Observer.bytes_allocated;
+          ship ~secure:false ~bytes:shipped
+            ~messages:(message_count params shipped))
   | Config.Scs ->
-      let plan, sc, hc, result, bytes =
-        run_split ?project ~src_db:d.Deployment.secure_db stmt
-      in
-      note_split config plan;
-      let pages = sc.Sql.Observer.page_reads in
-      let hits = sc.Sql.Observer.page_hits in
       with_offload host storage (fun () ->
-          Sim.Node.charge storage ~category:"other"
-            (float_of_int (List.length plan.Partitioner.offload_sql)
-            *. params.Sim.Params.offload_session_ns);
-          let decrypts, macs, merkle, rpmb =
-            snapshot_secure_stats d.Deployment.secure_store
-          in
+          offload_sessions ();
           charge_io storage params pages;
           charge_cache_hits storage params hits;
           (* storage-side decryption + freshness (near the data) *)
-          charge_crypto ~lanes storage params ~decrypts ~macs ~merkle ~rpmb;
-          charge_compute storage ~rows:sc.Sql.Observer.rows;
-          charge_memory storage ~category:"spill"
-            sc.Sql.Observer.bytes_allocated;
-          charge_transfer params storage host ~secure:true ~bytes
-            ~messages:(message_count params bytes));
-      charge_compute host ~rows:hc.Sql.Observer.rows;
-      (* enclave entered once per arriving message batch *)
-      charge_enclave_transitions host params (2 * message_count params bytes);
-      charge_epc host d.Deployment.host_enclave params
-        ~working_set:hc.Sql.Observer.bytes_allocated
-        ~accesses:(message_count params bytes);
-      finish ~result ~bytes_shipped:bytes ~pages ~hits
-        ~host_rows:hc.Sql.Observer.rows ~storage_rows:sc.Sql.Observer.rows ()
+          crypto storage;
+          charge_compute storage ~rows:c.Sql.Observer.rows;
+          charge_memory storage ~category:"spill" c.Sql.Observer.bytes_allocated;
+          ship ~secure:true ~bytes:shipped
+            ~messages:(message_count params shipped))
   | Config.Sos ->
-      (* whole query on the storage node *)
-      let (result, affected), c = exec_whole d.Deployment.secure_db stmt in
-      let decrypts, macs, merkle, rpmb =
-        snapshot_secure_stats d.Deployment.secure_store
-      in
-      let pages = c.Sql.Observer.page_reads in
-      let hits = c.Sql.Observer.page_hits in
-      let bytes =
-        with_offload host storage (fun () ->
-            charge_io storage params pages;
-            charge_cache_hits storage params hits;
-            (* one engine instance: inline crypto and compute on one
-               core (CTR lane fan-out still applies inside the decrypt
-               kernel itself) *)
-            charge_crypto ~parallel:false ~lanes storage params ~decrypts ~macs
-              ~merkle ~rpmb;
-            Sim.Node.compute_serial storage ~category:"ndp"
-              ~row_ops:c.Sql.Observer.rows;
-            charge_memory storage ~category:"spill"
-              c.Sql.Observer.bytes_allocated;
-            (* only the final result crosses the network *)
-            let bytes =
-              List.fold_left
-                (fun acc row -> acc + Sql.Row.encoded_size row)
-                0 result.Sql.Exec.rows
-            in
-            charge_transfer params storage host ~secure:true ~bytes
-              ~messages:1;
-            bytes)
-      in
-      finish ~result ~affected ~bytes_shipped:bytes ~pages ~hits ~host_rows:0
-        ~storage_rows:c.Sql.Observer.rows ()
-  in
-  (* route secure-config statements through the transactional overlay
-     when the deployment carries a WAL (no-op wrapper otherwise) *)
-  let exec =
-    match d.Deployment.txn_store with
-    | Some ts
-      when match config with
-           | Config.Hos | Config.Scs | Config.Sos -> true
-           | Config.Hons | Config.Vcs -> false ->
-        fun () -> exec_wal d ts ~stmt exec
-    | _ -> exec
-  in
-  (* the root span's virtual duration is exactly [end_to_end_ns]: it
-     opens at (reset) time zero on the host clock and closes after the
-     final clock sync in [finish]. [begin_query] runs first: it
-     allocates the trace context the root span (and every wire message
-     sent meanwhile) carries, decides sampling, and snapshots the
-     metrics registry so the captured profile reports this query's
-     interval rather than the cumulative registry. *)
+      with_offload host storage (fun () ->
+          charge_io storage params pages;
+          charge_cache_hits storage params hits;
+          (* one engine instance: inline crypto and compute on one core
+             (CTR lane fan-out still applies inside the decrypt kernel) *)
+          crypto ~parallel:false storage;
+          Sim.Node.compute_serial storage ~category:"ndp"
+            ~row_ops:c.Sql.Observer.rows;
+          charge_memory storage ~category:"spill" c.Sql.Observer.bytes_allocated;
+          (* only the final result crosses the network *)
+          ship ~secure:true ~bytes:shipped ~messages:1)
+
+let host_share d config ~rows ~pages ~messages ~working_set =
+  let params = d.Deployment.params and host = d.Deployment.host in
+  let enclave = d.Deployment.host_enclave in
+  charge_compute host ~rows;
+  match config with
+  | Config.Hos ->
+      (* one ocall/ecall pair per page fetch *)
+      charge_enclave_transitions host params (2 * pages);
+      charge_epc host enclave params ~working_set ~accesses:(3 * pages)
+  | Config.Scs ->
+      (* enclave entered once per arriving message batch *)
+      charge_enclave_transitions host params (2 * messages);
+      charge_epc host enclave params ~working_set ~accesses:messages
+  | Config.Hons | Config.Vcs | Config.Sos -> ()
+
+(* The query root span's virtual duration is exactly [end_to_end_ns]:
+   it opens at (reset) time zero on the host clock and closes after the
+   run's final clock sync. [begin_query] runs first: it allocates the
+   trace context the root span (and every wire message sent meanwhile)
+   carries, decides sampling, and snapshots the metrics registry so the
+   captured profile reports this query's interval rather than the
+   cumulative registry. *)
+let with_query ?(attrs = []) d config run =
   let tok = Obs.begin_query () in
   let m =
-    Sim.Node.with_span host ~name:"query"
-      ~attrs:(("config", Config.abbrev config) :: Obs.trace_attrs ())
-      exec
+    Sim.Node.with_span d.Deployment.host ~name:"query"
+      ~attrs:((("config", Config.abbrev config) :: attrs) @ Obs.trace_attrs ())
+      run
   in
   if Obs.enabled () then
     Obs.event ~scope:"core" ~kind:"query.done"
@@ -490,6 +401,90 @@ let run_stmt ?(reset = true) ?project deploy config stmt =
   match Obs.finish_query tok with
   | Some p -> { m with profile = Some p }
   | None -> m
+
+(* -- per-configuration runners ---------------------------------------- *)
+
+let run_stmt ?(reset = true) ?project deploy config stmt =
+  let d = deploy in
+  if reset then Deployment.reset_counters d;
+  let host = d.Deployment.host and storage = d.Deployment.storage in
+  let store = d.Deployment.secure_store in
+  let db =
+    match config with
+    | Config.Hons | Config.Vcs -> d.Deployment.plain_db
+    | Config.Hos | Config.Scs | Config.Sos -> d.Deployment.secure_db
+  in
+  let share = storage_share d config ~storage ~store in
+  let finish ?(affected = 0) ~result ~bytes_shipped ~host_rows ~storage_rows
+      (c : Sql.Observer.counters) =
+    (* result shipping back to the client is charged to the host side *)
+    Sim.Clock.sync (Sim.Node.clock host) (Sim.Node.clock storage) 0.0;
+    {
+      config;
+      end_to_end_ns = Sim.Node.now host;
+      host_breakdown = Sim.Trace.breakdown (Sim.Node.trace host);
+      storage_breakdown = Sim.Trace.breakdown (Sim.Node.trace storage);
+      bytes_shipped;
+      pages_scanned = c.Sql.Observer.page_reads;
+      page_hits = c.Sql.Observer.page_hits;
+      host_rows;
+      storage_rows;
+      affected;
+      result;
+      profile = None;
+    }
+  in
+  let exec () =
+    match config with
+    | Config.Hons | Config.Hos ->
+        (* everything on the host over NFS; under hos the host enclave
+           keeps the Merkle tree (and the pool's plaintext) in EPC *)
+        let (result, affected), c = exec_whole db stmt in
+        let bytes, messages = share ~sessions:0 ~shipped:0 c in
+        let rows = c.Sql.Observer.rows in
+        host_share d config ~rows ~pages:c.Sql.Observer.page_reads
+          ~messages
+          ~working_set:
+            (c.Sql.Observer.bytes_allocated + merkle_bytes store
+           + Deployment.pool_bytes d);
+        finish ~result ~affected ~bytes_shipped:bytes ~host_rows:rows
+          ~storage_rows:0 c
+    | Config.Vcs | Config.Scs ->
+        let plan, sc, hc, result, shipped = run_split ?project ~src_db:db stmt in
+        note_split config plan;
+        let bytes, messages =
+          share ~sessions:(List.length plan.Partitioner.offload_sql) ~shipped sc
+        in
+        host_share d config ~rows:hc.Sql.Observer.rows
+          ~pages:sc.Sql.Observer.page_reads ~messages
+          ~working_set:hc.Sql.Observer.bytes_allocated;
+        finish ~result ~bytes_shipped:bytes ~host_rows:hc.Sql.Observer.rows
+          ~storage_rows:sc.Sql.Observer.rows sc
+    | Config.Sos ->
+        (* whole query on the storage node: the host only receives the
+           result *)
+        let (result, affected), c = exec_whole db stmt in
+        let shipped =
+          List.fold_left
+            (fun acc row -> acc + Sql.Row.encoded_size row)
+            0 result.Sql.Exec.rows
+        in
+        let bytes, _ = share ~sessions:0 ~shipped c in
+        finish ~result ~affected ~bytes_shipped:bytes ~host_rows:0
+          ~storage_rows:c.Sql.Observer.rows c
+  in
+  (* route secure-config statements through the transactional overlay
+     when the deployment carries a WAL (no-op wrapper otherwise) *)
+  let exec =
+    match d.Deployment.txn_store with
+    | Some ts
+      when match config with
+           | Config.Hos | Config.Scs | Config.Sos -> true
+           | Config.Hons | Config.Vcs -> false ->
+        fun () -> exec_wal d ts ~stmt exec
+    | _ -> exec
+  in
+  with_query d config exec
 
 let run_query deploy config sql = run_stmt deploy config (Sql.Parser.parse sql)
 
@@ -530,9 +525,11 @@ let violation_of_faults faults ~default ~detail =
 (* Pre-flight TEE fault injection + recovery. The enclave/secure-world
    failures the plan schedules strike between queries (an AEX, a failed
    world switch); the recovery layer restarts, re-attests and charges
-   the recovery time before the query proper runs. Returns a rejection
-   when re-attestation cannot restore trust. *)
-let preflight d config =
+   the recovery time before the query proper runs. A failed world
+   switch is retried on [storage], the node whose secure world the
+   query enters. Returns a rejection when re-attestation cannot restore
+   trust. *)
+let preflight d config ~storage =
   let faults = Deployment.faults d in
   let mark = Fault.incident_count faults in
   let params = d.Deployment.params in
@@ -575,7 +572,7 @@ let preflight d config =
         if uses_secure_world config && Fault.fire faults Fault.Tz_world_switch
         then begin
           (* the failed switch is retried by the normal world driver *)
-          Sim.Node.fixed d.Deployment.storage ~category:"recovery"
+          Sim.Node.fixed storage ~category:"recovery"
             (2.0 *. params.Sim.Params.rpmb_access_ns);
           Fault.note_retry faults ~action:"world_switch";
           Fault.note_recovered_since faults mark
@@ -593,52 +590,57 @@ let outcome_event ~kind v =
     Obs.event ~scope:"core" ~kind
       [ ("site", Ev.S v.v_site); ("detail", Ev.S v.v_detail) ]
 
-let run_stmt_outcome ?reset ?project deploy config stmt =
-  let faults = Deployment.faults deploy in
+let with_outcome ?(admit = fun () -> None) ?storage d config run =
+  let faults = Deployment.faults d in
+  let storage = Option.value storage ~default:d.Deployment.storage in
+  let rejected v =
+    Fault.note_rejected faults;
+    Obs.count ~scope:"fault" "rejected";
+    outcome_event ~kind:"query.rejected" v;
+    Rejected v
+  in
   let mark = Fault.incident_count faults in
-  match preflight deploy config with
-  | Some v ->
-      outcome_event ~kind:"query.rejected" v;
-      Rejected v
+  match admit () with
+  | Some v -> rejected v
   | None -> (
-      match run_stmt ?reset ?project deploy config stmt with
-      | m -> (
-          match Fault.incidents_since faults mark with
-          | [] -> Ok m
-          | incidents ->
-              (* the query completed and verified despite these faults:
-                 whatever fired was survived, including faults absorbed
-                 with no repair work (e.g. rot in an unused region) *)
-              Fault.note_recovered_since faults mark;
-              if Obs.enabled () then
-                Obs.event ~scope:"core" ~kind:"query.degraded"
-                  [ ("incidents", Ev.I (List.length incidents)) ];
-              Degraded (m, incidents))
-      | exception Ironsafe_wal.Wal.Crashed site ->
-          Obs.count ~scope:"fault" "crashes";
-          let v =
-            {
-              v_site = Fault.site_name site;
-              v_detail = "power loss injected; reboot required";
-            }
-          in
-          outcome_event ~kind:"query.crashed" v;
-          Crashed v
-      | exception Sql.Pager.Integrity_failure detail ->
-          Fault.note_rejected faults;
-          Obs.count ~scope:"fault" "rejected";
-          let v = violation_of_faults faults ~default:"securestore" ~detail in
+      match preflight d config ~storage with
+      | Some v ->
           outcome_event ~kind:"query.rejected" v;
           Rejected v
-      | exception Tee.Sgx.Enclave_aborted ->
-          Fault.note_rejected faults;
-          Obs.count ~scope:"fault" "rejected";
-          let v =
-            violation_of_faults faults ~default:"sgx.abort"
-              ~detail:"enclave died mid-query"
-          in
-          outcome_event ~kind:"query.rejected" v;
-          Rejected v)
+      | None -> (
+          match run () with
+          | m -> (
+              match Fault.incidents_since faults mark with
+              | [] -> Ok m
+              | incidents ->
+                  (* the query completed and verified despite these
+                     faults: whatever fired was survived, including
+                     faults absorbed with no repair work (e.g. rot in an
+                     unused region) *)
+                  Fault.note_recovered_since faults mark;
+                  if Obs.enabled () then
+                    Obs.event ~scope:"core" ~kind:"query.degraded"
+                      [ ("incidents", Ev.I (List.length incidents)) ];
+                  Degraded (m, incidents))
+          | exception Ironsafe_wal.Wal.Crashed site ->
+              Obs.count ~scope:"fault" "crashes";
+              let v =
+                {
+                  v_site = Fault.site_name site;
+                  v_detail = "power loss injected; reboot required";
+                }
+              in
+              outcome_event ~kind:"query.crashed" v;
+              Crashed v
+          | exception Sql.Pager.Integrity_failure detail ->
+              rejected (violation_of_faults faults ~default:"securestore" ~detail)
+          | exception Tee.Sgx.Enclave_aborted ->
+              rejected
+                (violation_of_faults faults ~default:"sgx.abort"
+                   ~detail:"enclave died mid-query")))
+
+let run_stmt_outcome ?reset ?project deploy config stmt =
+  with_outcome deploy config (fun () -> run_stmt ?reset ?project deploy config stmt)
 
 let run_query_outcome deploy config sql =
   run_stmt_outcome deploy config (Sql.Parser.parse sql)

@@ -80,12 +80,14 @@ val run_query_outcome : Deployment.t -> Config.t -> string -> outcome
 val total : (string * float) list -> float
 (** Sum of a breakdown. *)
 
-(** {2 Cost-charging primitives}
+(** {2 One query path for one storage node or N}
 
-    The per-configuration charging recipes above are built from these
-    helpers; the cluster runner ({!Ironsafe_cluster.Cluster}) reuses
-    them so an N-shard execution charges the same cost categories with
-    the same constants as the single-node arms. *)
+    {!run_stmt} and {!run_stmt_outcome} are built from the entry points
+    below; the sharded cluster ({!Ironsafe_cluster.Cluster}) applies
+    them once per shard, so an N-shard execution charges the same cost
+    categories with the same constants, in the same order, as the
+    single-node runner, and shares its root span and its fault-aware
+    outcome. *)
 
 val with_counters :
   Ironsafe_sql.Database.t ->
@@ -94,60 +96,61 @@ val with_counters :
 (** Run a thunk with a fresh counting observer installed on [db]
     (restored to {!Ironsafe_sql.Observer.null} afterwards). *)
 
-val snapshot_secure_stats :
-  Ironsafe_securestore.Secure_store.t -> int * int * int * int
-(** (decrypts, MAC checks, Merkle hashes, RPMB accesses) since the last
-    reset. *)
+val storage_share :
+  Deployment.t ->
+  Config.t ->
+  storage:Ironsafe_sim.Node.t ->
+  store:Ironsafe_securestore.Secure_store.t ->
+  sessions:int ->
+  shipped:int ->
+  Ironsafe_sql.Observer.counters ->
+  int * int
+(** Charge one storage node's share of a query under a config, in a
+    [storage.exec] span on [storage]'s lane: page I/O and pool hits,
+    offload sessions (vcs/scs: [sessions] sub-statements), page crypto
+    from [store]'s statistics (on the host enclave under hos), compute,
+    spill and the transfer to the deployment's host. The counters are
+    what ran against [storage]'s medium; [shipped] is the encoded size
+    of the rows it returned (split configs and sos; hons/hos ship whole
+    pages). Returns the bytes and messages that crossed the network. *)
 
-val charge_crypto :
-  ?parallel:bool ->
-  ?lanes:int ->
-  Ironsafe_sim.Node.t ->
-  Ironsafe_sim.Params.t ->
-  decrypts:int ->
-  macs:int ->
-  merkle:int ->
-  rpmb:int ->
-  unit
-
-val charge_transfer :
-  Ironsafe_sim.Params.t ->
-  Ironsafe_sim.Node.t ->
-  Ironsafe_sim.Node.t ->
-  secure:bool ->
-  bytes:int ->
+val host_share :
+  Deployment.t ->
+  Config.t ->
+  rows:int ->
+  pages:int ->
   messages:int ->
-  unit
-(** Charge a bulk transfer to both ends and synchronize their clocks. *)
-
-val charge_io : Ironsafe_sim.Node.t -> Ironsafe_sim.Params.t -> int -> unit
-val charge_cache_hits : Ironsafe_sim.Node.t -> Ironsafe_sim.Params.t -> int -> unit
-val charge_compute : Ironsafe_sim.Node.t -> rows:int -> unit
-val charge_memory : Ironsafe_sim.Node.t -> category:string -> int -> unit
-
-val charge_enclave_transitions :
-  Ironsafe_sim.Node.t -> Ironsafe_sim.Params.t -> int -> unit
-
-val charge_epc :
-  Ironsafe_sim.Node.t ->
-  Ironsafe_tee.Sgx.enclave ->
-  Ironsafe_sim.Params.t ->
   working_set:int ->
-  accesses:int ->
   unit
+(** Charge the host's share: [rows] row steps of compute, plus under
+    hos one enclave transition pair per page and EPC paging for
+    [working_set] over [3 * pages] touches, and under scs one pair per
+    arriving message and EPC paging over [messages] touches. *)
 
 val merkle_bytes : Ironsafe_securestore.Secure_store.t -> int
 (** Host-resident Merkle footprint when the host verifies freshness. *)
 
-val message_count : Ironsafe_sim.Params.t -> int -> int
-(** Number of network messages a byte count batches into. *)
+val with_query :
+  ?attrs:(string * string) list ->
+  Deployment.t ->
+  Config.t ->
+  (unit -> metrics) ->
+  metrics
+(** Run a query's execution inside its [query] root span on the host
+    (attributes: [config], then [attrs], then the trace context), emit
+    [query.done] and attach the captured profile when tracing is on. *)
 
-val with_offload :
-  Ironsafe_sim.Node.t -> Ironsafe_sim.Node.t -> (unit -> 'a) -> 'a
-(** Wrap storage-side work in a [storage.exec] span on the second
-    node's lane, flow-linked to the first node's open query span. *)
-
-val violation_of_faults :
-  Ironsafe_fault.Fault.t -> default:string -> detail:string -> violation
-(** Name the violation after the last unrecovered incident (or
-    [default] when the plan recorded none). *)
+val with_outcome :
+  ?admit:(unit -> violation option) ->
+  ?storage:Ironsafe_sim.Node.t ->
+  Deployment.t ->
+  Config.t ->
+  (unit -> metrics) ->
+  outcome
+(** The fault-aware wrapper behind {!run_stmt_outcome}: [admit]
+    (default: admit everything) may refuse the query first; then the
+    pre-flight TEE faults are injected and recovered (a failed world
+    switch is retried on [storage], default the deployment's storage
+    node); then the execution runs, and faults, integrity failures,
+    enclave aborts and WAL crashes become typed outcomes with their
+    [query.degraded] / [query.rejected] / [query.crashed] events. *)

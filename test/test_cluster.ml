@@ -468,6 +468,48 @@ let run_flaky_shard_seed seed =
 let test_flaky_shard_typed_outcomes () =
   List.iter run_flaky_shard_seed [ base_seed; base_seed + 1 ]
 
+(* -- pre-flight TEE faults reach sharded queries ----------------------- *)
+
+(* An enclave abort scheduled by the plan strikes in pre-flight on a
+   sharded query exactly as on one node: the same typed outcome with
+   the same site, and the outcome event the flight recorder dumps on. *)
+let test_sgx_abort_preflight () =
+  let sql = "select n_regionkey, count(*) as n from nation group by n_regionkey" in
+  let populate db = ignore (Tpch.Dbgen.populate db ~scale:0.002) in
+  let run_outcome shards =
+    let faults =
+      Fault.make ~seed:base_seed [ (Fault.Sgx_abort, Fault.rule ~max_fires:1 ()) ]
+    in
+    let d = Deployment.create ~seed:"cluster-preflight" ~faults ~populate () in
+    let cl = attested (Cluster.create ~shards ~scheme:Partitioner.Hash d) in
+    Obs.reset ();
+    Obs.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Obs.reset ())
+      (fun () ->
+        let o = Cluster.run_query_outcome cl Config.Scs sql in
+        (o, Obs.to_jsonl ()))
+  in
+  let sites = function
+    | Runner.Degraded (_, incidents) ->
+        List.map (fun i -> Fault.site_name i.Fault.inc_site) incidents
+    | Runner.Rejected v -> [ v.Runner.v_site ]
+    | Runner.Ok _ -> [ "ok" ]
+    | Runner.Crashed v -> [ "crashed " ^ v.Runner.v_site ]
+  in
+  let single, _ = run_outcome 1 in
+  let sharded, jl = run_outcome 2 in
+  Alcotest.(check (list string))
+    "the abort fires in pre-flight" [ "sgx.abort" ] (sites single);
+  Alcotest.(check (list string))
+    "2 shards: same outcome site as one node" (sites single) (sites sharded);
+  Alcotest.(check bool)
+    "outcome event emitted" true
+    (contains jl "\"kind\":\"query.degraded\""
+    || contains jl "\"kind\":\"query.rejected\"")
+
 (* -- suite --------------------------------------------------------------- *)
 
 let suite =
@@ -487,5 +529,6 @@ let suite =
     ("plan.split fans out per shard", `Quick, test_plan_split_events_per_shard);
     ("attest events carry shard id", `Quick, test_attest_events_carry_shard_id);
     ("flaky shard: typed outcomes", `Quick, test_flaky_shard_typed_outcomes);
+    ("sgx abort in sharded pre-flight", `Quick, test_sgx_abort_preflight);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) [ qcheck_cluster_agrees ]
