@@ -883,10 +883,10 @@ let run_query t config sql = run_stmt t config (Sql.Parser.parse sql)
    shard degrades or rejects the query — it never silently returns
    wrong rows. *)
 let run_stmt_outcome ?reset ?project t config stmt =
-  let attested =
-    Monitor.Trusted_monitor.attested_storage_nodes t.base.Deployment.monitor
-  in
   let admit () =
+    let attested =
+      Monitor.Trusted_monitor.attested_storage_nodes t.base.Deployment.monitor
+    in
     Array.to_list t.shards
     |> List.find_map (fun sh ->
            let id = Tee.Trustzone.device_id sh.sh_tz in
@@ -898,9 +898,7 @@ let run_stmt_outcome ?reset ?project t config stmt =
                  v_detail = Printf.sprintf "shard device %s is not attested" id;
                })
   in
-  let storage =
-    if t.nshards = 1 then None else Some t.shards.(0).sh_node
-  in
+  let storage = if t.nshards = 1 then None else Some t.shards.(0).sh_node in
   Runner.with_outcome ~admit ?storage t.base config (fun () ->
       run_stmt ?reset ?project t config stmt)
 
