@@ -882,7 +882,8 @@ let run_query t config sql = run_stmt t config (Sql.Parser.parse sql)
    retried on the flaky shard, the one the plan strikes), and a flaky
    shard degrades or rejects the query — it never silently returns
    wrong rows. *)
-let run_stmt_outcome ?reset ?project t config stmt =
+let run_stmt_outcome ?(reset = true) ?project t config stmt =
+  if reset then reset_counters t;
   let admit () =
     let attested =
       Monitor.Trusted_monitor.attested_storage_nodes t.base.Deployment.monitor
@@ -900,7 +901,7 @@ let run_stmt_outcome ?reset ?project t config stmt =
   in
   let storage = if t.nshards = 1 then None else Some t.shards.(0).sh_node in
   Runner.with_outcome ~admit ?storage t.base config (fun () ->
-      run_stmt ?reset ?project t config stmt)
+      run_stmt ~reset:false ?project t config stmt)
 
 let run_query_outcome t config sql =
   run_stmt_outcome t config (Sql.Parser.parse sql)

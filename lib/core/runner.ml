@@ -375,9 +375,10 @@ let host_share d config ~rows ~pages ~messages ~working_set =
       charge_epc host enclave params ~working_set ~accesses:messages
   | Config.Hons | Config.Vcs | Config.Sos -> ()
 
-(* The query root span's virtual duration is exactly [end_to_end_ns]:
-   it opens at (reset) time zero on the host clock and closes after the
-   run's final clock sync. [begin_query] runs first: it allocates the
+(* The query root span's virtual duration is [end_to_end_ns]: it opens
+   at (reset) time zero on the host clock — after any pre-flight
+   recovery charge, which [end_to_end_ns] includes — and closes after
+   the run's final clock sync. [begin_query] runs first: it allocates the
    trace context the root span (and every wire message sent meanwhile)
    carries, decides sampling, and snapshots the metrics registry so the
    captured profile reports this query's interval rather than the
@@ -639,8 +640,13 @@ let with_outcome ?(admit = fun () -> None) ?storage d config run =
                 (violation_of_faults faults ~default:"sgx.abort"
                    ~detail:"enclave died mid-query")))
 
-let run_stmt_outcome ?reset ?project deploy config stmt =
-  with_outcome deploy config (fun () -> run_stmt ?reset ?project deploy config stmt)
+(* The clocks are reset before [with_outcome]'s pre-flight, not inside
+   [run_stmt]: a pre-flight recovery charge (EPC storm, enclave
+   restart, world-switch retry) is part of the query's latency. *)
+let run_stmt_outcome ?(reset = true) ?project deploy config stmt =
+  if reset then Deployment.reset_counters deploy;
+  with_outcome deploy config (fun () ->
+      run_stmt ~reset:false ?project deploy config stmt)
 
 let run_query_outcome deploy config sql =
   run_stmt_outcome deploy config (Sql.Parser.parse sql)

@@ -44,8 +44,10 @@ val run_query : Deployment.t -> Config.t -> string -> metrics
     query (enclave abort → restart + re-attestation; EPC storm and
     world-switch failures → charged degradation), and integrity
     failures that survive the secure store's own re-read budget surface
-    as a typed rejection naming the faulted site. With faults disabled
-    it is exactly [Ok (run_stmt ...)]. *)
+    as a typed rejection naming the faulted site. [reset] (default
+    true) zeroes the clocks before the pre-flight, so the metrics'
+    latency includes any recovery it charged. With faults disabled it
+    is exactly [Ok (run_stmt ...)]. *)
 
 type violation = {
   v_site : string;  (** dotted fault-site name, e.g. ["device.bit_rot"] *)

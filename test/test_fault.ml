@@ -240,6 +240,27 @@ let test_sgx_abort_degraded () =
   | Runner.Rejected v | Runner.Crashed v ->
       Alcotest.fail (Fmt.str "unexpected rejection: %a" Runner.pp_violation v)
 
+(* A pre-flight fault's recovery charge is part of the query's
+   latency: the clocks are reset before the pre-flight, not after it. *)
+let test_epc_storm_charged () =
+  let faults =
+    Fault.make ~seed:base_seed
+      [ (Fault.Sgx_epc_storm, Fault.rule ~prob:1.0 ~max_fires:1 ()) ]
+  in
+  let d = make_deploy ~faults ~seed:"fault-epc" () in
+  let sql = "select count(*) from nation" in
+  let storm = 4096.0 *. d.Deployment.params.Sim.Params.epc_fault_ns in
+  match Runner.run_query_outcome d Config.Hos sql with
+  | Runner.Degraded (m, _) ->
+      (* fault-free, this query reads ~85 us *)
+      Alcotest.(check bool) "latency includes the storm" true
+        (m.Runner.end_to_end_ns >= storm);
+      Alcotest.(check bool) "storm in the host's epc time" true
+        (List.assoc "epc" m.Runner.host_breakdown >= storm)
+  | Runner.Ok _ -> Alcotest.fail "storm did not fire"
+  | Runner.Rejected v | Runner.Crashed v ->
+      Alcotest.fail (Fmt.str "unexpected rejection: %a" Runner.pp_violation v)
+
 let test_attest_recovers_quote_and_ta_faults () =
   let faults =
     Fault.make ~seed:base_seed
@@ -394,6 +415,7 @@ let suite =
     ("bit rot rejected", `Quick, test_bit_rot_rejected);
     ("rpmb desync recovered", `Quick, test_rpmb_desync_recovered);
     ("sgx abort degraded", `Quick, test_sgx_abort_degraded);
+    ("epc storm charged in latency", `Quick, test_epc_storm_charged);
     ("attest recovers quote/ta faults", `Quick,
      test_attest_recovers_quote_and_ta_faults);
     ("zero cost when off", `Quick, test_zero_cost_when_off);
