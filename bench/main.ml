@@ -721,11 +721,6 @@ let micro () =
   let iv = C.Drbg.generate drbg 16 in
   let ciphertext = C.Modes.cbc_encrypt ~key:aes_key ~iv page in
   let hmac_key = C.Drbg.generate drbg 32 in
-  let merkle = C.Merkle.create ~key:hmac_key ~leaves:4096 in
-  let () = C.Merkle.update merkle 17 page in
-  let proof = C.Merkle.prove merkle 17 in
-  let leaf = C.Merkle.leaf merkle 17 in
-  let root = C.Merkle.root merkle in
   let policy_src =
     "read ::= sessionKeyIs(Ka) | sessionKeyIs(Kb) & le(T, TIMESTAMP)"
   in
@@ -739,9 +734,6 @@ let micro () =
         (Staged.stage (fun () -> C.Hmac.mac ~key:hmac_key page));
       Test.make ~name:"aes128-cbc-decrypt-page"
         (Staged.stage (fun () -> C.Modes.cbc_decrypt ~key:aes_key ~iv ciphertext));
-      Test.make ~name:"merkle-verify-path"
-        (Staged.stage (fun () ->
-             C.Merkle.verify ~key:hmac_key ~root ~leaf_tag:leaf proof));
       Test.make ~name:"policy-parse"
         (Staged.stage (fun () -> Ironsafe_policy.Policy_parser.parse policy_src));
       Test.make ~name:"tpch-q6-plain"
@@ -1118,11 +1110,11 @@ let microbench _scale =
   let prekey = C.Hmac.precompute ~key:hmac_key in
   let block = Bytes.create 16 in
   Bytes.blit_string page 0 block 0 16;
-  let merkle = C.Merkle.create ~key:hmac_key ~leaves:4096 in
-  C.Merkle.update merkle 17 page;
-  let proof = C.Merkle.prove merkle 17 in
-  let leaf = C.Merkle.leaf merkle 17 in
-  let root = C.Merkle.root merkle in
+  (* the secure store's real shapes: AES-256 page keys, and 64-byte
+     prekeyed HMACs (a Merkle node over its two children) *)
+  let aes256_key = C.Aes.expand_key (C.Drbg.generate drbg 32) in
+  let ciphertext256 = C.Modes.cbc_encrypt ~key:aes256_key ~iv page in
+  let node64 = String.sub page 0 64 in
   (* a real secure store: its read path is what the pool short-cuts *)
   let data_pages = 64 in
   let device =
@@ -1296,6 +1288,9 @@ let microbench _scale =
        fun () -> ignore (C.Modes.cbc_encrypt ~key:aes_key ~iv page));
       ("aes128-cbc-decrypt-4KiB", 1,
        fun () -> ignore (C.Modes.cbc_decrypt ~key:aes_key ~iv ciphertext));
+      ("aes256-cbc-decrypt-4KiB", 1,
+       fun () ->
+         ignore (C.Modes.cbc_decrypt ~key:aes256_key ~iv ciphertext256));
       ("ctr_page_decrypt_1lane", ctr_batch,
        fun () ->
          for p = 0 to ctr_batch - 1 do
@@ -1307,10 +1302,7 @@ let microbench _scale =
        fun () -> ignore (C.Hmac.mac ~key:hmac_key page));
       ("hmac-sha256-4KiB-prekeyed", 1,
        fun () -> ignore (C.Hmac.mac_pre prekey page));
-      ("merkle-prove", 1, fun () -> ignore (C.Merkle.prove merkle 17));
-      ("merkle-verify-path", 1,
-       fun () ->
-         ignore (C.Merkle.verify ~key:hmac_key ~root ~leaf_tag:leaf proof));
+      ("hmac-sha256-64B", 1, fun () -> ignore (C.Hmac.mac_pre prekey node64));
       ("securestore-read-page", 1,
        fun () -> ignore (Sec.Secure_store.read_page store 1));
       ("row_scan_filter", 1,

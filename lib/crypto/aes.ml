@@ -154,26 +154,19 @@ let expand_key key_str =
   done;
   { enc = w; dec; rounds }
 
-(* Word load/store helpers. Offsets come from the block-mode drivers,
-   which iterate in exact 16-byte steps over buffers they sized — the
-   unchecked accessors keep the per-round cost to the table lookups. *)
-let get_word src off =
-  (Char.code (Bytes.unsafe_get src off) lsl 24)
-  lor (Char.code (Bytes.unsafe_get src (off + 1)) lsl 16)
-  lor (Char.code (Bytes.unsafe_get src (off + 2)) lsl 8)
-  lor Char.code (Bytes.unsafe_get src (off + 3))
+(* Word load/store helpers: one 32-bit big-endian access per state
+   word (a load plus a byte swap on little-endian hosts) instead of
+   four byte reads and shifts. The loads are masked back to an unsigned
+   32-bit int; the store keeps the low 32 bits. Offsets come from the
+   block-mode drivers, which iterate in exact 16-byte steps over
+   buffers they sized. *)
+let[@inline] get_word src off =
+  Int32.to_int (Bytes.get_int32_be src off) land 0xffffffff
 
-let get_word_str src off =
-  (Char.code (String.unsafe_get src off) lsl 24)
-  lor (Char.code (String.unsafe_get src (off + 1)) lsl 16)
-  lor (Char.code (String.unsafe_get src (off + 2)) lsl 8)
-  lor Char.code (String.unsafe_get src (off + 3))
+let[@inline] get_word_str src off =
+  Int32.to_int (String.get_int32_be src off) land 0xffffffff
 
-let put_word dst off v =
-  Bytes.unsafe_set dst off (Char.unsafe_chr ((v lsr 24) land 0xff));
-  Bytes.unsafe_set dst (off + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
-  Bytes.unsafe_set dst (off + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
-  Bytes.unsafe_set dst (off + 3) (Char.unsafe_chr (v land 0xff))
+let[@inline] put_word dst off v = Bytes.set_int32_be dst off (Int32.of_int v)
 
 (* the annotation keeps the read a plain int load after inlining *)
 let[@inline] get (tbl : int array) i = Array.unsafe_get tbl i

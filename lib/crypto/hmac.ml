@@ -27,21 +27,28 @@ let precompute ~key =
   Sha256.update ostate (xor_pad key 0x5c);
   { istate; ostate }
 
-let mac_pre pk msg =
-  let ctx = Sha256.copy pk.istate in
-  Sha256.update ctx msg;
-  let inner = Sha256.finalize ctx in
-  let ctx = Sha256.copy pk.ostate in
+(* A MAC under way: the inner context, fed from the ipad midstate. *)
+type ctx = { pk : prekey; inner : Sha256.ctx }
+
+let start pk = { pk; inner = Sha256.copy pk.istate }
+let feed_sub c s off len = Sha256.update_sub c.inner s off len
+let feed c s = Sha256.update c.inner s
+
+let finish c =
+  let inner = Sha256.finalize c.inner in
+  let ctx = Sha256.copy c.pk.ostate in
   Sha256.update ctx inner;
   Sha256.finalize ctx
 
+let mac_pre pk msg =
+  let c = start pk in
+  feed c msg;
+  finish c
+
 let mac_pre_list pk parts =
-  let ctx = Sha256.copy pk.istate in
-  List.iter (Sha256.update ctx) parts;
-  let inner = Sha256.finalize ctx in
-  let ctx = Sha256.copy pk.ostate in
-  Sha256.update ctx inner;
-  Sha256.finalize ctx
+  let c = start pk in
+  List.iter (feed c) parts;
+  finish c
 
 let mac ~key msg = mac_pre (precompute ~key) msg
 

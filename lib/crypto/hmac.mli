@@ -33,3 +33,23 @@ val mac_pre_list : prekey -> string list -> string
 
 val verify_pre : prekey -> mac:string -> string -> bool
 (** Constant-time tag check against a precomputed key. *)
+
+(** {2 Incremental MACs}
+
+    A message fed in pieces, each piece a sub-range of some string, so
+    a MAC over fields scattered in one buffer (a page's index, IV and
+    ciphertext) copies none of them out. *)
+
+type ctx
+
+val start : prekey -> ctx
+val feed : ctx -> string -> unit
+
+val feed_sub : ctx -> string -> int -> int -> unit
+(** [feed_sub c s off len] feeds [s.[off .. off+len-1]], exactly as
+    [feed c (String.sub s off len)] would.
+    @raise Invalid_argument if the range is not within [s]. *)
+
+val finish : ctx -> string
+(** The tag of everything fed since {!start}. The context must not be
+    used afterwards. *)

@@ -3,11 +3,15 @@
    HMACs — §4.1). Implemented as a flat binary heap over a power-of-two
    capacity so leaf updates touch exactly one root path.
 
+   The tree lives in trusted memory, so a reader checks a page's tag
+   against its stored leaf and never re-walks the path: path hashing
+   happens only when a leaf is set (a write, or a rebuild from
+   untrusted tags whose root is then checked against the anchor).
+
    [hash_ops] counts HMAC evaluations since the last [reset_hash_ops];
    the simulator charges freshness-verification time from it. *)
 
 type t = {
-  key : string;
   prekey : Hmac.prekey; (* ipad/opad midstates, absorbed once *)
   cap : int; (* power of two >= requested leaf count *)
   leaves : int; (* requested leaf count *)
@@ -34,7 +38,6 @@ let create ~key ~leaves =
   let cap = next_pow2 leaves in
   let t =
     {
-      key;
       prekey = Hmac.precompute ~key;
       cap;
       leaves;
@@ -77,41 +80,6 @@ let update t i data = set_leaf t i (leaf_tag_of_data t data)
 let leaf t i =
   check_index t i;
   t.nodes.(t.cap + i)
-
-type proof = { index : int; siblings : string list }
-
-let prove t i =
-  check_index t i;
-  let rec collect pos acc =
-    if pos <= 1 then List.rev acc
-    else begin
-      let sibling = t.nodes.(pos lxor 1) in
-      collect (pos / 2) (sibling :: acc)
-    end
-  in
-  { index = i; siblings = collect (t.cap + i) [] }
-
-(* Verification recomputes the path bottom-up with a *fresh* op counter
-   owner: the verifier may be a different party (e.g. the host checking
-   a proof shipped by storage), so we take key and root explicitly. *)
-let verify ~key ~root:expected_root ~leaf_tag proof =
-  (* one key absorption serves the whole path *)
-  let pk = Hmac.precompute ~key in
-  let counter = ref 0 in
-  let h a b =
-    incr counter;
-    Hmac.mac_pre_list pk [ a; b ]
-  in
-  let rec climb index node = function
-    | [] -> node
-    | sibling :: rest ->
-        let parent =
-          if index land 1 = 0 then h node sibling else h sibling node
-        in
-        climb (index / 2) parent rest
-  in
-  let computed = climb proof.index leaf_tag proof.siblings in
-  (Constant_time.equal computed expected_root, !counter)
 
 let depth t =
   let rec go cap acc = if cap <= 1 then acc else go (cap / 2) (acc + 1) in

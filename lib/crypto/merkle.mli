@@ -10,7 +10,10 @@ val create : key:string -> leaves:int -> t
     Capacity rounds up to a power of two. *)
 
 val leaf_count : t -> int
+
 val depth : t -> int
+(** Internal nodes on a leaf's path to the root: the HMACs one path
+    verification computes. *)
 
 val root : t -> string
 (** Current 32-byte root tag. *)
@@ -27,17 +30,6 @@ val update : t -> int -> string -> unit
 
 val set_leaf : t -> int -> string -> unit
 (** Like {!update} but with a precomputed tag. *)
-
-type proof = { index : int; siblings : string list }
-(** Authentication path from a leaf to the root. *)
-
-val prove : t -> int -> proof
-
-val verify :
-  key:string -> root:string -> leaf_tag:string -> proof -> bool * int
-(** [verify ~key ~root ~leaf_tag p] recomputes the path; returns whether
-    it matches [root] and how many HMAC evaluations were performed (for
-    cost accounting). *)
 
 val hash_ops : t -> int
 (** HMAC evaluations performed by this tree since last reset. *)

@@ -1,27 +1,30 @@
-(* Block cipher modes over AES-128: CBC with PKCS#7 padding (the
-   paper's SQLCipher setup uses AES-CBC per database page) and CTR for
+(* Block cipher modes over AES (128- or 256-bit keys; the secure
+   store's pages use AES-256): CBC with PKCS#7 padding (the paper's
+   SQLCipher setup uses AES-CBC per database page) and CTR for
    stream-style channel encryption.
 
    Both CBC directions run in place over a single output buffer: the
    only allocations per call are the output itself (and the unpadded
    copy on decrypt) — no per-block temporaries, no staging copies of
-   the message. This is the secure store's per-page hot path. *)
+   the message. This is the secure store's per-page hot path. The
+   16-byte chaining xor is two 64-bit xors; byte order is irrelevant to
+   a xor, so the loads and stores are native-endian. *)
 
-let xor_into dst doff src soff len =
-  for i = 0 to len - 1 do
-    Bytes.unsafe_set dst (doff + i)
-      (Char.unsafe_chr
-         (Char.code (Bytes.unsafe_get dst (doff + i))
-         lxor Char.code (Bytes.unsafe_get src (soff + i))))
-  done
+let[@inline] xor_block_into dst doff src soff =
+  Bytes.set_int64_ne dst doff
+    (Int64.logxor (Bytes.get_int64_ne dst doff) (Bytes.get_int64_ne src soff));
+  Bytes.set_int64_ne dst (doff + 8)
+    (Int64.logxor
+       (Bytes.get_int64_ne dst (doff + 8))
+       (Bytes.get_int64_ne src (soff + 8)))
 
-let xor_str_into dst doff src soff len =
-  for i = 0 to len - 1 do
-    Bytes.unsafe_set dst (doff + i)
-      (Char.unsafe_chr
-         (Char.code (Bytes.unsafe_get dst (doff + i))
-         lxor Char.code (String.unsafe_get src (soff + i))))
-  done
+let[@inline] xor_block_str_into dst doff src soff =
+  Bytes.set_int64_ne dst doff
+    (Int64.logxor (Bytes.get_int64_ne dst doff) (String.get_int64_ne src soff));
+  Bytes.set_int64_ne dst (doff + 8)
+    (Int64.logxor
+       (Bytes.get_int64_ne dst (doff + 8))
+       (String.get_int64_ne src (soff + 8)))
 
 (* -- CBC ----------------------------------------------------------- *)
 
@@ -55,27 +58,30 @@ let cbc_encrypt ~key ~iv plain =
   let out = Bytes.create n in
   Bytes.blit_string plain 0 out 0 len;
   Bytes.fill out len pad (Char.chr pad);
-  xor_str_into out 0 iv 0 16;
+  xor_block_str_into out 0 iv 0;
   Aes.encrypt_block_into key out 0 out 0;
   for i = 1 to (n / 16) - 1 do
-    xor_into out (i * 16) out ((i - 1) * 16) 16;
+    xor_block_into out (i * 16) out ((i - 1) * 16);
     Aes.encrypt_block_into key out (i * 16) out (i * 16)
   done;
   Bytes.unsafe_to_string out
 
-let cbc_decrypt ~key ~iv cipher =
-  if String.length iv <> 16 then invalid_arg "Modes.cbc_decrypt: iv must be 16 bytes";
-  let n = String.length cipher in
+(* The chaining block is just the previous ciphertext block, read
+   straight from [src]: no rolling [prev] buffer, and no copy of the
+   IV or the ciphertext out of a larger buffer such as a raw page. *)
+let cbc_decrypt_sub ~key ~iv ~iv_off src off n =
+  if iv_off < 0 || iv_off > String.length iv - 16 then
+    invalid_arg "Modes.cbc_decrypt_sub: iv range out of bounds";
+  if off < 0 || n < 0 || off > String.length src - n then
+    invalid_arg "Modes.cbc_decrypt_sub: source range out of bounds";
   if n = 0 || n mod 16 <> 0 then Error "cbc: ciphertext not block aligned"
   else begin
-    (* the chaining block is just the previous ciphertext block, read
-       straight from the input string — no rolling [prev] buffer *)
     let out = Bytes.create n in
-    Aes.decrypt_str_into key cipher 0 out 0;
-    xor_str_into out 0 iv 0 16;
+    Aes.decrypt_str_into key src off out 0;
+    xor_block_str_into out 0 iv iv_off;
     for i = 1 to (n / 16) - 1 do
-      Aes.decrypt_str_into key cipher (i * 16) out (i * 16);
-      xor_str_into out (i * 16) cipher ((i - 1) * 16) 16
+      Aes.decrypt_str_into key src (off + (i * 16)) out (i * 16);
+      xor_block_str_into out (i * 16) src (off + ((i - 1) * 16))
     done;
     (* unpad without round-tripping through an intermediate string *)
     let pad = Char.code (Bytes.get out (n - 1)) in
@@ -89,6 +95,10 @@ let cbc_decrypt ~key ~iv cipher =
       else Error "cbc: bad padding"
     end
   end
+
+let cbc_decrypt ~key ~iv cipher =
+  if String.length iv <> 16 then invalid_arg "Modes.cbc_decrypt: iv must be 16 bytes";
+  cbc_decrypt_sub ~key ~iv ~iv_off:0 cipher 0 (String.length cipher)
 
 (* -- CTR ----------------------------------------------------------- *)
 
@@ -132,13 +142,23 @@ let ctr_transform_into ~key ~nonce ?(block_offset = 0) src soff dst doff len =
   while !off < len do
     Aes.encrypt_block_into key ctr 0 keystream 0;
     let chunk = min 16 (len - !off) in
-    for i = 0 to chunk - 1 do
-      Bytes.unsafe_set dst
-        (doff + !off + i)
-        (Char.unsafe_chr
-           (Char.code (String.unsafe_get src (soff + !off + i))
-           lxor Char.code (Bytes.unsafe_get keystream i)))
-    done;
+    if chunk = 16 then begin
+      let d = doff + !off and s = soff + !off in
+      Bytes.set_int64_ne dst d
+        (Int64.logxor (Bytes.get_int64_ne keystream 0) (String.get_int64_ne src s));
+      Bytes.set_int64_ne dst (d + 8)
+        (Int64.logxor
+           (Bytes.get_int64_ne keystream 8)
+           (String.get_int64_ne src (s + 8)))
+    end
+    else
+      for i = 0 to chunk - 1 do
+        Bytes.unsafe_set dst
+          (doff + !off + i)
+          (Char.unsafe_chr
+             (Char.code (String.unsafe_get src (soff + !off + i))
+             lxor Char.code (Bytes.unsafe_get keystream i)))
+      done;
     incr_counter ctr;
     off := !off + 16
   done

@@ -1,4 +1,5 @@
-(** AES-128 modes of operation. *)
+(** AES modes of operation, for 128- or 256-bit keys (the secure store's
+    pages use AES-256). *)
 
 val cbc_encrypt : key:Aes.key -> iv:string -> string -> string
 (** CBC encryption with PKCS#7 padding; output length is the input
@@ -6,6 +7,20 @@ val cbc_encrypt : key:Aes.key -> iv:string -> string -> string
 
 val cbc_decrypt : key:Aes.key -> iv:string -> string -> (string, string) result
 (** CBC decryption; fails on non-aligned input or invalid padding. *)
+
+val cbc_decrypt_sub :
+  key:Aes.key ->
+  iv:string ->
+  iv_off:int ->
+  string ->
+  int ->
+  int ->
+  (string, string) result
+(** [cbc_decrypt_sub ~key ~iv ~iv_off src off len] is
+    [cbc_decrypt ~key ~iv:(String.sub iv iv_off 16) (String.sub src off len)]
+    without the two copies: the IV and the ciphertext are read in place,
+    e.g. from one raw page.
+    @raise Invalid_argument if either range is not within its string. *)
 
 val ctr_transform : key:Aes.key -> nonce:string -> string -> string
 (** CTR keystream XOR; encryption and decryption are the same

@@ -9,7 +9,10 @@
    ciphertext to its slot. Leaf tags feed a keyed Merkle tree whose
    root, HMACed under TASK (a key derived from the hardware unique
    key), lives in RPMB — so rollback of either data or metadata region
-   is caught against the replay-protected counter'd slot.
+   is caught against the replay-protected counter'd slot at boot. The
+   tree itself is held in the storage TEE's trusted memory: a read
+   checks a page's MAC against its leaf there, so a replayed older page
+   is caught on the live store too.
 
    [stats] counts every crypto operation so the simulator can charge
    freshness/decryption time exactly as incurred. *)
@@ -154,8 +157,6 @@ let reset_stats t =
   s.device_reads <- 0;
   s.device_writes <- 0
 
-let root_mac keys root = C.Hmac.mac ~key:(Keyslot.task_key keys) root
-
 (* Memoized [root_mac t.keys (Merkle.root t.merkle)]: hit when the
    root is unchanged since the last computation, recomputed (and
    re-memoized) otherwise. *)
@@ -205,12 +206,14 @@ let persist_leaf_tag t index =
   t.stats.device_writes <- t.stats.device_writes + 1
 
 (* MAC input: index | IV | ciphertext, fed to the prekeyed HMAC as
-   parts so the concatenation is never materialized. *)
-let mac_payload_parts index iv ciphertext =
-  [ Printf.sprintf "%08d" index; iv; ciphertext ]
-
-let page_mac t index iv ciphertext =
-  C.Hmac.mac_pre_list t.page_mac_prekey (mac_payload_parts index iv ciphertext)
+   sub-ranges, so a read MACs the raw page without copying fields out
+   of it. *)
+let page_mac t index iv iv_off ct ct_off clen =
+  let c = C.Hmac.start t.page_mac_prekey in
+  C.Hmac.feed c (Printf.sprintf "%08d" index);
+  C.Hmac.feed_sub c iv iv_off 16;
+  C.Hmac.feed_sub c ct ct_off clen;
+  C.Hmac.finish c
 
 let page_mode t = t.page_mode
 
@@ -239,13 +242,22 @@ let encrypt_payload t index ~iv plain =
   | Cbc -> C.Modes.cbc_encrypt ~key:(page_key t index) ~iv plain
   | Ctr -> C.Modes.ctr_transform ~key:(page_key t index) ~nonce:iv plain
 
-let decrypt_payload t index ~iv ciphertext =
+(* Decrypt the [clen]-byte ciphertext of a raw page in place: the IV
+   (or CTR nonce) sits at offset 0, the ciphertext at [header_len]. *)
+let decrypt_payload t index raw clen =
   match t.page_mode with
   | Cbc -> (
-      match C.Modes.cbc_decrypt ~key:(page_key t index) ~iv ciphertext with
+      match
+        C.Modes.cbc_decrypt_sub ~key:(page_key t index) ~iv:raw ~iv_off:0 raw
+          header_len clen
+      with
       | Ok plain -> Ok plain
       | Error msg -> Error (Corrupt_page (index, msg)))
-  | Ctr -> Ok (C.Modes.ctr_transform ~key:(page_key t index) ~nonce:iv ciphertext)
+  | Ctr ->
+      let plain = Bytes.create clen in
+      C.Modes.ctr_transform_into ~key:(page_key t index)
+        ~nonce:(String.sub raw 0 16) raw header_len plain 0 clen;
+      Ok (Bytes.unsafe_to_string plain)
 
 (* Encrypt and store [plain] (<= capacity bytes) at data page [index]. *)
 let write_page t index plain =
@@ -262,10 +274,10 @@ let write_page t index plain =
   let ciphertext = encrypt_payload t index ~iv plain in
   t.stats.page_encrypts <- t.stats.page_encrypts + 1;
   Obs.count ~scope:obs_scope "page_encrypts";
-  let mac = page_mac t index iv ciphertext in
+  let clen = String.length ciphertext in
+  let mac = page_mac t index iv 0 ciphertext 0 clen in
   t.stats.page_mac_checks <- t.stats.page_mac_checks + 1;
   Obs.count ~scope:obs_scope "hmac_checks";
-  let clen = String.length ciphertext in
   let page = Bytes.make S.Block_device.page_size '\000' in
   Bytes.blit_string iv 0 page 0 16;
   Bytes.blit_string mac 0 page 16 32;
@@ -280,42 +292,42 @@ let write_page t index plain =
   persist_leaf_tag t index;
   anchor_root t
 
-(* One read-decrypt-verify attempt on data page [index]. *)
+(* One verified read of data page [index], in one pass over the raw
+   page the device returns: the MAC is fed from the page's own IV and
+   ciphertext ranges and compared with the stored MAC in place, then
+   with the trusted leaf, and the ciphertext is decrypted from its
+   offset. *)
 let read_page_once t index =
   Obs.count ~scope:obs_scope "pages_read";
   let raw = S.Block_device.read_page t.device index in
   t.stats.device_reads <- t.stats.device_reads + 1;
-  let iv = String.sub raw 0 16 in
-  let mac = String.sub raw 16 32 in
   let clen = (Char.code raw.[48] lsl 8) lor Char.code raw.[49] in
   if clen > S.Block_device.page_size - header_len then
     Error (Corrupt_page (index, "ciphertext length field out of range"))
   else begin
-    let ciphertext = String.sub raw header_len clen in
     (* 1. page integrity: MAC over index|IV|ciphertext *)
     t.stats.page_mac_checks <- t.stats.page_mac_checks + 1;
     Obs.count ~scope:obs_scope "hmac_checks";
-    if not (C.Constant_time.equal (page_mac t index iv ciphertext) mac) then
-      Error (Tampered_page index)
+    let mac = page_mac t index raw 0 raw header_len clen in
+    if not (C.Constant_time.equal_sub mac raw 16) then Error (Tampered_page index)
     else begin
-      (* 2. freshness: Merkle path from this leaf must reach the
-         anchored root *)
-      let proof = C.Merkle.prove t.merkle index in
-      let ok, hashes =
-        C.Merkle.verify
-          ~key:(Keyslot.page_mac_key t.keys)
-          ~root:(C.Merkle.root t.merkle) ~leaf_tag:mac proof
-      in
-      t.stats.merkle_hashes <- t.stats.merkle_hashes + hashes;
+      (* 2. freshness: the tag must be the one the tree holds for this
+         page. An older version of the page carries a valid MAC, but
+         not the current one. The tree sits in trusted memory, so its
+         path is not re-hashed here (see DESIGN.md); [merkle_hashes]
+         still counts the [depth] nodes of the path walk the cost
+         model charges. *)
+      t.stats.merkle_hashes <- t.stats.merkle_hashes + C.Merkle.depth t.merkle;
       Obs.count ~scope:obs_scope "merkle_verifies";
-      if not ok then Error (Tampered_page index)
+      if not (C.Constant_time.equal mac (C.Merkle.leaf t.merkle index)) then
+        Error (Tampered_page index)
       else if not (C.Constant_time.equal (current_root_mac t) t.anchored_root)
       then Error Stale_root
       else begin
         (* 3. decrypt *)
         t.stats.page_decrypts <- t.stats.page_decrypts + 1;
         Obs.count ~scope:obs_scope "page_decrypts";
-        decrypt_payload t index ~iv ciphertext
+        decrypt_payload t index raw clen
       end
     end
   end
@@ -343,6 +355,32 @@ let read_page t index =
   in
   attempt 0
 
+(* The store's in-memory state under [keys], its tree all empty leaves. *)
+let make ~key_mode ~page_mode ~device ~rpmb ~keys ~data_pages ~drbg =
+  {
+    device;
+    rpmb;
+    keys;
+    key_mode;
+    page_mode;
+    write_epoch = 0;
+    (* drawn only in CTR mode so the CBC DRBG stream — and with it every
+       CBC ciphertext — is unchanged by mode selection *)
+    nonce_salt =
+      (match page_mode with Cbc -> "" | Ctr -> C.Drbg.generate drbg 16);
+    enc_key = C.Aes.expand_key (Keyslot.page_enc_key keys);
+    page_keys = Array.make data_pages None;
+    page_mac_prekey = C.Hmac.precompute ~key:(Keyslot.page_mac_key keys);
+    task_prekey = C.Hmac.precompute ~key:(Keyslot.task_key keys);
+    root_mac_memo = None;
+    merkle = C.Merkle.create ~key:(Keyslot.page_mac_key keys) ~leaves:data_pages;
+    drbg;
+    data_pages;
+    stats = fresh_stats ();
+    anchored_root = "";
+    faults = Fault.none;
+  }
+
 (* First-time initialization: generate data key, persist it to RPMB,
    build an empty Merkle tree over zeroed leaf tags. *)
 let initialize ?(key_mode = Single_key) ?(page_mode = Cbc) ~device ~rpmb
@@ -363,35 +401,8 @@ let initialize ?(key_mode = Single_key) ?(page_mode = Cbc) ~device ~rpmb
   match S.Rpmb.write rpmb key_frame with
   | Error e -> Error (Rpmb_error e)
   | Ok _ ->
-      let merkle =
-        C.Merkle.create ~key:(Keyslot.page_mac_key keys) ~leaves:data_pages
-      in
       let t =
-        {
-          device;
-          rpmb;
-          keys;
-          key_mode;
-          page_mode;
-          write_epoch = 0;
-          (* drawn only in CTR mode so the CBC DRBG stream — and with
-             it every CBC ciphertext — is unchanged by mode selection *)
-          nonce_salt =
-            (match page_mode with
-            | Cbc -> ""
-            | Ctr -> C.Drbg.generate drbg 16);
-          enc_key = C.Aes.expand_key (Keyslot.page_enc_key keys);
-          page_keys = Array.make data_pages None;
-          page_mac_prekey = C.Hmac.precompute ~key:(Keyslot.page_mac_key keys);
-          task_prekey = C.Hmac.precompute ~key:(Keyslot.task_key keys);
-          root_mac_memo = None;
-          merkle;
-          drbg;
-          data_pages;
-          stats = fresh_stats ();
-          anchored_root = "";
-          faults = Fault.none;
-        }
+        make ~key_mode ~page_mode ~device ~rpmb ~keys ~data_pages ~drbg
       in
       (* persist initial (empty) leaf tags *)
       for i = 0 to data_pages - 1 do
@@ -417,38 +428,14 @@ let open_existing ?(key_mode = Single_key) ?(page_mode = Cbc) ~device ~rpmb
       else begin
         let data_key = String.sub key_frame.S.Rpmb.payload 0 32 in
         let keys = Keyslot.of_data_key ~hardware_key ~data_key in
-        let merkle =
-          C.Merkle.create ~key:(Keyslot.page_mac_key keys) ~leaves:data_pages
-        in
         let t =
-          {
-            device;
-            rpmb;
-            keys;
-            key_mode;
-            page_mode;
-            write_epoch = 0;
-            nonce_salt =
-              (match page_mode with
-              | Cbc -> ""
-              | Ctr -> C.Drbg.generate drbg 16);
-            enc_key = C.Aes.expand_key (Keyslot.page_enc_key keys);
-            page_keys = Array.make data_pages None;
-            page_mac_prekey = C.Hmac.precompute ~key:(Keyslot.page_mac_key keys);
-            task_prekey = C.Hmac.precompute ~key:(Keyslot.task_key keys);
-            root_mac_memo = None;
-            merkle;
-            drbg;
-            data_pages;
-            stats = fresh_stats ();
-            anchored_root = "";
-            faults = Fault.none;
-          }
+          make ~key_mode ~page_mode ~device ~rpmb ~keys ~data_pages ~drbg
         in
         for i = 0 to data_pages - 1 do
           let meta_page = data_pages + (i / tags_per_page) in
           let raw = S.Block_device.read_page device meta_page in
-          C.Merkle.set_leaf merkle i (String.sub raw (i mod tags_per_page * 32) 32)
+          C.Merkle.set_leaf t.merkle i
+            (String.sub raw (i mod tags_per_page * 32) 32)
         done;
         let nonce = C.Drbg.generate drbg 16 in
         match S.Rpmb.read rpmb ~nonce root_slot with
@@ -458,11 +445,7 @@ let open_existing ?(key_mode = Single_key) ?(page_mode = Cbc) ~device ~rpmb
             then Error (Rpmb_error S.Rpmb.Bad_mac)
             else begin
               let anchored = String.sub root_frame.S.Rpmb.payload 0 32 in
-              if
-                not
-                  (C.Constant_time.equal
-                     (root_mac keys (C.Merkle.root merkle))
-                     anchored)
+              if not (C.Constant_time.equal (current_root_mac t) anchored)
               then Error Stale_root
               else begin
                 t.anchored_root <- anchored;

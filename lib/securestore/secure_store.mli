@@ -1,10 +1,15 @@
 (** Encrypted, integrity- and freshness-protected page store over an
     untrusted block device, anchored in RPMB (IronSafe §4.1).
 
-    Every read verifies (1) the per-page HMAC, (2) the Merkle path to
-    the root, and (3) the root against the replay-protected RPMB
-    anchor; every write re-anchors the new root. Crypto operation
-    counts are exposed for the simulator's cost attribution. *)
+    Every read verifies (1) the per-page HMAC, (2) freshness: that tag
+    against the page's leaf in the Merkle tree, which lives in trusted
+    memory, and (3) the tree's root against the replay-protected RPMB
+    anchor. Every write re-hashes the leaf's path and re-anchors the
+    new root; a reboot rebuilds the tree from the on-device tags and
+    checks its root against the anchor. Crypto operation counts are
+    exposed for the simulator's cost attribution: [merkle_hashes]
+    counts the path walk the cost model charges per read (the tree's
+    depth), which the read itself does not hash. *)
 
 type t
 

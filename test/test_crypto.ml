@@ -39,6 +39,41 @@ let test_sha256_digest_list () =
     (Sha256.digest "hello world")
     (Sha256.digest_list [ "hel"; "lo "; "world" ])
 
+(* Known answers at every message length 0-130, which crosses the one-
+   and two-block padding boundaries (55/56 and 119/120 bytes) and the
+   block size. The golden file was generated by python3 hashlib/hmac.
+   Each length is also fed through the sub-range and prekeyed entry
+   points, from the middle of a larger buffer. *)
+let test_sha256_hmac_kat () =
+  let path =
+    List.find Sys.file_exists
+      [ "golden/sha256_hmac_kat.golden"; "test/golden/sha256_hmac_kat.golden" ]
+  in
+  let key = String.init 32 (fun i -> Char.chr (((13 * i) + 5) land 0xff)) in
+  let pk = Hmac.precompute ~key in
+  let lines =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  Alcotest.(check int) "lengths 0-130" 131 (List.length lines);
+  List.iter
+    (fun line ->
+      Scanf.sscanf line "%d %s %s" (fun n sha mac ->
+          let msg = String.init n (fun i -> Char.chr (((31 * i) + 7) land 0xff)) in
+          let framed = "pre" ^ msg ^ "post" in
+          let l = Printf.sprintf "len %d" n in
+          check_hex (l ^ " sha256") sha (Sha256.digest msg);
+          let ctx = Sha256.init () in
+          Sha256.update_sub ctx framed 3 n;
+          check_hex (l ^ " sha256 update_sub") sha (Sha256.finalize ctx);
+          check_hex (l ^ " hmac") mac (Hmac.mac ~key msg);
+          check_hex (l ^ " hmac prekeyed") mac (Hmac.mac_pre pk msg);
+          let c = Hmac.start pk in
+          Hmac.feed_sub c framed 3 n;
+          check_hex (l ^ " hmac feed_sub") mac (Hmac.finish c)))
+    lines
+
 (* -- HMAC-SHA256 (RFC 4231) ----------------------------------------- *)
 
 let test_hmac_vectors () =
@@ -394,36 +429,46 @@ let test_merkle_non_pow2 () =
   Alcotest.check_raises "out of range" (Invalid_argument "Merkle: leaf index out of range")
     (fun () -> Merkle.update t 5 "y")
 
-let test_merkle_proofs () =
-  let t = mk_tree () in
-  for i = 0 to 7 do
-    Merkle.update t i (Printf.sprintf "page-%d" i)
-  done;
-  let root = Merkle.root t in
-  for i = 0 to 7 do
-    let proof = Merkle.prove t i in
-    let tag = Merkle.leaf_tag_of_data t (Printf.sprintf "page-%d" i) in
-    let ok, hashes = Merkle.verify ~key:"merkle-key" ~root ~leaf_tag:tag proof in
-    Alcotest.(check bool) (Printf.sprintf "proof %d verifies" i) true ok;
-    Alcotest.(check int) "path length = depth" 3 hashes
-  done;
-  (* wrong data fails *)
-  let proof = Merkle.prove t 2 in
-  let bad_tag = Merkle.leaf_tag_of_data t "tampered" in
-  let ok, _ = Merkle.verify ~key:"merkle-key" ~root ~leaf_tag:bad_tag proof in
-  Alcotest.(check bool) "tampered leaf rejected" false ok;
-  (* proof for one index does not verify another *)
-  let tag3 = Merkle.leaf_tag_of_data t "page-3" in
-  let ok, _ = Merkle.verify ~key:"merkle-key" ~root ~leaf_tag:tag3 proof in
-  Alcotest.(check bool) "displaced leaf rejected" false ok
+(* Boot-time [Stale_root] detection rebuilds the tree from the
+   device's leaf tags and compares its root with the RPMB anchor. That
+   is sound only if the root moves with every single leaf, a rebuilt
+   tree has the root of the incrementally updated one, and the root
+   depends on the key. *)
+let test_merkle_leaf_moves_root () =
+  let t = Merkle.create ~key:"merkle-key" ~leaves:5 in
+  let tag = Merkle.leaf_tag_of_data t "new page" in
+  for i = 0 to 4 do
+    let before = Merkle.root t and old = Merkle.leaf t i in
+    Merkle.set_leaf t i tag;
+    Alcotest.(check bool) (Printf.sprintf "leaf %d moves the root" i) true
+      (Merkle.root t <> before);
+    Merkle.set_leaf t i old;
+    Alcotest.(check string) (Printf.sprintf "leaf %d restored" i) before
+      (Merkle.root t)
+  done
 
 let test_merkle_wrong_key () =
-  let t = mk_tree () in
+  let t = mk_tree () and other = Merkle.create ~key:"other-key" ~leaves:8 in
   Merkle.update t 0 "data";
-  let proof = Merkle.prove t 0 in
-  let tag = Merkle.leaf_tag_of_data t "data" in
-  let ok, _ = Merkle.verify ~key:"other-key" ~root:(Merkle.root t) ~leaf_tag:tag proof in
-  Alcotest.(check bool) "wrong key rejected" false ok
+  (* identical leaf tags: only the key of the internal nodes differs *)
+  for i = 0 to 7 do
+    Merkle.set_leaf other i (Merkle.leaf t i)
+  done;
+  Alcotest.(check bool) "another key gives another root" true
+    (Merkle.root t <> Merkle.root other)
+
+(* The empty tree's root is a fixed value: HMAC-SHA256 under the key of
+   the empty-leaf tag, then of each level's concatenated pairs. The hex
+   was computed with python3 hmac/hashlib, independently of lib/crypto. *)
+let test_merkle_empty_root_stable () =
+  check_hex "empty 8-leaf root"
+    "03592b95b31e6b3e631419e84bef610c6e74d2fddd9fcb1364d89398b08b958a"
+    (Merkle.root (mk_tree ()));
+  let t = mk_tree () in
+  Merkle.update t 6 "written";
+  Merkle.set_leaf t 6 (Merkle.leaf (mk_tree ()) 6);
+  Alcotest.(check string) "back to empty, back to the empty root"
+    (Merkle.root (mk_tree ())) (Merkle.root t)
 
 let test_merkle_hash_ops () =
   let t = mk_tree () in
@@ -475,9 +520,34 @@ let qcheck_tests =
       (fun s -> Hex.to_string (Hex.of_string s) = s);
     Test.make ~name:"cbc roundtrip" ~count:100 (string_of_size Gen.(0 -- 200))
       (fun s ->
-        let key = Aes.expand_key (String.make 16 'k') in
         let iv = String.make 16 'v' in
-        Modes.cbc_decrypt ~key ~iv (Modes.cbc_encrypt ~key ~iv s) = Ok s);
+        (* AES-128 and AES-256 (the secure store's key size) *)
+        List.for_all
+          (fun n ->
+            let key = Aes.expand_key (String.make n 'k') in
+            Modes.cbc_decrypt ~key ~iv (Modes.cbc_encrypt ~key ~iv s) = Ok s)
+          [ 16; 32 ]);
+    Test.make ~name:"sub-range decrypt, hmac, compare = whole-string"
+      ~count:200
+      (quad (string_of_size Gen.(0 -- 200)) small_nat small_nat bool)
+      (fun (s, pre, post, aes256) ->
+        let key = Aes.expand_key (String.make (if aes256 then 32 else 16) 'k') in
+        let iv = String.init 16 (fun i -> Char.chr (i * 17)) in
+        let frame x = String.make pre '<' ^ x ^ String.make post '>' in
+        let ct = Modes.cbc_encrypt ~key ~iv s in
+        let pk = Hmac.precompute ~key:"sub-range" in
+        let c = Hmac.start pk in
+        Hmac.feed_sub c (frame s) pre (String.length s);
+        Modes.cbc_decrypt_sub ~key ~iv:(frame iv) ~iv_off:pre (frame ct) pre
+          (String.length ct)
+        = Modes.cbc_decrypt ~key ~iv ct
+        && Hmac.finish c = Hmac.mac_pre pk s
+        && List.for_all
+             (fun off ->
+               let f = frame s and n = String.length s in
+               Constant_time.equal_sub s f off
+               = (off + n <= String.length f && String.sub f off n = s))
+             [ pre; post ]);
     Test.make ~name:"ctr involution" ~count:100 (string_of_size Gen.(0 -- 200))
       (fun s ->
         let key = Aes.expand_key (String.make 16 'q') in
@@ -503,17 +573,17 @@ let qcheck_tests =
     Test.make ~name:"hmac verify accepts own macs" ~count:100
       (pair small_string small_string) (fun (key, msg) ->
         Hmac.verify ~key ~mac:(Hmac.mac ~key msg) msg);
-    Test.make ~name:"merkle proof verifies after arbitrary updates" ~count:50
+    Test.make ~name:"merkle rebuilt from leaves = updated tree" ~count:50
       (list_of_size Gen.(1 -- 20) (pair (int_bound 15) small_string))
       (fun updates ->
         let t = Merkle.create ~key:"prop" ~leaves:16 in
         List.iter (fun (i, data) -> Merkle.update t i data) updates;
-        let root = Merkle.root t in
-        List.for_all
-          (fun (i, _) ->
-            let proof = Merkle.prove t i in
-            fst (Merkle.verify ~key:"prop" ~root ~leaf_tag:(Merkle.leaf t i) proof))
-          updates);
+        (* what [Secure_store.open_existing] does with the device's tags *)
+        let rebuilt = Merkle.create ~key:"prop" ~leaves:16 in
+        for i = 0 to 15 do
+          Merkle.set_leaf rebuilt i (Merkle.leaf t i)
+        done;
+        Merkle.root rebuilt = Merkle.root t);
     Test.make ~name:"constant_time.equal = String.equal" ~count:200
       (pair small_string small_string) (fun (a, b) ->
         Constant_time.equal a b = String.equal a b);
@@ -524,6 +594,7 @@ let suite =
     ("sha256 vectors", `Quick, test_sha256_vectors);
     ("sha256 streaming", `Quick, test_sha256_streaming);
     ("sha256 digest_list", `Quick, test_sha256_digest_list);
+    ("sha256+hmac kat lengths 0-130", `Quick, test_sha256_hmac_kat);
     ("hmac vectors", `Quick, test_hmac_vectors);
     ("hmac verify", `Quick, test_hmac_verify);
     ("hmac prekey fast path", `Quick, test_hmac_prekey);
@@ -549,8 +620,9 @@ let suite =
     ("hex", `Quick, test_hex);
     ("merkle basics", `Quick, test_merkle_basics);
     ("merkle non-pow2", `Quick, test_merkle_non_pow2);
-    ("merkle proofs", `Quick, test_merkle_proofs);
+    ("merkle leaf change moves root", `Quick, test_merkle_leaf_moves_root);
     ("merkle wrong key", `Quick, test_merkle_wrong_key);
+    ("merkle empty root stable", `Quick, test_merkle_empty_root_stable);
     ("merkle hash ops", `Quick, test_merkle_hash_ops);
     ("lamport", `Quick, test_lamport);
     ("signature", `Quick, test_signature);

@@ -10,7 +10,13 @@ module Metrics = Ironsafe_obs.Metrics
 
 let hardware_key = String.make 32 'H'
 
-let setup ?(data_pages = 8) ?(page_mode = Sec.Secure_store.Cbc) () =
+(* [setup]'s page cipher follows IRONSAFE_CRYPTO_MODE (cbc, the
+   default, or ctr), so the tamper, displacement, reboot and freshness
+   tests run under either cipher; tests of one cipher's specifics name
+   it. *)
+let crypto_mode = Test_differential.crypto_mode
+
+let setup ?(data_pages = 8) ?(page_mode = crypto_mode) () =
   let device =
     S.Block_device.create ~pages:(Sec.Secure_store.device_pages_for ~data_pages)
   in
@@ -99,8 +105,8 @@ let test_reopen () =
   write_ok store 4 "survives reboot";
   let drbg2 = C.Drbg.create ~seed:"reboot" in
   match
-    Sec.Secure_store.open_existing ~device ~rpmb ~hardware_key ~data_pages:8
-      ~drbg:drbg2 ()
+    Sec.Secure_store.open_existing ~device ~rpmb ~hardware_key
+      ~page_mode:crypto_mode ~data_pages:8 ~drbg:drbg2 ()
   with
   | Error e -> Alcotest.failf "reopen failed: %a" Sec.Secure_store.pp_error e
   | Ok store2 ->
@@ -255,7 +261,8 @@ let test_root_mac_memo_freshness () =
     (Ironsafe_fault.Fault.stats faults).Ironsafe_fault.Fault.injected;
   (* reboot: a fresh store starts with a cold memo and must recover *)
   (match
-     Sec.Secure_store.open_existing ~device ~rpmb ~hardware_key ~data_pages:8
+     Sec.Secure_store.open_existing ~device ~rpmb ~hardware_key
+       ~page_mode:crypto_mode ~data_pages:8
        ~drbg:(C.Drbg.create ~seed:"memo-reboot") ()
    with
   | Ok store2 ->
@@ -275,6 +282,38 @@ let test_root_mac_memo_freshness () =
   | Error Sec.Secure_store.Stale_root -> ()
   | Ok _ -> Alcotest.fail "rollback accepted with memoized root MAC"
   | Error e -> Alcotest.failf "unexpected error: %a" Sec.Secure_store.pp_error e
+
+(* Freshness on the live store, with no reboot: the adversary replays
+   a page's own older version, which carries a valid MAC. Only the
+   compare of that MAC with the trusted Merkle leaf tells it from the
+   current version, whether the whole medium (data page and leaf-tag
+   metadata) is rolled back or only the data page's old bytes are put
+   back. *)
+let test_replay_detected page_mode () =
+  let expect_tampered store what =
+    match Sec.Secure_store.read_page store 3 with
+    | Error (Sec.Secure_store.Tampered_page 3) -> ()
+    | Ok plain -> Alcotest.failf "%s: replayed page read back as %S" what plain
+    | Error e ->
+        Alcotest.failf "%s: unexpected error: %a" what Sec.Secure_store.pp_error e
+  in
+  let device, _, store, _ = setup ~page_mode () in
+  write_ok store 3 "version 1";
+  write_ok store 5 "bystander";
+  S.Block_device.snapshot device ~name:"v1";
+  write_ok store 3 "version 2";
+  (match S.Block_device.rollback device ~name:"v1" with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  expect_tampered store "rolled-back medium";
+  Alcotest.(check string) "unchanged page still reads" "bystander"
+    (read_ok store 5);
+  let device, _, store, _ = setup ~page_mode () in
+  write_ok store 3 "version 1";
+  let v1 = S.Block_device.read_page device 3 in
+  write_ok store 3 "version 2";
+  S.Block_device.write_page device 3 v1;
+  expect_tampered store "restored data page"
 
 (* -- CTR page mode ------------------------------------------------------ *)
 
@@ -461,6 +500,10 @@ let suite =
     ("iv uniqueness", `Quick, test_iv_uniqueness);
     ("per-page key mode", `Quick, test_per_page_keys);
     ("root mac memo never stale", `Quick, test_root_mac_memo_freshness);
+    ("replay on live store (cbc)", `Quick,
+     test_replay_detected Sec.Secure_store.Cbc);
+    ("replay on live store (ctr)", `Quick,
+     test_replay_detected Sec.Secure_store.Ctr);
     ("ctr roundtrip", `Quick, test_ctr_roundtrip);
     ("ctr tamper detected", `Quick, test_ctr_tamper_detected);
     ("ctr reopen after reboot", `Quick, test_ctr_reopen);
