@@ -16,7 +16,14 @@
      table has 256 entries;
    - round-key indices are literals below 4 * (rounds + 1), the length
      [expand_key] gives the schedule, and [rounds] is 10 or 14 because
-     only [expand_key] builds a [key]. *)
+     only [expand_key] builds a [key].
+
+   This table-driven code is the reference and the fallback. On a CPU
+   with AES-NI ({!Accel.aes}) the public entry points run the
+   instructions instead (accel_stubs.c), over the same key schedule
+   stored as bytes; the T-table lookups, whose cache footprint depends
+   on key and data, then never run. [Reference] keeps the OCaml path
+   reachable for the tests and the microbench. *)
 
 let xtime b =
   let b = b lsl 1 in
@@ -92,8 +99,12 @@ let () =
 (* Expanded key: forward schedule for encryption plus the equivalent
    inverse cipher schedule (round keys reversed, InvMixColumns applied
    to the middle rounds) for decryption. 10 rounds for 128-bit keys,
-   14 for 256-bit. *)
-type key = { enc : int array; dec : int array; rounds : int }
+   14 for 256-bit. [bytes] holds both schedules again as the AES-NI
+   kernels read them: the enc words, then the dec words, each
+   big-endian, 16 bytes per round key. The dec half is what aesimc
+   would make of the enc round keys (InvMixColumns is column-wise, the
+   same map [inv_mix_word] applies to one word). *)
+type key = { enc : int array; dec : int array; rounds : int; bytes : string }
 
 let inv_mix_word w =
   let a = (w lsr 24) land 0xff
@@ -152,7 +163,14 @@ let expand_key key_str =
         (if r = 0 || r = rounds then src else inv_mix_word src)
     done
   done;
-  { enc = w; dec; rounds }
+  let bytes = Bytes.create (8 * words) in
+  Array.iteri (fun i v -> Bytes.set_int32_be bytes (4 * i) (Int32.of_int v)) w;
+  Array.iteri
+    (fun i v -> Bytes.set_int32_be bytes (4 * (words + i)) (Int32.of_int v))
+    dec;
+  { enc = w; dec; rounds; bytes = Bytes.unsafe_to_string bytes }
+
+let schedule key = key.bytes
 
 (* Word load/store helpers: one 32-bit big-endian access per state
    word (a load plus a byte swap on little-endian hosts) instead of
@@ -312,14 +330,59 @@ let decrypt_str_into key src soff dst doff =
     (get_word_str src (soff + 12) lxor get w 3)
     dst doff
 
-let encrypt_block key plain =
-  if String.length plain <> 16 then invalid_arg "Aes.encrypt_block: need 16 bytes";
+let one_block name into key s =
+  if String.length s <> 16 then invalid_arg (name ^ ": need 16 bytes");
   let dst = Bytes.create 16 in
-  encrypt_str_into key plain 0 dst 0;
+  into key s 0 dst 0;
   Bytes.unsafe_to_string dst
 
-let decrypt_block key cipher =
-  if String.length cipher <> 16 then invalid_arg "Aes.decrypt_block: need 16 bytes";
-  let dst = Bytes.create 16 in
-  decrypt_str_into key cipher 0 dst 0;
-  Bytes.unsafe_to_string dst
+module Reference = struct
+  let encrypt_block_into = encrypt_block_into
+  let decrypt_block_into = decrypt_block_into
+  let encrypt_str_into = encrypt_str_into
+  let decrypt_str_into = decrypt_str_into
+  let encrypt_block = one_block "Aes.encrypt_block" encrypt_str_into
+  let decrypt_block = one_block "Aes.decrypt_block" decrypt_str_into
+end
+
+(* -- AES-NI path ---------------------------------------------------- *)
+
+external hw_encrypt :
+  string -> string -> (int[@untagged]) -> Bytes.t -> (int[@untagged]) -> unit
+  = "ironsafe_aes_encrypt_block_byte" "ironsafe_aes_encrypt_block"
+[@@noalloc]
+
+external hw_decrypt :
+  string -> string -> (int[@untagged]) -> Bytes.t -> (int[@untagged]) -> unit
+  = "ironsafe_aes_decrypt_block_byte" "ironsafe_aes_decrypt_block"
+[@@noalloc]
+
+(* the kernels read and write 16 bytes unchecked *)
+let[@inline] check_block name len off =
+  if off < 0 || off > len - 16 then invalid_arg (name ^ ": block out of bounds")
+
+let encrypt_str_into key src soff dst doff =
+  if Accel.aes then begin
+    check_block "Aes.encrypt_block_into" (String.length src) soff;
+    check_block "Aes.encrypt_block_into" (Bytes.length dst) doff;
+    hw_encrypt key.bytes src soff dst doff
+  end
+  else Reference.encrypt_str_into key src soff dst doff
+
+let decrypt_str_into key src soff dst doff =
+  if Accel.aes then begin
+    check_block "Aes.decrypt_block_into" (String.length src) soff;
+    check_block "Aes.decrypt_block_into" (Bytes.length dst) doff;
+    hw_decrypt key.bytes src soff dst doff
+  end
+  else Reference.decrypt_str_into key src soff dst doff
+
+(* the kernels load the whole block before storing, so in place is safe *)
+let encrypt_block_into key src soff dst doff =
+  encrypt_str_into key (Bytes.unsafe_to_string src) soff dst doff
+
+let decrypt_block_into key src soff dst doff =
+  decrypt_str_into key (Bytes.unsafe_to_string src) soff dst doff
+
+let encrypt_block = one_block "Aes.encrypt_block" encrypt_str_into
+let decrypt_block = one_block "Aes.decrypt_block" decrypt_str_into

@@ -29,3 +29,20 @@ val decrypt_block_into : key -> Bytes.t -> int -> Bytes.t -> int -> unit
    state words are loaded before anything is written. *)
 val encrypt_str_into : key -> string -> int -> Bytes.t -> int -> unit
 val decrypt_str_into : key -> string -> int -> Bytes.t -> int -> unit
+
+(* The round keys as the AES-NI kernels read them: the encryption
+   schedule, then the equivalent-inverse-cipher schedule, 16 bytes per
+   round key. Its length gives the round count. *)
+val schedule : key -> string
+
+(* The table-driven OCaml cipher: the fallback on CPUs without AES-NI
+   and the reference the instructions are tested against. The
+   functions above dispatch to it when [not Accel.aes]. *)
+module Reference : sig
+  val encrypt_block : key -> string -> string
+  val decrypt_block : key -> string -> string
+  val encrypt_block_into : key -> Bytes.t -> int -> Bytes.t -> int -> unit
+  val decrypt_block_into : key -> Bytes.t -> int -> Bytes.t -> int -> unit
+  val encrypt_str_into : key -> string -> int -> Bytes.t -> int -> unit
+  val decrypt_str_into : key -> string -> int -> Bytes.t -> int -> unit
+end

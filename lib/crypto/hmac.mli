@@ -53,3 +53,18 @@ val feed_sub : ctx -> string -> int -> int -> unit
 val finish : ctx -> string
 (** The tag of everything fed since {!start}. The context must not be
     used afterwards. *)
+
+(**/**)
+
+(* The same MACs over {!Sha256.Reference}: the fallback on CPUs without
+   SHA-NI and the reference the instructions are tested against. *)
+module Reference : sig
+  val mac : key:string -> string -> string
+  val precompute : key:string -> prekey
+  val mac_pre : prekey -> string -> string
+  val mac_pre_list : prekey -> string list -> string
+  val start : prekey -> ctx
+  val feed : ctx -> string -> unit
+  val feed_sub : ctx -> string -> int -> int -> unit
+  val finish : ctx -> string
+end

@@ -49,3 +49,34 @@ val ctr_transform_into :
 
 val pkcs7_pad : string -> string
 val pkcs7_unpad : string -> (string, string) result
+
+(* The same modes over the table-driven OCaml cipher ({!Aes.Reference}):
+   the fallback on CPUs without AES-NI, and the reference the AES-NI
+   kernels are tested against. The functions above are these when
+   [not Accel.aes]. *)
+module Reference : sig
+  val cbc_encrypt : key:Aes.key -> iv:string -> string -> string
+  val cbc_decrypt : key:Aes.key -> iv:string -> string -> (string, string) result
+
+  val cbc_decrypt_sub :
+    key:Aes.key ->
+    iv:string ->
+    iv_off:int ->
+    string ->
+    int ->
+    int ->
+    (string, string) result
+
+  val ctr_transform : key:Aes.key -> nonce:string -> string -> string
+
+  val ctr_transform_into :
+    key:Aes.key ->
+    nonce:string ->
+    ?block_offset:int ->
+    string ->
+    int ->
+    Bytes.t ->
+    int ->
+    int ->
+    unit
+end

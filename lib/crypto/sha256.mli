@@ -36,3 +36,17 @@ val digest_list : string list -> string
 
 val hex : string -> string
 (** [hex s] is [Hex.of_string (digest s)]. *)
+
+(**/**)
+
+(* The same streaming hash over the generated OCaml rounds: the
+   fallback on CPUs without SHA-NI, and the reference the instructions
+   are tested against. It works on the same contexts; the functions
+   above are these when [not Accel.sha256]. *)
+module Reference : sig
+  val update : ctx -> string -> unit
+  val update_sub : ctx -> string -> int -> int -> unit
+  val finalize : ctx -> string
+  val digest : string -> string
+  val digest_list : string list -> string
+end

@@ -1,23 +1,98 @@
 (* Crypto substrate tests: published known-answer vectors for every
-   primitive plus property-based roundtrips. *)
+   primitive plus property-based roundtrips.
+
+   AES, its modes, SHA-256 and HMAC have two paths: the CPU's AES-NI
+   and SHA-NI instructions where {!Accel} found them, and the OCaml code
+   (each module's hidden [Reference]), which is the fallback and the
+   reference. The known-answer tests run through both; the properties
+   at the end check that the two agree byte for byte. *)
 
 open Ironsafe_crypto
 
 let check_hex msg expected actual = Alcotest.(check string) msg expected (Hex.of_string actual)
 
+module type PATH = sig
+  val encrypt_block : Aes.key -> string -> string
+  val decrypt_block : Aes.key -> string -> string
+  val cbc_encrypt : key:Aes.key -> iv:string -> string -> string
+  val cbc_decrypt : key:Aes.key -> iv:string -> string -> (string, string) result
+
+  val ctr_transform_into :
+    key:Aes.key ->
+    nonce:string ->
+    ?block_offset:int ->
+    string ->
+    int ->
+    Bytes.t ->
+    int ->
+    int ->
+    unit
+
+  val ctr_transform : key:Aes.key -> nonce:string -> string -> string
+  val digest : string -> string
+  val update_sub : Sha256.ctx -> string -> int -> int -> unit
+  val finalize : Sha256.ctx -> string
+  val mac : key:string -> string -> string
+  val mac_pre : Hmac.prekey -> string -> string
+  val feed_sub : Hmac.ctx -> string -> int -> int -> unit
+  val finish : Hmac.ctx -> string
+end
+
+module Dispatched : PATH = struct
+  let encrypt_block = Aes.encrypt_block
+  let decrypt_block = Aes.decrypt_block
+  let cbc_encrypt = Modes.cbc_encrypt
+  let cbc_decrypt = Modes.cbc_decrypt
+  let ctr_transform_into = Modes.ctr_transform_into
+  let ctr_transform = Modes.ctr_transform
+  let digest = Sha256.digest
+  let update_sub = Sha256.update_sub
+  let finalize = Sha256.finalize
+  let mac = Hmac.mac
+  let mac_pre = Hmac.mac_pre
+  let feed_sub = Hmac.feed_sub
+  let finish = Hmac.finish
+end
+
+module Reference : PATH = struct
+  let encrypt_block = Aes.Reference.encrypt_block
+  let decrypt_block = Aes.Reference.decrypt_block
+  let cbc_encrypt = Modes.Reference.cbc_encrypt
+  let cbc_decrypt = Modes.Reference.cbc_decrypt
+  let ctr_transform_into = Modes.Reference.ctr_transform_into
+  let ctr_transform = Modes.Reference.ctr_transform
+  let digest = Sha256.Reference.digest
+  let update_sub = Sha256.Reference.update_sub
+  let finalize = Sha256.Reference.finalize
+  let mac = Hmac.Reference.mac
+  let mac_pre = Hmac.Reference.mac_pre
+  let feed_sub = Hmac.Reference.feed_sub
+  let finish = Hmac.Reference.finish
+end
+
+(* [f label path] once per path; [label] prefixes every check message,
+   so a failure names the path it came from *)
+let both_paths f =
+  List.iter
+    (fun (label, p) -> f label p)
+    [ ("dispatched", (module Dispatched : PATH));
+      ("reference", (module Reference : PATH)) ]
+
 (* -- SHA-256 (FIPS 180-4 / NIST examples) --------------------------- *)
 
 let test_sha256_vectors () =
+  both_paths @@ fun path (module P : PATH) ->
+  let check_hex msg = check_hex (path ^ ": " ^ msg) in
   check_hex "empty" "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-    (Sha256.digest "");
+    (P.digest "");
   check_hex "abc" "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-    (Sha256.digest "abc");
+    (P.digest "abc");
   check_hex "two-block"
     "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-    (Sha256.digest "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
+    (P.digest "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
   check_hex "million-a"
     "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (Sha256.digest (String.make 1_000_000 'a'))
+    (P.digest (String.make 1_000_000 'a'))
 
 let test_sha256_streaming () =
   (* absorbing in odd-sized chunks must match one-shot *)
@@ -43,7 +118,7 @@ let test_sha256_digest_list () =
    and two-block padding boundaries (55/56 and 119/120 bytes) and the
    block size. The golden file was generated by python3 hashlib/hmac.
    Each length is also fed through the sub-range and prekeyed entry
-   points, from the middle of a larger buffer. *)
+   points, from the middle of a larger buffer, on both paths. *)
 let test_sha256_hmac_kat () =
   let path =
     List.find Sys.file_exists
@@ -57,39 +132,42 @@ let test_sha256_hmac_kat () =
     |> List.filter (fun l -> l <> "" && l.[0] <> '#')
   in
   Alcotest.(check int) "lengths 0-130" 131 (List.length lines);
+  both_paths @@ fun path (module P : PATH) ->
   List.iter
     (fun line ->
       Scanf.sscanf line "%d %s %s" (fun n sha mac ->
           let msg = String.init n (fun i -> Char.chr (((31 * i) + 7) land 0xff)) in
           let framed = "pre" ^ msg ^ "post" in
-          let l = Printf.sprintf "len %d" n in
-          check_hex (l ^ " sha256") sha (Sha256.digest msg);
+          let l = Printf.sprintf "%s: len %d" path n in
+          check_hex (l ^ " sha256") sha (P.digest msg);
           let ctx = Sha256.init () in
-          Sha256.update_sub ctx framed 3 n;
-          check_hex (l ^ " sha256 update_sub") sha (Sha256.finalize ctx);
-          check_hex (l ^ " hmac") mac (Hmac.mac ~key msg);
-          check_hex (l ^ " hmac prekeyed") mac (Hmac.mac_pre pk msg);
+          P.update_sub ctx framed 3 n;
+          check_hex (l ^ " sha256 update_sub") sha (P.finalize ctx);
+          check_hex (l ^ " hmac") mac (P.mac ~key msg);
+          check_hex (l ^ " hmac prekeyed") mac (P.mac_pre pk msg);
           let c = Hmac.start pk in
-          Hmac.feed_sub c framed 3 n;
-          check_hex (l ^ " hmac feed_sub") mac (Hmac.finish c)))
+          P.feed_sub c framed 3 n;
+          check_hex (l ^ " hmac feed_sub") mac (P.finish c)))
     lines
 
 (* -- HMAC-SHA256 (RFC 4231) ----------------------------------------- *)
 
 let test_hmac_vectors () =
+  both_paths @@ fun path (module P : PATH) ->
+  let check_hex msg = check_hex (path ^ ": " ^ msg) in
   check_hex "rfc4231 case 1"
     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-    (Hmac.mac ~key:(String.make 20 '\x0b') "Hi There");
+    (P.mac ~key:(String.make 20 '\x0b') "Hi There");
   check_hex "rfc4231 case 2"
     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-    (Hmac.mac ~key:"Jefe" "what do ya want for nothing?");
+    (P.mac ~key:"Jefe" "what do ya want for nothing?");
   check_hex "rfc4231 case 3"
     "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
-    (Hmac.mac ~key:(String.make 20 '\xaa') (String.make 50 '\xdd'));
+    (P.mac ~key:(String.make 20 '\xaa') (String.make 50 '\xdd'));
   (* case 6: key longer than one block gets hashed first *)
   check_hex "rfc4231 case 6"
     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-    (Hmac.mac ~key:(String.make 131 '\xaa')
+    (P.mac ~key:(String.make 131 '\xaa')
        "Test Using Larger Than Block-Size Key - Hash Key First")
 
 let test_hmac_verify () =
@@ -184,19 +262,25 @@ let test_hkdf_errors () =
 (* -- AES-128 (FIPS 197) ---------------------------------------------- *)
 
 let test_aes_fips () =
+  both_paths @@ fun path (module P : PATH) ->
   let key = Aes.expand_key (Hex.to_string "000102030405060708090a0b0c0d0e0f") in
   let plain = Hex.to_string "00112233445566778899aabbccddeeff" in
-  let cipher = Aes.encrypt_block key plain in
-  check_hex "fips-197 C.1 encrypt" "69c4e0d86a7b0430d8cdb78070b4c55a" cipher;
-  Alcotest.(check string) "decrypt inverts" plain (Aes.decrypt_block key cipher)
+  let cipher = P.encrypt_block key plain in
+  check_hex (path ^ ": fips-197 C.1 encrypt") "69c4e0d86a7b0430d8cdb78070b4c55a"
+    cipher;
+  Alcotest.(check string) (path ^ ": decrypt inverts") plain
+    (P.decrypt_block key cipher)
 
 let test_aes_sp800_38a () =
+  both_paths @@ fun path (module P : PATH) ->
   (* SP 800-38A F.1.1 ECB-AES128 block 1 *)
   let key = Aes.expand_key (Hex.to_string "2b7e151628aed2a6abf7158809cf4f3c") in
-  check_hex "sp800-38a ecb block1" "3ad77bb40d7a3660a89ecaf32466ef97"
-    (Aes.encrypt_block key (Hex.to_string "6bc1bee22e409f96e93d7e117393172a"))
+  check_hex (path ^ ": sp800-38a ecb block1") "3ad77bb40d7a3660a89ecaf32466ef97"
+    (P.encrypt_block key (Hex.to_string "6bc1bee22e409f96e93d7e117393172a"))
 
 let test_aes256_fips () =
+  both_paths @@ fun path (module P : PATH) ->
+  let check_hex msg = check_hex (path ^ ": " ^ msg) in
   (* FIPS-197 C.3 *)
   let key =
     Aes.expand_key
@@ -204,9 +288,10 @@ let test_aes256_fips () =
          "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f")
   in
   let plain = Hex.to_string "00112233445566778899aabbccddeeff" in
-  let cipher = Aes.encrypt_block key plain in
+  let cipher = P.encrypt_block key plain in
   check_hex "fips-197 C.3 encrypt" "8ea2b7ca516745bfeafc49904b496089" cipher;
-  Alcotest.(check string) "decrypt inverts" plain (Aes.decrypt_block key cipher);
+  Alcotest.(check string) (path ^ ": decrypt inverts") plain
+    (P.decrypt_block key cipher);
   (* SP 800-38A F.1.5 ECB-AES256 block 1 *)
   let key2 =
     Aes.expand_key
@@ -214,7 +299,7 @@ let test_aes256_fips () =
          "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4")
   in
   check_hex "sp800-38a ecb256 block1" "f3eed1bdb5d2a03c064b5a7e3db181f8"
-    (Aes.encrypt_block key2 (Hex.to_string "6bc1bee22e409f96e93d7e117393172a"))
+    (P.encrypt_block key2 (Hex.to_string "6bc1bee22e409f96e93d7e117393172a"))
 
 let test_aes_errors () =
   Alcotest.check_raises "short key"
@@ -227,14 +312,45 @@ let test_aes_errors () =
 
 (* -- Modes ------------------------------------------------------------ *)
 
+(* SP 800-38A's four plaintext blocks, shared by its CBC and CTR
+   examples *)
+let sp800_38a_plain =
+  Hex.to_string
+    "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51\
+     30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710"
+
+let sp800_38a_key128 = "2b7e151628aed2a6abf7158809cf4f3c"
+let sp800_38a_key256 =
+  "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4"
+
 let test_cbc_sp800_38a () =
-  (* SP 800-38A F.2.1 CBC-AES128, first block (our CBC adds PKCS#7, so
-     compare the first 16 bytes of a 16-byte message's ciphertext) *)
-  let key = Aes.expand_key (Hex.to_string "2b7e151628aed2a6abf7158809cf4f3c") in
+  both_paths @@ fun path (module P : PATH) ->
   let iv = Hex.to_string "000102030405060708090a0b0c0d0e0f" in
-  let ct = Modes.cbc_encrypt ~key ~iv (Hex.to_string "6bc1bee22e409f96e93d7e117393172a") in
-  Alcotest.(check string) "first block" "7649abac8119b246cee98e9b12e9197d"
-    (Hex.of_string (String.sub ct 0 16))
+  (* F.2.1 CBC-AES128, first block (our CBC adds PKCS#7, so compare the
+     first 16 bytes of a 16-byte message's ciphertext) *)
+  let key = Aes.expand_key (Hex.to_string sp800_38a_key128) in
+  let ct = P.cbc_encrypt ~key ~iv (Hex.to_string "6bc1bee22e409f96e93d7e117393172a") in
+  Alcotest.(check string) (path ^ ": first block") "7649abac8119b246cee98e9b12e9197d"
+    (Hex.of_string (String.sub ct 0 16));
+  (* F.2.1 and F.2.5 (CBC-AES256), all four blocks; the fifth block is
+     our padding. Decrypting the whole takes the message back. *)
+  List.iter
+    (fun (k, expected) ->
+      let key = Aes.expand_key (Hex.to_string k) in
+      let ct = P.cbc_encrypt ~key ~iv sp800_38a_plain in
+      check_hex (path ^ ": four blocks, key " ^ String.sub k 0 6) expected
+        (String.sub ct 0 64);
+      Alcotest.(check (result string string))
+        (path ^ ": decrypts, key " ^ String.sub k 0 6)
+        (Ok sp800_38a_plain) (P.cbc_decrypt ~key ~iv ct))
+    [
+      ( sp800_38a_key128,
+        "7649abac8119b246cee98e9b12e9197d5086cb9b507219ee95db113a917678b2\
+         73bed6b8e3c1743b7116e69e222295163ff1caa1681fac09120eca307586e1a7" );
+      ( sp800_38a_key256,
+        "f58c4c04d6e5f1ba779eabfb5f7bfbd69cfc4e967edb808d679f777bc6702c7d\
+         39f23369a9d9bacfa530e26304231461b2eb05e2c39be9fcda6c19078c6a9d1b" );
+    ]
 
 let test_cbc_roundtrip_lengths () =
   let key = Aes.expand_key (String.make 16 'k') in
@@ -277,27 +393,32 @@ let test_pkcs7 () =
   | Ok _ -> Alcotest.fail "accepted zero padding"
 
 let test_ctr () =
+  both_paths @@ fun path (module P : PATH) ->
   let key = Aes.expand_key (String.make 16 'k') in
   let nonce = String.make 16 'n' in
   let msg = "counter mode is an involution over any length!" in
-  let ct = Modes.ctr_transform ~key ~nonce msg in
-  Alcotest.(check int) "length preserved" (String.length msg) (String.length ct);
-  Alcotest.(check bool) "ciphertext differs" true (ct <> msg);
-  Alcotest.(check string) "involution" msg (Modes.ctr_transform ~key ~nonce ct);
+  let ct = P.ctr_transform ~key ~nonce msg in
+  Alcotest.(check int) (path ^ ": length preserved") (String.length msg)
+    (String.length ct);
+  Alcotest.(check bool) (path ^ ": ciphertext differs") true (ct <> msg);
+  Alcotest.(check string) (path ^ ": involution") msg
+    (P.ctr_transform ~key ~nonce ct);
   (* SP 800-38A F.5.1 CTR-AES128 block 1 *)
-  let key = Aes.expand_key (Hex.to_string "2b7e151628aed2a6abf7158809cf4f3c") in
+  let key = Aes.expand_key (Hex.to_string sp800_38a_key128) in
   let nonce = Hex.to_string "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff" in
-  Alcotest.(check string) "sp800-38a ctr block1"
+  Alcotest.(check string) (path ^ ": sp800-38a ctr block1")
     "874d6191b620e3261bef6864990db6ce"
     (Hex.of_string
-       (Modes.ctr_transform ~key ~nonce (Hex.to_string "6bc1bee22e409f96e93d7e117393172a")))
+       (P.ctr_transform ~key ~nonce (Hex.to_string "6bc1bee22e409f96e93d7e117393172a")))
 
 (* SP 800-38A F.5.1 CTR-AES128.Encrypt: the complete four-block known
    answer, one shot and then block by block through [block_offset] (the
    lane-chunk entry point must land every block on the same counter the
-   one-shot walk reaches). *)
+   one-shot walk reaches); then F.5.5, CTR-AES256, in one shot. *)
 let test_ctr_sp800_38a_full () =
-  let key = Aes.expand_key (Hex.to_string "2b7e151628aed2a6abf7158809cf4f3c") in
+  both_paths @@ fun path (module P : PATH) ->
+  let check_hex msg = check_hex (path ^ ": " ^ msg) in
+  let key = Aes.expand_key (Hex.to_string sp800_38a_key128) in
   let nonce = Hex.to_string "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff" in
   let plain_blocks =
     [
@@ -318,34 +439,49 @@ let test_ctr_sp800_38a_full () =
   let plain = String.concat "" (List.map Hex.to_string plain_blocks) in
   check_hex "four blocks one shot"
     (String.concat "" cipher_blocks)
-    (Modes.ctr_transform ~key ~nonce plain);
+    (P.ctr_transform ~key ~nonce plain);
   List.iteri
     (fun i (p, c) ->
       let dst = Bytes.create 16 in
-      Modes.ctr_transform_into ~key ~nonce ~block_offset:i (Hex.to_string p) 0
+      P.ctr_transform_into ~key ~nonce ~block_offset:i (Hex.to_string p) 0
         dst 0 16;
       check_hex (Printf.sprintf "block %d via offset" i) c (Bytes.to_string dst))
-    (List.combine plain_blocks cipher_blocks)
+    (List.combine plain_blocks cipher_blocks);
+  check_hex "aes-256 four blocks one shot"
+    "601ec313775789a5b7a7f504bbf3d228f443e3ca4d62b59aca84e990cacaf5c5\
+     2b0930daa23de94ce87017ba2d84988ddfc9c58db67aada613c2dd08457941a6"
+    (P.ctr_transform
+       ~key:(Aes.expand_key (Hex.to_string sp800_38a_key256))
+       ~nonce sp800_38a_plain)
 
 let test_ctr_counter_overflow () =
+  both_paths @@ fun path (module P : PATH) ->
+  let check_str msg = Alcotest.(check string) (path ^ ": " ^ msg) in
   (* an all-FF counter must wrap to all-00 on the next block; feeding a
      zero plaintext exposes the raw keystream for comparison *)
   let key = Aes.expand_key (String.make 16 'k') in
   let nonce = String.make 16 '\xff' in
-  let ks = Modes.ctr_transform ~key ~nonce (String.make 32 '\x00') in
-  Alcotest.(check string) "block 1 = E(FF..FF)"
-    (Hex.of_string (Aes.encrypt_block key nonce))
+  let ks = P.ctr_transform ~key ~nonce (String.make 32 '\x00') in
+  check_str "block 1 = E(FF..FF)"
+    (Hex.of_string (P.encrypt_block key nonce))
     (Hex.of_string (String.sub ks 0 16));
-  Alcotest.(check string) "block 2 wraps to E(00..00)"
-    (Hex.of_string (Aes.encrypt_block key (String.make 16 '\x00')))
+  check_str "block 2 wraps to E(00..00)"
+    (Hex.of_string (P.encrypt_block key (String.make 16 '\x00')))
     (Hex.of_string (String.sub ks 16 16));
   (* [block_offset] over the wrap lands on the same counters *)
   let dst = Bytes.create 16 in
-  Modes.ctr_transform_into ~key ~nonce ~block_offset:1 (String.make 16 '\x00')
+  P.ctr_transform_into ~key ~nonce ~block_offset:1 (String.make 16 '\x00')
     0 dst 0 16;
-  Alcotest.(check string) "offset crosses the wrap"
+  check_str "offset crosses the wrap"
     (Hex.of_string (String.sub ks 16 16))
-    (Hex.of_string (Bytes.to_string dst))
+    (Hex.of_string (Bytes.to_string dst));
+  (* a carry out of the low 64 bits only: ..00 FF..FF -> ..01 00..00 *)
+  let nonce = String.make 7 '\x00' ^ "\x00" ^ String.make 8 '\xff' in
+  let next = String.make 7 '\x00' ^ "\x01" ^ String.make 8 '\x00' in
+  let ks = P.ctr_transform ~key ~nonce (String.make 32 '\x00') in
+  check_str "carry into the high half"
+    (Hex.of_string (P.encrypt_block key next))
+    (Hex.of_string (String.sub ks 16 16))
 
 let test_ctr_into_validates () =
   let key = Aes.expand_key (String.make 16 'k') in
@@ -589,6 +725,169 @@ let qcheck_tests =
         Constant_time.equal a b = String.equal a b);
   ]
 
+(* -- Dispatched = reference -------------------------------------------- *)
+
+(* Random messages of up to ~75 blocks (several of the AES-NI kernels'
+   8-block batches, plus a tail), 16- and 32-byte keys, and source and
+   destination offsets that are not block-aligned. *)
+let gen_aes_case =
+  let open QCheck.Gen in
+  let* len = oneof [ 0 -- 48; 0 -- 1200 ] in
+  let* msg = string_size (return len) in
+  let* key = string_size (oneofl [ 16; 32 ]) in
+  let* iv = string_size (return 16) in
+  let* soff = 0 -- 40 in
+  let* doff = 0 -- 40 in
+  let* block_offset = 0 -- 1000 in
+  (* a counter whose low 64 bits wrap inside the message *)
+  let* near_wrap = bool in
+  return (msg, key, iv, soff, doff, block_offset, near_wrap)
+
+let print_aes_case (msg, key, _, soff, doff, block_offset, near_wrap) =
+  Printf.sprintf "len=%d key=%d soff=%d doff=%d block_offset=%d near_wrap=%b"
+    (String.length msg) (String.length key) soff doff block_offset near_wrap
+
+let aes_paths_agree (msg, key_bytes, iv, soff, doff, block_offset, near_wrap) =
+  let key = Aes.expand_key key_bytes in
+  let n = String.length msg in
+  let frame off x = String.make off '<' ^ x ^ String.make 7 '>' in
+  (* one block at unaligned offsets, across buffers and in place *)
+  let block = String.sub (msg ^ String.make 16 '.') 0 16 in
+  let blocks_agree enc_d enc_r =
+    let run f =
+      let src = Bytes.of_string (frame soff block) in
+      let dst = Bytes.make (doff + 16) '#' in
+      f key src soff dst doff;
+      f key src soff src soff;
+      (Bytes.to_string src, Bytes.to_string dst)
+    in
+    run enc_d = run enc_r
+  in
+  let blocks_ok =
+    Aes.encrypt_block key block = Aes.Reference.encrypt_block key block
+    && Aes.decrypt_block key block = Aes.Reference.decrypt_block key block
+    && blocks_agree Aes.encrypt_block_into Aes.Reference.encrypt_block_into
+    && blocks_agree Aes.decrypt_block_into Aes.Reference.decrypt_block_into
+  in
+  (* CBC: whole messages, sub-ranges, and a corrupted last block (both
+     paths must reject or accept it alike) *)
+  let ct = Modes.cbc_encrypt ~key ~iv msg in
+  let cbc_ok =
+    ct = Modes.Reference.cbc_encrypt ~key ~iv msg
+    && Modes.cbc_decrypt_sub ~key ~iv:(frame doff iv) ~iv_off:doff
+         (frame soff ct) soff (String.length ct)
+       = Modes.Reference.cbc_decrypt_sub ~key ~iv:(frame doff iv) ~iv_off:doff
+           (frame soff ct) soff (String.length ct)
+    &&
+    let bad =
+      String.mapi
+        (fun i c ->
+          if i = String.length ct - 1 - (soff mod 16) then
+            Char.chr (Char.code c lxor (1 + doff))
+          else c)
+        ct
+    in
+    Modes.cbc_decrypt ~key ~iv bad = Modes.Reference.cbc_decrypt ~key ~iv bad
+  in
+  (* CTR from an offset counter, between unaligned offsets, and in place *)
+  let nonce =
+    if near_wrap then String.sub iv 0 8 ^ String.make 7 '\xff' ^ String.sub iv 15 1
+    else iv
+  in
+  let ctr_run into =
+    let src = frame soff msg in
+    let dst = Bytes.make (doff + n + 3) '#' in
+    into ~key ~nonce ?block_offset:(Some block_offset) src soff dst doff n;
+    let inplace = Bytes.of_string src in
+    into ~key ~nonce ?block_offset:(Some block_offset)
+      (Bytes.unsafe_to_string inplace) soff inplace soff n;
+    (Bytes.to_string dst, Bytes.to_string inplace)
+  in
+  let ctr_ok =
+    ctr_run Modes.ctr_transform_into = ctr_run Modes.Reference.ctr_transform_into
+    && Modes.ctr_transform ~key ~nonce msg
+       = Modes.Reference.ctr_transform ~key ~nonce msg
+  in
+  blocks_ok && cbc_ok && ctr_ok
+
+(* Random messages fed in random pieces from an unaligned offset; HMAC
+   keys from empty to longer than a block. *)
+let gen_sha_case =
+  let open QCheck.Gen in
+  let* msg = string_size (oneof [ 0 -- 130; 0 -- 3000 ]) in
+  let* cuts = list_size (0 -- 6) (0 -- 300) in
+  let* pre = 0 -- 70 in
+  let* key = string_size (0 -- 100) in
+  return (msg, cuts, pre, key)
+
+let print_sha_case (msg, cuts, pre, key) =
+  Printf.sprintf "len=%d cuts=[%s] pre=%d key=%d" (String.length msg)
+    (String.concat ";" (List.map string_of_int cuts))
+    pre (String.length key)
+
+let sha_paths_agree (msg, cuts, pre, key) =
+  let framed = String.make pre '<' ^ msg ^ ">" in
+  let n = String.length msg in
+  (* [feeds] says which path absorbs each piece; the context is shared *)
+  let hash feeds finalize =
+    let ctx = Sha256.init () in
+    let rec go pos feeds cuts =
+      if pos < n then begin
+        let take = match cuts with c :: _ -> min c (n - pos) | [] -> n - pos in
+        (List.hd feeds) ctx framed (pre + pos) take;
+        go (pos + take) (List.tl feeds @ [ List.hd feeds ])
+          (match cuts with _ :: r -> r | [] -> [])
+      end
+    in
+    go 0 feeds cuts;
+    finalize ctx
+  in
+  let expected = Sha256.Reference.digest msg in
+  let pk = Hmac.precompute ~key in
+  let feed_all feed_sub finish =
+    let c = Hmac.start pk in
+    feed_sub c framed pre n;
+    finish c
+  in
+  Sha256.digest msg = expected
+  && hash [ Sha256.update_sub ] Sha256.finalize = expected
+  && hash [ Sha256.Reference.update_sub ] Sha256.Reference.finalize = expected
+  && hash [ Sha256.update_sub; Sha256.Reference.update_sub ] Sha256.finalize
+     = expected
+  && Hmac.mac ~key msg = Hmac.Reference.mac ~key msg
+  && Hmac.mac_pre pk msg = Hmac.Reference.mac_pre (Hmac.Reference.precompute ~key) msg
+  && feed_all Hmac.feed_sub Hmac.finish
+     = feed_all Hmac.Reference.feed_sub Hmac.Reference.finish
+
+(* On a CPU without the instructions the dispatched functions are the
+   reference, and the property compares the OCaml code with itself.
+   It still runs, then says so and reports SKIP instead of a pass. *)
+let two_path ~selected ~what test =
+  let name, speed, run = QCheck_alcotest.to_alcotest ~long:false test in
+  ( name,
+    speed,
+    fun () ->
+      run ();
+      if not selected then begin
+        Printf.printf
+          "%s not selected on this CPU (crypto path %s): ran the OCaml \
+           reference path only\n"
+          what Accel.path;
+        Alcotest.skip ()
+      end )
+
+let two_path_tests =
+  [
+    two_path ~selected:Accel.aes ~what:"AES-NI"
+      (QCheck.Test.make ~name:"aes-ni = ocaml reference" ~count:300
+         (QCheck.make ~print:print_aes_case gen_aes_case)
+         aes_paths_agree);
+    two_path ~selected:Accel.sha256 ~what:"SHA-NI"
+      (QCheck.Test.make ~name:"sha-ni = ocaml reference" ~count:300
+         (QCheck.make ~print:print_sha_case gen_sha_case)
+         sha_paths_agree);
+  ]
+
 let suite =
   [
     ("sha256 vectors", `Quick, test_sha256_vectors);
@@ -628,3 +927,4 @@ let suite =
     ("signature", `Quick, test_signature);
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests
+  @ two_path_tests
