@@ -879,7 +879,8 @@ let run_query t config sql = run_stmt t config (Sql.Parser.parse sql)
 (* Fault-aware execution through the single-node outcome wrapper: an
    unattested shard rejects the query before it scatters, the TEE
    faults strike in pre-flight as on one node (a failed world switch is
-   retried on the flaky shard, the one the plan strikes), and a flaky
+   retried on the flaky shard, the one the plan strikes; every shard
+   waits out a pre-flight stall with the host), and a flaky
    shard degrades or rejects the query — it never silently returns
    wrong rows. *)
 let run_stmt_outcome ?(reset = true) ?project t config stmt =
@@ -900,7 +901,11 @@ let run_stmt_outcome ?(reset = true) ?project t config stmt =
                })
   in
   let storage = if t.nshards = 1 then None else Some t.shards.(0).sh_node in
-  Runner.with_outcome ~admit ?storage t.base config (fun () ->
+  let peers =
+    if t.nshards = 1 then None
+    else Some (Array.to_list (Array.map (fun sh -> sh.sh_node) t.shards))
+  in
+  Runner.with_outcome ~admit ?storage ?peers t.base config (fun () ->
       run_stmt ~reset:false ?project t config stmt)
 
 let run_query_outcome t config sql =

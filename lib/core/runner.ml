@@ -529,8 +529,14 @@ let violation_of_faults faults ~default ~detail =
    the recovery time before the query proper runs. A failed world
    switch is retried on [storage], the node whose secure world the
    query enters. Returns a rejection when re-attestation cannot restore
-   trust. *)
-let preflight d config ~storage =
+   trust.
+
+   A pre-flight recovery is a stall: the query cannot start on any node
+   until it ends. So once something fired, every node the query runs
+   on ([peers], which include [storage]) waits for the host, and the
+   host for them; the query's own work then adds to the stall instead
+   of hiding under it. *)
+let preflight d config ~storage ~peers =
   let faults = Deployment.faults d in
   let mark = Fault.incident_count faults in
   let params = d.Deployment.params in
@@ -551,6 +557,13 @@ let preflight d config ~storage =
         Fault.note_recovered_since faults mark;
         None
     | Stdlib.Error e -> reject "sgx.abort" ("re-attestation failed: " ^ e)
+  in
+  let stall_until_recovered () =
+    let nodes = d.Deployment.host :: peers in
+    let until = List.fold_left (fun m n -> Float.max m (Sim.Node.now n)) 0.0 nodes in
+    List.iter
+      (fun n -> Sim.Clock.advance (Sim.Node.clock n) (until -. Sim.Node.now n))
+      nodes
   in
   if not (Fault.enabled faults) then None
   else begin
@@ -578,6 +591,7 @@ let preflight d config ~storage =
           Fault.note_retry faults ~action:"world_switch";
           Fault.note_recovered_since faults mark
         end;
+        if Fault.incident_count faults > mark then stall_until_recovered ();
         None
   end
 
@@ -591,9 +605,10 @@ let outcome_event ~kind v =
     Obs.event ~scope:"core" ~kind
       [ ("site", Ev.S v.v_site); ("detail", Ev.S v.v_detail) ]
 
-let with_outcome ?(admit = fun () -> None) ?storage d config run =
+let with_outcome ?(admit = fun () -> None) ?storage ?peers d config run =
   let faults = Deployment.faults d in
   let storage = Option.value storage ~default:d.Deployment.storage in
+  let peers = Option.value peers ~default:[ storage ] in
   let rejected v =
     Fault.note_rejected faults;
     Obs.count ~scope:"fault" "rejected";
@@ -604,7 +619,7 @@ let with_outcome ?(admit = fun () -> None) ?storage d config run =
   match admit () with
   | Some v -> rejected v
   | None -> (
-      match preflight d config ~storage with
+      match preflight d config ~storage ~peers with
       | Some v ->
           outcome_event ~kind:"query.rejected" v;
           Rejected v

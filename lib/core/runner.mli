@@ -145,6 +145,7 @@ val with_query :
 val with_outcome :
   ?admit:(unit -> violation option) ->
   ?storage:Ironsafe_sim.Node.t ->
+  ?peers:Ironsafe_sim.Node.t list ->
   Deployment.t ->
   Config.t ->
   (unit -> metrics) ->
@@ -153,6 +154,9 @@ val with_outcome :
     (default: admit everything) may refuse the query first; then the
     pre-flight TEE faults are injected and recovered (a failed world
     switch is retried on [storage], default the deployment's storage
-    node); then the execution runs, and faults, integrity failures,
+    node). A recovery is a stall: the host and every node in [peers]
+    (default [[storage]]: the nodes besides the host that the query
+    runs on) wait until it ends, so their clocks all start the query at
+    the same time. Then the execution runs, and faults, integrity failures,
     enclave aborts and WAL crashes become typed outcomes with their
     [query.degraded] / [query.rejected] / [query.crashed] events. *)

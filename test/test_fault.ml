@@ -250,11 +250,30 @@ let test_epc_storm_charged () =
   let d = make_deploy ~faults ~seed:"fault-epc" () in
   let sql = "select count(*) from nation" in
   let storm = 4096.0 *. d.Deployment.params.Sim.Params.epc_fault_ns in
+  (* the same query on the same data without the fault: ~85 us, of
+     which the storage node's NFS reads are charged as [io] *)
+  let clean =
+    match
+      Runner.run_query_outcome
+        (make_deploy ~faults:Fault.none ~seed:"fault-epc" ())
+        Config.Hos sql
+    with
+    | Runner.Ok m -> m
+    | _ -> Alcotest.fail "fault-free run did not succeed"
+  in
+  let storage_io m =
+    Option.value ~default:0.0 (List.assoc_opt "io" m.Runner.storage_breakdown)
+  in
   match Runner.run_query_outcome d Config.Hos sql with
   | Runner.Degraded (m, _) ->
-      (* fault-free, this query reads ~85 us *)
-      Alcotest.(check bool) "latency includes the storm" true
-        (m.Runner.end_to_end_ns >= storm);
+      (* the storm is a stall: the query starts on both nodes after it,
+         so its whole fault-free latency, storage io included, adds to
+         the storm (1 ns of slack for float rounding) *)
+      Alcotest.(check bool) "latency = storm + fault-free latency" true
+        (m.Runner.end_to_end_ns >= storm +. clean.Runner.end_to_end_ns -. 1.0);
+      Alcotest.(check bool) "storage io is charged" true (storage_io clean > 0.0);
+      Alcotest.(check (float 1e-6)) "storage io kept" (storage_io clean)
+        (storage_io m);
       Alcotest.(check bool) "storm in the host's epc time" true
         (List.assoc "epc" m.Runner.host_breakdown >= storm)
   | Runner.Ok _ -> Alcotest.fail "storm did not fire"
