@@ -924,6 +924,7 @@ let cluster scale =
             (fun (qid, sql) ->
               let stmt = Sql.Parser.parse sql in
               Sched.profile_run
+                ~working_set:(Sched.host_working_set (Cluster.base cl))
                 ~label:(Printf.sprintf "q%d" qid)
                 ~sql config
                 (fun () -> Cluster.run_stmt cl config stmt))

@@ -670,7 +670,9 @@ let workload_cmd =
               Sched.profile deploy config ~label ~sql:q.Tpch.Queries.sql
           | Some cl ->
               let stmt = Sql.Parser.parse q.Tpch.Queries.sql in
-              Sched.profile_run ~label ~sql:q.Tpch.Queries.sql config
+              Sched.profile_run
+                ~working_set:(Sched.host_working_set (Cluster.base cl))
+                ~label ~sql:q.Tpch.Queries.sql config
                 (fun () -> Cluster.run_stmt cl config stmt))
         mix
     in

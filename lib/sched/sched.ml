@@ -53,7 +53,12 @@ type query_profile = {
   qp_working_set : int;
 }
 
-let profile_run ?(working_set = fun () -> 0) ~label ~sql config run =
+(* enclave residency a query leaves behind (0 when the host enclave is
+   off the query path): the EPC is shared under concurrency *)
+let host_working_set deploy () =
+  Tee.Sgx.heap_used deploy.Deployment.host_enclave
+
+let profile_run ~working_set ~label ~sql config run =
   let m, tape = Sim.Tape.capture run in
   {
     qp_label = label;
@@ -70,11 +75,7 @@ let profile_run ?(working_set = fun () -> 0) ~label ~sql config run =
 
 let profile ?project deploy config ~label ~sql =
   let stmt = Sql.Parser.parse sql in
-  profile_run
-    (* enclave residency of this query (0 when the host enclave is off
-       the query path): the EPC is shared under concurrency *)
-    ~working_set:(fun () -> Tee.Sgx.heap_used deploy.Deployment.host_enclave)
-    ~label ~sql config
+  profile_run ~working_set:(host_working_set deploy) ~label ~sql config
     (fun () -> Runner.run_stmt ?project deploy config stmt)
 
 let mean_sequential_ns profiles =

@@ -37,7 +37,7 @@ val profile :
     (via the runner's own reset). *)
 
 val profile_run :
-  ?working_set:(unit -> int) ->
+  working_set:(unit -> int) ->
   label:string ->
   sql:string ->
   Ironsafe.Config.t ->
@@ -45,8 +45,14 @@ val profile_run :
   query_profile
 (** Tape-capture an arbitrary runner invocation — e.g. a sharded
     {!Ironsafe_cluster.Cluster.run_stmt}, whose tape charges several
-    storage nodes. [working_set] (default 0) is sampled after the run
-    to report the enclave residency the query leaves behind. *)
+    storage nodes. [working_set] is sampled after the run to report the
+    enclave residency the query leaves behind; for a deployment's
+    runs, including a cluster over it, that is
+    [host_working_set deploy]. *)
+
+val host_working_set : Ironsafe.Deployment.t -> unit -> int
+(** The host enclave's heap in use: the EPC residency {!profile}
+    records (0 when the host enclave is off the query path). *)
 
 val mean_sequential_ns : query_profile list -> float
 

@@ -351,6 +351,7 @@ let replay_transcript () =
         let q = Tpch.Queries.by_id id in
         let stmt = Ironsafe_sql.Parser.parse q.Tpch.Queries.sql in
         Sched.profile_run
+          ~working_set:(Sched.host_working_set d)
           ~label:(Printf.sprintf "q%d" id)
           ~sql:q.Tpch.Queries.sql Config.Scs
           (fun () -> Cluster.run_stmt cl Config.Scs stmt))
@@ -847,7 +848,9 @@ let test_capacity_qps () =
     }
   in
   let a =
-    Sched.profile_run ~label:"a" ~sql:"a" Config.Scs (fun () ->
+    (* synthetic tapes: no enclave residency *)
+    Sched.profile_run ~working_set:(fun () -> 0) ~label:"a" ~sql:"a" Config.Scs
+      (fun () ->
         Sim.Node.charge host ~category:"cpu" 6e6;
         Sim.Node.charge storage ~category:"cpu" 8e6;
         Sim.Node.charge storage ~category:"io" 3e6;
@@ -855,7 +858,8 @@ let test_capacity_qps () =
         metrics ())
   in
   let b =
-    Sched.profile_run ~label:"b" ~sql:"b" Config.Scs (fun () ->
+    Sched.profile_run ~working_set:(fun () -> 0) ~label:"b" ~sql:"b" Config.Scs
+      (fun () ->
         Sim.Node.charge host ~category:"cpu" 2e6;
         metrics ())
   in
@@ -913,6 +917,39 @@ let test_rendering () =
     [ "session-0"; "session-1"; "session-2" ]
     lanes
 
+(* A sharded profile records the host enclave's residency as a
+   single-node one does: over one shard the cluster runs the plain
+   runner, so the two profiles are the same tape, latency and working
+   set; over two shards the host enclave still holds the query's state. *)
+let test_sharded_profile_working_set () =
+  let module Cluster = Ironsafe_cluster.Cluster in
+  let d = Lazy.force deploy in
+  let q = Tpch.Queries.by_id 6 in
+  let sql = q.Tpch.Queries.sql in
+  let sharded n =
+    let cl = Cluster.create ~shards:n ~scheme:Partitioner.Hash d in
+    (match Cluster.attest_reliable cl with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "cluster attestation failed: %s" e);
+    let stmt = Ironsafe_sql.Parser.parse sql in
+    Sched.profile_run
+      ~working_set:(Sched.host_working_set (Cluster.base cl))
+      ~label:"q6" ~sql Config.Scs
+      (fun () -> Cluster.run_stmt cl Config.Scs stmt)
+  in
+  let single = Sched.profile d Config.Scs ~label:"q6" ~sql in
+  let one = sharded 1 in
+  Alcotest.(check bool) "single-node working set is non-zero" true
+    (single.Sched.qp_working_set > 0);
+  Alcotest.(check int) "1 shard: same working set" single.Sched.qp_working_set
+    one.Sched.qp_working_set;
+  Alcotest.(check (float 0.0)) "1 shard: same latency"
+    single.Sched.qp_end_to_end_ns one.Sched.qp_end_to_end_ns;
+  Alcotest.(check bool) "1 shard: same tape" true
+    (single.Sched.qp_tape = one.Sched.qp_tape);
+  Alcotest.(check bool) "2 shards: working set recorded" true
+    ((sharded 2).Sched.qp_working_set > 0)
+
 let suite =
   [
     ("prng", `Quick, test_prng);
@@ -926,6 +963,8 @@ let suite =
     ("event queue pop order", `Quick, test_event_queue_order);
     ("prng split and jump", `Quick, test_prng_split_jump);
     ("lane assignment order", `Quick, test_lane_order);
+    ("sharded profile keeps the working set", `Quick,
+     test_sharded_profile_working_set);
     ("bounded forensics stay exact", `Quick, test_bounded_forensics);
     ("per-session memory budget", `Quick, test_memory_budget);
     ("tail retention acceptance", `Quick, test_tail_retention_acceptance);
