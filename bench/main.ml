@@ -1032,6 +1032,8 @@ let write_hotpath_json ?(derived = []) ~spread results =
   Printf.bprintf buf "  \"schema\": \"ironsafe-hotpath-v2\",\n";
   Printf.bprintf buf "  \"quick\": %b,\n" !bench_quick;
   Printf.bprintf buf "  \"trials\": %d,\n" timing_trials;
+  (* which crypto implementation the dispatched kernels ran on *)
+  Printf.bprintf buf "  \"crypto_path\": %S,\n" C.Accel.path;
   Buffer.add_string buf "  \"kernels\": {\n";
   List.iteri
     (fun i (name, ns) ->
@@ -1079,6 +1081,14 @@ let load_floor file =
 
 let check_floor results file =
   let floor = load_floor file in
+  (* an entry without a measurement gates nothing: say which (the -hw
+     crypto kernels run only where the CPU has the instructions) *)
+  List.iter
+    (fun (name, _) ->
+      if not (List.mem_assoc name results) then
+        Fmt.pr "floor check: no measurement for %s (crypto path %s)@." name
+          C.Accel.path)
+    floor;
   let regressions =
     List.filter_map
       (fun (name, limit) ->
@@ -1088,8 +1098,10 @@ let check_floor results file =
       floor
   in
   match regressions with
-  | [] -> Fmt.pr "floor check: all %d kernels within 2x of %s@."
-            (List.length floor) file
+  | [] ->
+      Fmt.pr "floor check: all %d measured kernels within 2x of %s@."
+        (List.length (List.filter (fun (n, _) -> List.mem_assoc n results) floor))
+        file
   | rs ->
       List.iter
         (fun (name, ns, limit) ->
@@ -1280,30 +1292,61 @@ let microbench _scale =
   in
   Ironsafe_obs.Flight_recorder.configure ~frames:256 ();
   (* each kernel is (name, per, f): f's measured wall time is divided
-     by [per], so batch kernels report per-page (per-item) ns *)
+     by [per], so batch kernels report per-page (per-item) ns.
+     The crypto kernels time the OCaml reference path by name, so their
+     floors gate the fallback on every runner; the -hw kernels time the
+     dispatched functions and run only where C.Accel selected the CPU's
+     instructions. Everything after them (the secure store, the WAL)
+     runs on whichever path C.Accel selected. *)
+  let hw_kernels =
+    (if C.Accel.aes then
+       [
+         ("aes256-cbc-decrypt-4KiB-hw", 1,
+          fun () ->
+            ignore (C.Modes.cbc_decrypt ~key:aes256_key ~iv ciphertext256));
+       ]
+     else [])
+    @
+    if C.Accel.sha256 then
+      [
+        ("sha256-4KiB-hw", 1, fun () -> ignore (C.Sha256.digest page));
+        ("hmac-sha256-4KiB-prekeyed-hw", 1,
+         fun () -> ignore (C.Hmac.mac_pre prekey page));
+      ]
+    else []
+  in
+  let module Ref = struct
+    module Aes = C.Aes.Reference
+    module Modes = C.Modes.Reference
+    module Sha256 = C.Sha256.Reference
+    module Hmac = C.Hmac.Reference
+  end in
   let kernels =
     [
       ("aes128-encrypt-block", 1,
-       fun () -> C.Aes.encrypt_block_into aes_key block 0 block 0);
+       fun () -> Ref.Aes.encrypt_block_into aes_key block 0 block 0);
       ("aes128-cbc-encrypt-4KiB", 1,
-       fun () -> ignore (C.Modes.cbc_encrypt ~key:aes_key ~iv page));
+       fun () -> ignore (Ref.Modes.cbc_encrypt ~key:aes_key ~iv page));
       ("aes128-cbc-decrypt-4KiB", 1,
-       fun () -> ignore (C.Modes.cbc_decrypt ~key:aes_key ~iv ciphertext));
+       fun () -> ignore (Ref.Modes.cbc_decrypt ~key:aes_key ~iv ciphertext));
       ("aes256-cbc-decrypt-4KiB", 1,
        fun () ->
-         ignore (C.Modes.cbc_decrypt ~key:aes256_key ~iv ciphertext256));
+         ignore (Ref.Modes.cbc_decrypt ~key:aes256_key ~iv ciphertext256));
       ("ctr_page_decrypt_1lane", ctr_batch,
        fun () ->
          for p = 0 to ctr_batch - 1 do
-           C.Modes.ctr_transform_into ~key:aes_key ~nonce:ctr_nonces.(p)
+           Ref.Modes.ctr_transform_into ~key:aes_key ~nonce:ctr_nonces.(p)
              ctr_cts.(p) 0 ctr_dsts.(p) 0 4096
          done);
-      ("sha256-4KiB", 1, fun () -> ignore (C.Sha256.digest page));
+      ("sha256-4KiB", 1, fun () -> ignore (Ref.Sha256.digest page));
       ("hmac-sha256-4KiB", 1,
-       fun () -> ignore (C.Hmac.mac ~key:hmac_key page));
+       fun () -> ignore (Ref.Hmac.mac ~key:hmac_key page));
       ("hmac-sha256-4KiB-prekeyed", 1,
-       fun () -> ignore (C.Hmac.mac_pre prekey page));
-      ("hmac-sha256-64B", 1, fun () -> ignore (C.Hmac.mac_pre prekey node64));
+       fun () -> ignore (Ref.Hmac.mac_pre prekey page));
+      ("hmac-sha256-64B", 1, fun () -> ignore (Ref.Hmac.mac_pre prekey node64));
+    ]
+    @ hw_kernels
+    @ [
       ("securestore-read-page", 1,
        fun () -> ignore (Sec.Secure_store.read_page store 1));
       ("row_scan_filter", 1,
@@ -1427,6 +1470,7 @@ let microbench _scale =
      any machine *)
   let cores = Domain.recommended_domain_count () in
   Fmt.pr "%-34s %14d@." "cores-available" cores;
+  Fmt.pr "%-34s %14s@." "crypto-path" C.Accel.path;
   write_hotpath_json
     ~derived:[ overhead; ("cores-available", float_of_int cores) ]
     ~spread results;
