@@ -7,7 +7,9 @@
    The split is computed from the AST:
    - every base-table occurrence anywhere in the statement (including
      subqueries and derived tables) contributes the columns it
-     references to that table's shipped projection;
+     references to that table's shipped projection; the walk that
+     decides this is [Column_refs], which the executor's projected
+     scans share;
    - a WHERE conjunct whose columns all belong to one occurrence and
      that contains no subquery is offloadable; a table referenced by
      several occurrences ships rows satisfying the OR of the
@@ -24,8 +26,6 @@
 module Sql = Ironsafe_sql
 open Sql.Ast
 
-module StringSet = Set.Make (String)
-
 type shipped_table = {
   table : string;
   columns : string list;  (** subset of the schema, in schema order *)
@@ -38,144 +38,11 @@ type plan = {
   offload_sql : (string * string) list;  (** table -> storage-side SQL *)
 }
 
-(* scope: bindings visible at one query level *)
-type binding = { b_name : string; b_table : string; b_schema : Sql.Schema.t }
-
-type collector = {
-  catalog : Sql.Catalog.t;
-  needed : (string, StringSet.t ref) Hashtbl.t; (* table -> columns *)
-  (* per-table list of per-occurrence filters; None = unfiltered use *)
-  filters : (string, expr option list ref) Hashtbl.t;
-}
-
-let needed_set c table =
-  match Hashtbl.find_opt c.needed table with
-  | Some s -> s
-  | None ->
-      let s = ref StringSet.empty in
-      Hashtbl.replace c.needed table s;
-      s
-
-let filters_list c table =
-  match Hashtbl.find_opt c.filters table with
-  | Some l -> l
-  | None ->
-      let l = ref [] in
-      Hashtbl.replace c.filters table l;
-      l
-
-let need_column c binding col =
-  let s = needed_set c binding.b_table in
-  s := StringSet.add col !s
-
-let need_all_columns c binding =
-  let s = needed_set c binding.b_table in
-  List.iter (fun col -> s := StringSet.add col !s)
-    (Sql.Schema.column_names binding.b_schema)
-
-(* resolve a column against a scope stack (innermost first); returns
-   the binding it belongs to *)
-let resolve_col scopes qualifier name =
-  let name = String.lowercase_ascii name in
-  let qualifier = Option.map String.lowercase_ascii qualifier in
-  let in_scope bindings =
-    List.find_opt
-      (fun b ->
-        (match qualifier with None -> true | Some q -> q = b.b_name)
-        && Option.is_some (Sql.Schema.column_index b.b_schema name))
-      bindings
-  in
-  let rec go = function
-    | [] -> None
-    | scope :: rest -> ( match in_scope scope with Some b -> Some b | None -> go rest)
-  in
-  go scopes
-
-(* bindings of the base tables in one FROM clause (derived tables are
-   walked separately and contribute no binding here — their output
-   columns are not base-table columns) *)
-let rec bindings_of_from_item c acc = function
-  | Table { table; alias } -> (
-      match Sql.Catalog.find_opt c.catalog table with
-      | None -> acc (* unknown table: host-side temp, nothing to ship *)
-      | Some hf ->
-          {
-            b_name = String.lowercase_ascii (Option.value ~default:table alias);
-            b_table = String.lowercase_ascii table;
-            b_schema = Sql.Heap_file.schema hf;
-          }
-          :: acc)
-  | Derived _ -> acc
-  | Join { left; right; _ } ->
-      bindings_of_from_item c (bindings_of_from_item c acc left) right
-
-(* Record column usage of an expression; [exists_context] relaxes Star. *)
-let rec walk_expr c scopes e =
-  match e with
-  | Lit _ | Interval _ -> ()
-  | Col { qualifier; name } -> (
-      match resolve_col scopes qualifier name with
-      | Some b -> need_column c b (String.lowercase_ascii name)
-      | None -> ())
-  | Unary (_, x) | Extract { arg = x; _ } | Is_null { subject = x; _ } ->
-      walk_expr c scopes x
-  | Binop (_, a, b) ->
-      walk_expr c scopes a;
-      walk_expr c scopes b
-  | Like { subject; _ } -> walk_expr c scopes subject
-  | Between { subject; low; high; _ } ->
-      walk_expr c scopes subject;
-      walk_expr c scopes low;
-      walk_expr c scopes high
-  | In_list { subject; items; _ } ->
-      walk_expr c scopes subject;
-      List.iter (walk_expr c scopes) items
-  | In_select { subject; select; _ } ->
-      walk_expr c scopes subject;
-      walk_select c scopes ~exists_context:false select
-  | Exists { select; _ } -> walk_select c scopes ~exists_context:true select
-  | Scalar_select select -> walk_select c scopes ~exists_context:false select
-  | Case { branches; else_ } ->
-      List.iter
-        (fun (cond, v) ->
-          walk_expr c scopes cond;
-          walk_expr c scopes v)
-        branches;
-      Option.iter (walk_expr c scopes) else_
-  | Substring { subject; start; len } ->
-      walk_expr c scopes subject;
-      walk_expr c scopes start;
-      Option.iter (walk_expr c scopes) len
-  | Agg { arg; _ } -> Option.iter (walk_expr c scopes) arg
-
-and walk_select c outer_scopes ~exists_context (q : select) =
-  let local = List.fold_left (bindings_of_from_item c) [] q.from in
-  (* every referenced table must ship, even when no column of it is
-     projected (count-star-only queries) *)
-  List.iter (fun b -> ignore (needed_set c b.b_table)) local;
-  let scopes = local :: outer_scopes in
-  (* derived tables and JOIN trees recurse *)
-  let rec walk_from = function
-    | Table _ -> ()
-    | Derived { select; _ } ->
-        walk_select c outer_scopes ~exists_context:false select
-    | Join { left; right; on; _ } ->
-        walk_from left;
-        walk_from right;
-        walk_expr c scopes on
-  in
-  List.iter walk_from q.from;
-  (* projection: Star under EXISTS needs no columns *)
-  List.iter
-    (function
-      | Star -> if not exists_context then List.iter (need_all_columns c) local
-      | Item (e, _) -> walk_expr c scopes e)
-    q.items;
-  Option.iter (walk_expr c scopes) q.where;
-  List.iter (walk_expr c scopes) q.group_by;
-  Option.iter (walk_expr c scopes) q.having;
-  List.iter (fun (e, _) -> walk_expr c scopes e) q.order_by;
-  (* classify WHERE conjuncts per binding *)
+(* Record one query level's offloadable filters: per local base-table
+   binding, the conjunction of its WHERE conjuncts that read that
+   binding alone and contain no subquery, or [None] when it has none.
+   [filters] maps a table to one entry per occurrence. *)
+let classify_filters filters ~scopes ~local (q : select) =
   let conjs = Option.fold ~none:[] ~some:conjuncts q.where in
   let single_of conj =
     if contains_subquery conj then None
@@ -184,14 +51,15 @@ and walk_select c outer_scopes ~exists_context (q : select) =
       if cols = [] then None
       else begin
         let owners =
-          List.map (fun (q, n) -> resolve_col scopes q n) cols
+          List.map (fun (q, n) -> Sql.Column_refs.resolve scopes q n) cols
         in
         if List.exists Option.is_none owners then None
         else begin
           match List.sort_uniq compare (List.filter_map Fun.id owners) with
-          | [ b ]
+          | [ (b : Sql.Column_refs.binding) ]
             when List.exists
-                   (fun x -> x.b_name = b.b_name && x.b_table = b.b_table)
+                   (fun (x : Sql.Column_refs.binding) ->
+                     x.name = b.name && x.table = b.table)
                    local ->
               Some b
           | _ -> None
@@ -204,19 +72,24 @@ and walk_select c outer_scopes ~exists_context (q : select) =
   List.iter
     (fun conj ->
       match single_of conj with
-      | Some b ->
+      | Some (b : Sql.Column_refs.binding) ->
           let l =
-            Option.value ~default:[] (Hashtbl.find_opt per_binding b.b_name)
+            Option.value ~default:[] (Hashtbl.find_opt per_binding b.name)
           in
-          Hashtbl.replace per_binding b.b_name (conj :: l)
+          Hashtbl.replace per_binding b.name (conj :: l)
       | None -> ())
     conjs;
-  (* every local base-table binding registers a filter entry (None when
-     it has no offloadable conjunct) *)
   List.iter
-    (fun b ->
-      let fl = filters_list c b.b_table in
-      match Hashtbl.find_opt per_binding b.b_name with
+    (fun (b : Sql.Column_refs.binding) ->
+      let fl =
+        match Hashtbl.find_opt filters b.table with
+        | Some l -> l
+        | None ->
+            let l = ref [] in
+            Hashtbl.replace filters b.table l;
+            l
+      in
+      match Hashtbl.find_opt per_binding b.name with
       | Some (_ :: _ as cs) -> fl := conjoin cs :: !fl
       | Some [] | None -> fl := None :: !fl)
     local
@@ -332,49 +205,48 @@ let rec sql_of_expr e =
       invalid_arg "Partitioner.sql_of_expr: not offloadable"
 
 let split ?(project = true) catalog stmt : plan =
-  let c = { catalog; needed = Hashtbl.create 8; filters = Hashtbl.create 8 } in
-  (match stmt with
-  | Select q -> walk_select c [] ~exists_context:false q
-  | Insert _ | Update _ | Delete _ | Create_table _ | Drop_table _
-  | Create_index _ | Drop_index _ ->
-      ());
+  let filters = Hashtbl.create 8 in
+  let tables, columns =
+    match stmt with
+    | Select q ->
+        let refs =
+          Sql.Column_refs.of_select ~on_select:(classify_filters filters)
+            catalog q
+        in
+        (Sql.Column_refs.tables refs, Sql.Column_refs.columns refs)
+    | Insert _ | Update _ | Delete _ | Create_table _ | Drop_table _
+    | Create_index _ | Drop_index _ ->
+        ([], fun _ -> [])
+  in
   let shipped =
-    Hashtbl.fold
-      (fun table cols acc ->
-        match Sql.Catalog.find_opt catalog table with
-        | None -> acc
-        | Some hf ->
-            let schema = Sql.Heap_file.schema hf in
-            let columns =
-              if project then
-                List.filter
-                  (fun n -> StringSet.mem n !cols)
-                  (Sql.Schema.column_names schema)
-              else Sql.Schema.column_names schema
-            in
-            let occurrence_filters =
-              Option.fold ~none:[] ~some:( ! ) (Hashtbl.find_opt c.filters table)
-            in
-            let predicate =
-              (* OR of the per-occurrence filters; any unfiltered
-                 occurrence means the whole table must ship *)
-              if
-                occurrence_filters = []
-                || List.exists Option.is_none occurrence_filters
-              then None
-              else begin
-                match
-                  List.map strip_qualifiers
-                    (List.filter_map Fun.id occurrence_filters)
-                with
-                | [] -> None
-                | f :: rest ->
-                    Some (List.fold_left (fun acc x -> Binop (Or, acc, x)) f rest)
-              end
-            in
-            { table; columns; predicate } :: acc)
-      c.needed []
-    |> List.sort (fun a b -> compare a.table b.table)
+    List.map
+      (fun table ->
+        let schema = Sql.Heap_file.schema (Sql.Catalog.find catalog table) in
+        let columns =
+          if project then columns schema else Sql.Schema.column_names schema
+        in
+        let occurrence_filters =
+          Option.fold ~none:[] ~some:( ! ) (Hashtbl.find_opt filters table)
+        in
+        let predicate =
+          (* OR of the per-occurrence filters; any unfiltered
+             occurrence means the whole table must ship *)
+          if
+            occurrence_filters = []
+            || List.exists Option.is_none occurrence_filters
+          then None
+          else begin
+            match
+              List.map strip_qualifiers
+                (List.filter_map Fun.id occurrence_filters)
+            with
+            | [] -> None
+            | f :: rest ->
+                Some (List.fold_left (fun acc x -> Binop (Or, acc, x)) f rest)
+          end
+        in
+        { table; columns; predicate })
+      tables
   in
   let offload_sql =
     List.map

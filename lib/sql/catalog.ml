@@ -76,7 +76,8 @@ let index_on t ~table ~column =
     (fun idx -> Index.column idx = String.lowercase_ascii column)
     (indexes_for t table)
 
-(* (Re)populate an index from its table's current contents. *)
+(* (Re)populate an index from its table's current contents, building
+   only the indexed value of each row. *)
 let rebuild_index t idx =
   Index.clear idx;
   let hf = find t (Index.table idx) in
@@ -84,8 +85,9 @@ let rebuild_index t idx =
   match Schema.column_index schema (Index.column idx) with
   | None -> ()
   | Some col ->
-      Heap_file.iter_pages hf (Heap_file.stored_pages hf)
-        ~f:(fun ~page row -> Index.add idx row.(col) ~page)
+      let mask = Array.init (Schema.arity schema) (fun i -> i = col) in
+      Heap_file.iter_pages ~mask hf (Heap_file.stored_pages hf)
+        ~f:(fun ~page row _ -> Index.add idx row.(col) ~page)
 
 let rebuild_indexes t table =
   List.iter (rebuild_index t) (indexes_for t table)

@@ -23,7 +23,7 @@ let set_observer t obs =
   t.observer <- obs;
   Option.iter (fun p -> Pager.set_observer p obs) (Catalog.pager t.catalog)
 
-let state t = { Exec.catalog = t.catalog; obs = t.observer }
+let state t = { Exec.catalog = t.catalog; obs = t.observer; refs = None }
 
 let create_table t schema = ignore (Catalog.create_table t.catalog schema)
 

@@ -8,6 +8,15 @@
    the source, ending in the projection or the group table. Each row
    is decoded once and passes through without per-stage row lists.
 
+   Scans are projected: a base-table scan decodes only the columns the
+   statement reads anywhere ([Column_refs], walked once per statement
+   in [run_select]) and leaves the others [Null], so column indices,
+   plans and compiled closures do not depend on it. Memory charges are
+   made from footprints, the [Row.heap_size] a row would have with
+   every column decoded: a projected row carries its own, which the
+   decoder reads off the encoded sizes, and a joined row's is the sum
+   of its inputs'.
+
    Rows are materialized only where the algorithm or the page-read
    order needs them:
    - join build sides (a hash index, or a row list for a nested loop);
@@ -22,8 +31,8 @@
      sees the same page-read sequence as a stage-at-a-time executor
      (fault plans and buffer-pool hits depend on it).
    Every observer charge (row steps, bytes materialized) is made as if
-   each stage materialized its output, so the cost model does not
-   depend on how the rows flow.
+   each stage materialized its output and every scan decoded whole
+   rows, so the cost model does not depend on how the rows flow.
 
    Join strategy: left-deep over the FROM list with a greedy reorder —
    at each step prefer a table connected to the accumulated result by
@@ -51,7 +60,13 @@ let fail fmt = Format.kasprintf (fun s -> raise (Sql_error s)) fmt
    [Deployment.exec_mode] to [Host_engine.run_host]. *)
 type exec_mode = Row_at_a_time
 
-type state = { catalog : Catalog.t; obs : Observer.t }
+type state = {
+  catalog : Catalog.t;
+  obs : Observer.t;
+  refs : Column_refs.t option;
+      (* the columns the statement reads; when known, a base-table scan
+         decodes only those *)
+}
 
 (* -- Environments --------------------------------------------------- *)
 
@@ -152,23 +167,56 @@ type subplan = {
   sub_run : env option -> Row.t list;
 }
 
-(* A row source pushes its rows, in order, into a sink. [live]: it
-   reads pages while it pushes (a base-table scan), so a sink that
-   reads pages itself — one that evaluates a subquery — must wait for
-   it to finish. *)
-type source = { live : bool; iter : env option -> (Row.t -> unit) -> unit }
+(* A row's footprint is the [Row.heap_size] it would have with every
+   column decoded. A projected scan leaves the columns the statement
+   never reads [Null], so its rows carry their footprint beside them;
+   every other row holds all its columns and carries [whole] instead,
+   its footprint being [Row.heap_size] of the row itself. *)
+let whole = -1
+
+let footprint (r : Row.t) h = if h = whole then Row.heap_size r else h
+
+(* A row source pushes its rows, in order, into a sink, each with its
+   footprint (or [whole]). [live]: the source reads pages while it
+   pushes (a base-table scan), so a sink that reads pages itself — one
+   that evaluates a subquery — must wait for it to finish. *)
+type sink = Row.t -> int -> unit
+
+type source = { live : bool; iter : env option -> sink -> unit }
+
+(* Materialized rows, in order; only a projected row takes the extra
+   word for its footprint. *)
+type rows = Nil | Cons of Row.t * rows | Sized of Row.t * int * rows
+
+let cons r h rest = if h = whole then Cons (r, rest) else Sized (r, h, rest)
+
+let rec iter_rows (k : sink) = function
+  | Nil -> ()
+  | Cons (r, rest) ->
+      k r whole;
+      iter_rows k rest
+  | Sized (r, h, rest) ->
+      k r h;
+      iter_rows k rest
+
+let rec rev_rows acc = function
+  | Nil -> acc
+  | Cons (r, rest) -> rev_rows (Cons (r, acc)) rest
+  | Sized (r, h, rest) -> rev_rows (Sized (r, h, acc)) rest
 
 let collect src outer_env =
-  let acc = ref [] in
-  src.iter outer_env (fun r -> acc := r :: !acc);
-  List.rev !acc
+  let acc = ref Nil in
+  src.iter outer_env (fun r h -> acc := cons r h !acc);
+  rev_rows Nil !acc
 
-let of_rows run = { live = false; iter = (fun o k -> List.iter k (run o)) }
+(* A source over computed rows (a derived table's result). *)
+let of_rows run =
+  { live = false; iter = (fun o k -> List.iter (fun r -> k r whole) (run o)) }
 
 (* Push [src] into [sink]. [reads]: the sink may read pages; a live
    source then completes into a list first. *)
 let drain src ~reads outer_env sink =
-  if src.live && reads then List.iter sink (collect src outer_env)
+  if src.live && reads then iter_rows sink (collect src outer_env)
   else src.iter outer_env sink
 
 (* [src] with [stage] stacked on it; a stage maps the downstream sink
@@ -181,10 +229,10 @@ let pipe src ~reads stage =
 
 (* Row filter stage, charging one row step per input row. *)
 let filter_stage (state : state) ~env_of preds =
-  fun outer_env k (r : Row.t) ->
+  fun outer_env (k : sink) (r : Row.t) h ->
     state.obs.Observer.on_rows 1;
     let env = env_of outer_env r in
-    if List.for_all (fun f -> Value.as_bool (f env)) preds then k r
+    if List.for_all (fun f -> Value.as_bool (f env)) preds then k r h
 
 (* A reference [depth] scopes up makes every scope it crosses depend on
    the outer row, not only the innermost one. *)
@@ -455,7 +503,10 @@ and index_access state table filters =
 
 (* Base-table scan: resolved output columns and a live source that
    applies the compiled pushdown filters to either the index-selected
-   pages or the whole heap file. *)
+   pages or the whole heap file. The scan decodes only the columns the
+   statement reads (the mask is fixed here, at plan time); the others
+   stay [Null], so column indices do not depend on it, and a row that
+   passes is charged its whole stored footprint. *)
 and scan_table state ~binding table ~filters ~ctx_parent =
   let hf =
     try Catalog.find state.catalog table
@@ -478,23 +529,25 @@ and scan_table state ~binding table ~filters ~ctx_parent =
   in
   let cfilters = List.map (compile ctx) filters in
   let index_pages = index_access state table filters in
-  let iter_rows f =
+  let mask = Option.map (fun refs -> Column_refs.mask refs schema) state.refs in
+  let projected = Option.fold ~none:false ~some:(Array.exists not) mask in
+  let scan f =
     match index_pages with
     | Some pages ->
-        Heap_file.iter_pages hf
+        Heap_file.iter_pages ?mask hf
           (List.sort compare (Index.IntSet.elements pages))
-          ~f:(fun ~page:_ row -> f row)
-    | None -> Heap_file.iter hf ~f
+          ~f:(fun ~page:_ row heap -> f row heap)
+    | None -> Heap_file.scan ?mask hf ~f
   in
   let iter _outer_env k =
-    iter_rows (fun row ->
+    scan (fun row heap ->
         state.obs.Observer.on_rows 1;
         if
           cfilters = []
           || List.for_all (fun f -> Value.as_bool (f (mk_env row))) cfilters
         then begin
-          state.obs.Observer.on_alloc (Row.heap_size row);
-          k row
+          state.obs.Observer.on_alloc heap;
+          k row (if projected then heap else whole)
         end)
   in
   (cols, { live = true; iter })
@@ -505,22 +558,24 @@ and scan_table state ~binding table ~filters ~ctx_parent =
    residual. *)
 and build_index state src outer_env ckeys =
   let index = Key_tbl.create 16 in
-  src.iter outer_env (fun (r : Row.t) ->
+  src.iter outer_env (fun (r : Row.t) h ->
       state.obs.Observer.on_rows 1;
       let key = eval_key ckeys (mk_env r) in
       (* a key holding NULL can never match *)
       if not (has_null key) then
         Key_tbl.replace index key
-          (r :: Option.value ~default:[] (Key_tbl.find_opt index key)));
+          (cons r h (Option.value ~default:Nil (Key_tbl.find_opt index key))));
   index
 
-(* Joins [l] with each row of [rights], in list order (a hash bucket
-   holds the newest build row first), pushing the combined rows that
-   pass [residual]; returns whether any did. *)
-and join_rows state ~residual ~combined_width (l : Row.t) rights k =
+(* Joins [l] (footprint [lh]) with each row of [rights], in order (a
+   hash bucket holds the newest build row first), pushing the combined
+   rows that pass [residual]; returns whether any did. A combined row
+   is whole when both sides are; otherwise its footprint is the values
+   of both under one row header. *)
+and join_rows state ~residual ~combined_width (l : Row.t) lh rights k =
   let matched = ref false in
-  List.iter
-    (fun (r : Row.t) ->
+  iter_rows
+    (fun (r : Row.t) rh ->
       state.obs.Observer.on_rows 1;
       let joined = Array.make combined_width Value.Null in
       Array.blit l 0 joined 0 (Array.length l);
@@ -528,8 +583,12 @@ and join_rows state ~residual ~combined_width (l : Row.t) rights k =
       if List.for_all (fun f -> Value.as_bool (f (mk_env joined))) residual
       then begin
         matched := true;
-        state.obs.Observer.on_alloc (Row.heap_size joined);
-        k joined
+        let h =
+          if lh = whole && rh = whole then whole
+          else footprint l lh + footprint r rh - 16
+        in
+        state.obs.Observer.on_alloc (footprint joined h);
+        k joined h
       end)
     rights;
   !matched
@@ -537,8 +596,8 @@ and join_rows state ~residual ~combined_width (l : Row.t) rights k =
 and probe_bucket state index lkeys (l : Row.t) =
   state.obs.Observer.on_rows 1;
   let key = eval_key lkeys (mk_env l) in
-  if has_null key then []
-  else Option.value ~default:[] (Key_tbl.find_opt index key)
+  if has_null key then Nil
+  else Option.value ~default:Nil (Key_tbl.find_opt index key)
 
 (* A join step: build the right side now (its pages are read here,
    after the left side's), and return the probe stage. *)
@@ -548,22 +607,25 @@ and join_step state ~kind ~lkeys ~rkeys ~residual ~left_width ~right_width
   match kind with
   | `Inner when Array.length lkeys > 0 ->
       let index = build_index state right outer_env rkeys in
-      fun k l ->
+      fun k l lh ->
         ignore
-          (join_rows state ~residual ~combined_width l
+          (join_rows state ~residual ~combined_width l lh
              (probe_bucket state index lkeys l)
              k)
   | `Inner ->
       let rights = collect right outer_env in
-      fun k l -> ignore (join_rows state ~residual ~combined_width l rights k)
+      fun k l lh ->
+        ignore (join_rows state ~residual ~combined_width l lh rights k)
   | `Left ->
       let index = build_index state right outer_env rkeys in
-      fun k l ->
+      fun k l lh ->
         let bucket = probe_bucket state index lkeys l in
-        if not (join_rows state ~residual ~combined_width l bucket k) then begin
+        if not (join_rows state ~residual ~combined_width l lh bucket k)
+        then begin
+          (* the right side's values are all NULL *)
           let joined = Array.make combined_width Value.Null in
           Array.blit l 0 joined 0 left_width;
-          k joined
+          k joined (if lh = whole then whole else lh + (8 * right_width))
         end
 
 (* The left input of a join completes first, then every step builds
@@ -579,7 +641,7 @@ and join_source left steps =
           List.fold_left (fun acc step -> step outer_env :: acc) [] steps
         in
         let k = List.fold_left (fun k probe -> probe k) k probes_rev in
-        List.iter k lefts);
+        iter_rows k lefts);
   }
 
 (* -- SELECT planning -------------------------------------------------- *)
@@ -1014,13 +1076,20 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
     if Option.is_none parent_ctx then stage_a
     else begin
       let memo = ref None in
-      of_rows (fun outer_env ->
-          match !memo with
-          | Some rows -> rows
-          | None ->
-              let rows = collect stage_a outer_env in
-              memo := Some rows;
-              rows)
+      {
+        live = false;
+        iter =
+          (fun outer_env k ->
+            let rows =
+              match !memo with
+              | Some rows -> rows
+              | None ->
+                  let rows = collect stage_a outer_env in
+                  memo := Some rows;
+                  rows
+            in
+            iter_rows k rows);
+      }
     end
   in
   (* -- correlated narrowing: semijoin probe, then residuals ----------- *)
@@ -1034,7 +1103,7 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
         | None ->
             let idx = build_index state stage_a outer_env csemi_inner in
             (* buckets back into stage-A order *)
-            Key_tbl.filter_map_inplace (fun _ b -> Some (List.rev b)) idx;
+            Key_tbl.filter_map_inplace (fun _ b -> Some (rev_rows Nil b)) idx;
             index := Some idx;
             idx
       in
@@ -1049,8 +1118,8 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
                 let key = eval_key csemi_outer (mk_env ~up:oenv [||]) in
                 state.obs.Observer.on_rows 1;
                 if not (has_null key) then
-                  List.iter k
-                    (Option.value ~default:[] (Key_tbl.find_opt idx key)));
+                  iter_rows k
+                    (Option.value ~default:Nil (Key_tbl.find_opt idx key)));
       }
     end
   in
@@ -1096,8 +1165,8 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
         | None -> narrowed
         | Some h ->
             let ch = compile joined_ctx h in
-            pipe narrowed ~reads:(contains_subquery h) (fun outer_env k r ->
-                if Value.as_bool (ch (with_outer outer_env r)) then k r)
+            pipe narrowed ~reads:(contains_subquery h) (fun outer_env k r h ->
+                if Value.as_bool (ch (with_outer outer_env r)) then k r h)
       in
       let reads =
         List.exists contains_subquery item_exprs
@@ -1105,7 +1174,7 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
       in
       fun outer_env ->
         let projected = ref [] in
-        drain rows ~reads outer_env (fun r ->
+        drain rows ~reads outer_env (fun r _ ->
             state.obs.Observer.on_rows 1;
             let env = with_outer outer_env r in
             let keys = List.map (fun (c, d) -> (c env, d)) corder in
@@ -1197,7 +1266,7 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
       fun outer_env ->
         let groups = Key_tbl.create 64 in
         let order = ref [] in
-        drain narrowed ~reads outer_env (fun r ->
+        drain narrowed ~reads outer_env (fun r _ ->
             state.obs.Observer.on_rows agg_cost;
             agg_add groups order outer_env r);
         agg_finish (List.rev !order) outer_env
@@ -1299,6 +1368,7 @@ and plan_join_tree state ~parent_ctx ~uses_outer fi :
 type result = { columns : string list; rows : Row.t list }
 
 let run_select state (q : select) : result =
+  let state = { state with refs = Some (Column_refs.of_select state.catalog q) } in
   let plan = plan_select state ~outer:None q in
   { columns = plan.sub_cols; rows = plan.sub_run None }
 

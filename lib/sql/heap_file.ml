@@ -125,15 +125,17 @@ let stored_pages t =
    durably written) is dropped from the file; allocations are monotone,
    so such pages can only form a tail. Only the exceptions that shape
    produces — a read past the recovered store's extent
-   ([Invalid_argument]) or a row decode failure on never-written
-   content ([Invalid_argument]/[Failure]/[Value.Type_error]) — are
-   treated as the tail; an integrity violation
+   ([Invalid_argument]) or a row that fails the decoder's checks on
+   never-written content ([Invalid_argument]/[Failure]/
+   [Value.Type_error]) — are treated as the tail; rows are checked
+   with an all-false mask, so none is built; an integrity violation
    ({!Pager.Integrity_failure}) is tamper detection and must
    propagate, never masquerade as truncation. *)
 let reload_paged arity t =
   let kept = ref [] in
   let count = ref 0 in
   let last = ref None in
+  let check_only = Array.make arity false in
   (try
      List.iter
        (fun page ->
@@ -143,7 +145,7 @@ let reload_paged arity t =
          in
          let c = Value.cursor payload 2 in
          for _ = 1 to nrows do
-           ignore (Row.decode ~arity c)
+           ignore (Row.decode_into ~mask:check_only c [||])
          done;
          kept := page :: !kept;
          count := !count + nrows;
@@ -169,24 +171,35 @@ let reload t =
   | Resident _ -> ()
   | Paged p -> reload_paged (Schema.arity t.schema) p
 
-let iter_pages t pages ~f =
+let iter_pages ?mask t pages ~f =
   let p = paged t "iter_pages" in
   flush_current p;
   let arity = Schema.arity t.schema in
+  let mask = match mask with Some m -> m | None -> Array.make arity true in
+  if Array.length mask <> arity then
+    invalid_arg "Heap_file.iter_pages: mask arity mismatch";
   List.iter
     (fun page ->
       let payload = Pager.read p.pager page in
       let nrows = (Char.code payload.[0] lsl 8) lor Char.code payload.[1] in
       let c = Value.cursor payload 2 in
       for _ = 1 to nrows do
-        f ~page (Row.decode ~arity c)
+        let row = Array.make arity Value.Null in
+        let heap = Row.decode_into ~mask c row in
+        f ~page row heap
       done)
     pages
+
+let scan ?mask t ~f =
+  match t.store with
+  | Resident rows -> List.iter (fun row -> f row (Row.heap_size row)) rows
+  | Paged _ ->
+      iter_pages ?mask t (stored_pages t) ~f:(fun ~page:_ row heap -> f row heap)
 
 let iter t ~f =
   match t.store with
   | Resident rows -> List.iter f rows
-  | Paged _ -> iter_pages t (stored_pages t) ~f:(fun ~page:_ row -> f row)
+  | Paged _ -> scan t ~f:(fun row _ -> f row)
 
 let to_list t =
   match t.store with

@@ -26,11 +26,23 @@ val append_all : t -> Row.t list -> unit
 val flush : t -> unit
 (** Persist any buffered rows. *)
 
-val iter : t -> f:(Row.t -> unit) -> unit
-(** Full scan in storage order (flushes first). *)
+val scan : ?mask:bool array -> t -> f:(Row.t -> int -> unit) -> unit
+(** Full scan in storage order (flushes first). [f row heap] gets each
+    row with [heap], the {!Row.heap_size} of the whole row as stored.
+    A paged file builds value [i] of each row only when [mask.(i)]
+    holds (default: every value) and leaves the other slots [Null];
+    every value is still checked ({!Row.decode_into}). A resident file
+    hands over its own rows, whole, and the mask does not apply.
+    @raise Invalid_argument if the mask's length is not the arity. *)
 
-val iter_pages : t -> int list -> f:(page:int -> Row.t -> unit) -> unit
-(** Scan only the given pages (index-driven access path). *)
+val iter : t -> f:(Row.t -> unit) -> unit
+(** {!scan} with every value built. *)
+
+val iter_pages :
+  ?mask:bool array -> t -> int list -> f:(page:int -> Row.t -> int -> unit) -> unit
+(** {!scan} of the given pages only (index-driven access path, index
+    rebuilds); [f] also gets the page the row is stored on.
+    @raise Invalid_argument on a resident file. *)
 
 val to_list : t -> Row.t list
 

@@ -18,17 +18,30 @@ let encode row =
 let encoded_size row =
   Array.fold_left (fun acc v -> acc + Value.encoded_size v) 2 row
 
-(* Decode one row of [arity] values at the cursor, leaving the cursor
-   past the row. *)
-let decode ~arity (c : Value.cursor) =
+(* Decode the row at the cursor into [row], leaving the cursor past
+   it: slot [i] is built when [mask.(i)], and the other values are only
+   skipped over, so their slots keep what [row] held. Every value is
+   checked either way, and the result is [heap_size] of the whole row
+   as stored. *)
+let decode_into ~mask (c : Value.cursor) row =
   let s = c.src and off = c.pos in
   let len = (Char.code s.[off] lsl 8) lor Char.code s.[off + 1] in
   c.pos <- off + 2;
-  let row = Array.make arity Value.Null in
-  for i = 0 to arity - 1 do
-    row.(i) <- Value.decode c
+  let heap = ref 16 in
+  for i = 0 to Array.length mask - 1 do
+    if mask.(i) then begin
+      let v = Value.decode c in
+      row.(i) <- v;
+      heap := !heap + Value.heap_size v
+    end
+    else heap := !heap + Value.skip c
   done;
   if c.pos <> off + 2 + len then failwith "Row.decode: length mismatch";
+  !heap
+
+let decode ~arity c =
+  let row = Array.make arity Value.Null in
+  ignore (decode_into ~mask:(Array.make arity true) c row);
   row
 
 let heap_size row =

@@ -227,6 +227,31 @@ let decode c =
       Date v
   | ch -> type_error "corrupt value tag %C" ch
 
+(* Encoded width of each fixed-width tag; 0 for 'S' (the width is in
+   its length prefix) and for bytes that are not tags. *)
+let fixed_width =
+  Array.init 256 (fun i ->
+      match Char.chr i with
+      | 'N' | 'T' | 'F' -> 1
+      | 'I' | 'D' | 'A' -> 9
+      | _ -> 0)
+
+(* Advance past the value at the cursor without building it, checking
+   what [decode] checks, and return its [heap_size] from the tag and
+   the string length. *)
+let skip c =
+  let s = c.src and off = c.pos in
+  let tag = s.[off] in
+  let width =
+    if tag = 'S' then 3 + ((Char.code s.[off + 1] lsl 8) lor Char.code s.[off + 2])
+    else Array.unsafe_get fixed_width (Char.code tag)
+  in
+  if width = 0 then type_error "corrupt value tag %C" tag;
+  if off + width > String.length s then invalid_arg "Value.skip: truncated value";
+  c.pos <- off + width;
+  (* Null and booleans 8, other fixed-width values 16, strings 24 + len *)
+  if width = 1 then 8 else if tag = 'S' then 21 + width else 16
+
 let encoded_size = function
   | Null | Bool _ -> 1
   | Int _ | Float _ | Date _ -> 9
@@ -268,7 +293,8 @@ let hash =
       else Hashtbl.hash f
   | Str s -> Hashtbl.hash s
 
-(* Approximate in-memory footprint, for the memory meter. *)
+(* Approximate in-memory footprint, for the memory meter. [skip]
+   returns the same figure for a value it does not build. *)
 let heap_size = function
   | Null | Bool _ -> 8
   | Int _ | Float _ | Date _ -> 16

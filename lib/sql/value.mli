@@ -52,6 +52,12 @@ val decode : cursor -> t
     @raise Type_error on an unknown tag, [Invalid_argument] when the
     buffer ends early. *)
 
+val skip : cursor -> int
+(** Advance past the value at the cursor without allocating it, and
+    return the {!heap_size} the decoded value would have (8, 16, or 24
+    plus the length of a string), read from its tag and length. Checks
+    what {!decode} checks and raises the same exceptions. *)
+
 val encoded_size : t -> int
 (** [String.length] of what {!encode} writes, without encoding. *)
 

@@ -542,7 +542,82 @@ let qcheck_tests =
     | _ -> a = b
   in
   let print_row r = Format.asprintf "%a" Row.pp r in
+  (* a row and a mask over its values *)
+  let masked_gen =
+    Gen.(
+      row_gen >>= fun row ->
+      map (fun mask -> (row, Array.of_list mask)) (list_repeat (Array.length row) bool))
+  in
+  let print_masked (row, mask) =
+    Printf.sprintf "%s mask %s" (print_row row)
+      (String.concat "" (Array.to_list (Array.map (fun b -> if b then "1" else "0") mask)))
+  in
+  (* what a decoder raises, by class *)
+  let outcome decode =
+    match decode () with
+    | _ -> "ok"
+    | exception Value.Type_error _ -> "Type_error"
+    | exception Invalid_argument _ -> "Invalid_argument"
+    | exception Failure _ -> "Failure"
+  in
+  (* [how]: 0 truncates the row, 1 writes a bad tag over a value's, 2
+     rewrites a string's length (a row without a string is truncated),
+     3 rewrites the low byte of the row's length *)
+  let corrupt row ~how ~pick ~byte =
+    let enc = Bytes.of_string (Row.encode row) in
+    let starts =
+      snd
+        (Array.fold_left
+           (fun (off, acc) v -> (off + Value.encoded_size v, (off, v) :: acc))
+           (2, []) row)
+      |> List.rev
+    in
+    let strings = List.filter (function _, Value.Str _ -> true | _ -> false) starts in
+    match (how, strings) with
+    | 1, _ ->
+        let off, _ = List.nth starts (pick mod List.length starts) in
+        let tag = Char.chr byte in
+        Bytes.set enc off (if String.contains "NTFIDSA" tag then '?' else tag);
+        Bytes.to_string enc
+    | 2, _ :: _ ->
+        let off, _ = List.nth strings (pick mod List.length strings) in
+        Bytes.set enc (off + 1) (Char.chr byte);
+        Bytes.set enc (off + 2) (Char.chr (pick land 0xff));
+        Bytes.to_string enc
+    | 3, _ ->
+        Bytes.set enc 1 (Char.chr byte);
+        Bytes.to_string enc
+    | _ -> Bytes.sub_string enc 0 (pick mod Bytes.length enc)
+  in
   [
+    Test.make ~name:"masked row decode agrees with full decode" ~count:300
+      (make ~print:print_masked masked_gen)
+      (fun (row, mask) ->
+        let encoded = "pg" ^ Row.encode row in
+        let arity = Array.length row in
+        let full_c = Value.cursor encoded 2 in
+        let full = Row.decode ~arity full_c in
+        let c = Value.cursor encoded 2 in
+        let got = Array.make arity Value.Null in
+        let heap = Row.decode_into ~mask c got in
+        heap = Row.heap_size full
+        && c.Value.pos = full_c.Value.pos
+        && Array.for_all Fun.id
+             (Array.mapi
+                (fun i v -> if mask.(i) then same v full.(i) else v = Value.Null)
+                got));
+    Test.make ~name:"masked row decode fails as full decode" ~count:500
+      (make
+         ~print:(fun ((row, mask), (how, pick, byte)) ->
+           Printf.sprintf "%s how %d pick %d byte %d" (print_masked (row, mask)) how
+             pick byte)
+         Gen.(pair masked_gen (triple (0 -- 3) nat (0 -- 255))))
+      (fun ((row, mask), (how, pick, byte)) ->
+        let encoded = corrupt row ~how ~pick ~byte in
+        let arity = Array.length row in
+        outcome (fun () -> Row.decode ~arity (Value.cursor encoded 0))
+        = outcome (fun () ->
+              Row.decode_into ~mask (Value.cursor encoded 0) (Array.make arity Value.Null)));
     Test.make ~name:"row encode/decode roundtrip" ~count:300
       (make ~print:print_row row_gen)
       (fun row ->

@@ -192,6 +192,75 @@ let test_counts_of_scale () =
   let tiny = Tpch.Dbgen.counts_of_scale 0.000001 in
   Alcotest.(check int) "floor of one" 1 tiny.Tpch.Dbgen.suppliers
 
+(* A scan of a paged table decodes only the columns the statement
+   reads; a resident table's rows are whole and never decoded. Every
+   statement must give the same rows and the same observer charges
+   over both, whichever clause is the only one to read a column. *)
+let projection_statements =
+  [
+    "select * from region";
+    "select n_name from nation where exists (select * from supplier where \
+     s_nationkey = n_nationkey and s_acctbal > 5000) order by n_name";
+    (* Q7's self-join through two aliases of nation *)
+    "select n1.n_name as supp_nation, n2.n_name as cust_nation, count(*) as n \
+     from supplier, customer, nation n1, nation n2 where s_nationkey = \
+     n1.n_nationkey and c_nationkey = n2.n_nationkey and ((n1.n_name = \
+     'FRANCE' and n2.n_name = 'GERMANY') or (n1.n_name = 'GERMANY' and \
+     n2.n_name = 'FRANCE')) group by n1.n_name, n2.n_name order by \
+     supp_nation, cust_nation";
+    (* a column read only by ORDER BY *)
+    "select c_name from customer where c_nationkey = 3 order by c_acctbal \
+     desc, c_custkey";
+    (* only by GROUP BY, only by HAVING *)
+    "select count(*) as n from orders group by o_orderpriority";
+    "select o_orderstatus, count(*) as n from orders group by o_orderstatus \
+     having sum(o_totalprice) > 100000 order by o_orderstatus";
+    (* only as a correlated outer reference *)
+    "select count(*) as n from part where exists (select * from partsupp \
+     where ps_partkey = p_partkey and ps_availqty > p_size * 150)";
+    "select s_name from supplier where s_acctbal > (select avg(c_acctbal) \
+     from customer where c_nationkey = s_nationkey) order by s_name";
+    (* a correlated IN subquery, memoized on the whole outer row: many
+       customers share the one column it reads *)
+    "select count(*) as n from customer where c_nationkey in (select \
+     s_nationkey from supplier where s_nationkey = c_nationkey and \
+     s_acctbal > 0)";
+    "select t.k, t.n from (select o_custkey as k, count(*) as n from orders \
+     group by o_custkey) t where t.n > 12 order by t.k";
+    "select c_custkey, count(o_orderkey) as n from customer left outer join \
+     orders on c_custkey = o_custkey and o_comment not like '%special%' \
+     group by c_custkey order by n desc, c_custkey limit 20";
+    "select count(*) as n from lineitem";
+  ]
+
+let test_projected_scan_equals_resident () =
+  let paged = db () in
+  let resident = Database.create_resident () in
+  List.iter
+    (fun name ->
+      let hf = Catalog.find (Database.catalog paged) name in
+      Database.add_resident_table resident (Heap_file.schema hf) (Heap_file.to_list hf))
+    (Catalog.table_names (Database.catalog paged));
+  let run db sql =
+    let obs, c = Observer.counting () in
+    Database.set_observer db obs;
+    let rows =
+      Fun.protect
+        ~finally:(fun () -> Database.set_observer db Observer.null)
+        (fun () -> (Database.query db sql).Exec.rows)
+    in
+    (List.map (fun r -> Array.to_list (Array.map Value.to_string r)) rows, c)
+  in
+  List.iter
+    (fun sql ->
+      let want, wc = run resident sql and got, gc = run paged sql in
+      Alcotest.(check (list (list string))) sql want got;
+      Alcotest.(check int) ("rows: " ^ sql) wc.Observer.rows gc.Observer.rows;
+      Alcotest.(check int) ("bytes: " ^ sql) wc.Observer.bytes_allocated
+        gc.Observer.bytes_allocated)
+    (projection_statements
+    @ List.map (fun (q : Tpch.Queries.t) -> q.sql) Tpch.Queries.all)
+
 let suite =
   [
     ("row counts", `Quick, test_row_counts);
@@ -206,4 +275,5 @@ let suite =
     ("query lookup", `Quick, test_by_id);
     ("q22 substring semantics", `Quick, test_q22_substring_semantics);
     ("counts of scale", `Quick, test_counts_of_scale);
+    ("projected scan equals resident", `Quick, test_projected_scan_equals_resident);
   ]
