@@ -182,17 +182,19 @@ type cursor = { src : string; mutable pos : int }
 
 let cursor src pos = { src; pos }
 
+(* The big-endian 64-bit integer at [off], sign-extended from the top
+   byte; values fit OCaml's 63-bit int. A top-level function, so a
+   decode allocates no closure. *)
+let get_i64 s off =
+  let b0 = Char.code s.[off] in
+  let v = ref (if b0 >= 128 then b0 - 256 else b0) in
+  for i = 1 to 7 do
+    v := (!v lsl 8) lor Char.code s.[off + i]
+  done;
+  !v
+
 let decode c =
   let s = c.src and off = c.pos in
-  let get_i64 off =
-    (* sign-extend from the top byte; values fit OCaml's 63-bit int *)
-    let b0 = Char.code s.[off] in
-    let v = ref (if b0 >= 128 then b0 - 256 else b0) in
-    for i = 1 to 7 do
-      v := (!v lsl 8) lor Char.code s.[off + i]
-    done;
-    !v
-  in
   match s.[off] with
   | 'N' ->
       c.pos <- off + 1;
@@ -204,7 +206,7 @@ let decode c =
       c.pos <- off + 1;
       Bool false
   | 'I' ->
-      let v = get_i64 (off + 1) in
+      let v = get_i64 s (off + 1) in
       c.pos <- off + 9;
       Int v
   | 'D' ->
@@ -222,7 +224,7 @@ let decode c =
       c.pos <- off + 3 + len;
       v
   | 'A' ->
-      let v = get_i64 (off + 1) in
+      let v = get_i64 s (off + 1) in
       c.pos <- off + 9;
       Date v
   | ch -> type_error "corrupt value tag %C" ch
