@@ -529,7 +529,9 @@ and scan_table state ~binding table ~filters ~ctx_parent =
   in
   let cfilters = List.map (compile ctx) filters in
   let index_pages = index_access state table filters in
-  let mask = Option.map (fun refs -> Column_refs.mask refs schema) state.refs in
+  let mask =
+    Option.map (fun refs -> Column_refs.mask refs schema) state.refs
+  in
   let projected = Option.fold ~none:false ~some:(Array.exists not) mask in
   let scan f =
     match index_pages with
@@ -1103,7 +1105,9 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
         | None ->
             let idx = build_index state stage_a outer_env csemi_inner in
             (* buckets back into stage-A order *)
-            Key_tbl.filter_map_inplace (fun _ b -> Some (rev_rows Nil b)) idx;
+            Key_tbl.filter_map_inplace
+              (fun _ b -> Some (rev_rows Nil b))
+              idx;
             index := Some idx;
             idx
       in
@@ -1165,8 +1169,8 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
         | None -> narrowed
         | Some h ->
             let ch = compile joined_ctx h in
-            pipe narrowed ~reads:(contains_subquery h) (fun outer_env k r h ->
-                if Value.as_bool (ch (with_outer outer_env r)) then k r h)
+            pipe narrowed ~reads:(contains_subquery h) (fun outer_env k r fp ->
+                if Value.as_bool (ch (with_outer outer_env r)) then k r fp)
       in
       let reads =
         List.exists contains_subquery item_exprs
@@ -1368,7 +1372,9 @@ and plan_join_tree state ~parent_ctx ~uses_outer fi :
 type result = { columns : string list; rows : Row.t list }
 
 let run_select state (q : select) : result =
-  let state = { state with refs = Some (Column_refs.of_select state.catalog q) } in
+  let state =
+    { state with refs = Some (Column_refs.of_select state.catalog q) }
+  in
   let plan = plan_select state ~outer:None q in
   { columns = plan.sub_cols; rows = plan.sub_run None }
 

@@ -194,7 +194,8 @@ let scan ?mask t ~f =
   match t.store with
   | Resident rows -> List.iter (fun row -> f row (Row.heap_size row)) rows
   | Paged _ ->
-      iter_pages ?mask t (stored_pages t) ~f:(fun ~page:_ row heap -> f row heap)
+      iter_pages ?mask t (stored_pages t) ~f:(fun ~page:_ row heap ->
+          f row heap)
 
 let iter t ~f =
   match t.store with

@@ -39,7 +39,11 @@ val iter : t -> f:(Row.t -> unit) -> unit
 (** {!scan} with every value built. *)
 
 val iter_pages :
-  ?mask:bool array -> t -> int list -> f:(page:int -> Row.t -> int -> unit) -> unit
+  ?mask:bool array ->
+  t ->
+  int list ->
+  f:(page:int -> Row.t -> int -> unit) ->
+  unit
 (** {!scan} of the given pages only (index-driven access path, index
     rebuilds); [f] also gets the page the row is stored on.
     @raise Invalid_argument on a resident file. *)

@@ -245,11 +245,13 @@ let skip c =
   let s = c.src and off = c.pos in
   let tag = s.[off] in
   let width =
-    if tag = 'S' then 3 + ((Char.code s.[off + 1] lsl 8) lor Char.code s.[off + 2])
+    if tag = 'S' then
+      3 + ((Char.code s.[off + 1] lsl 8) lor Char.code s.[off + 2])
     else Array.unsafe_get fixed_width (Char.code tag)
   in
   if width = 0 then type_error "corrupt value tag %C" tag;
-  if off + width > String.length s then invalid_arg "Value.skip: truncated value";
+  if off + width > String.length s then
+    invalid_arg "Value.skip: truncated value";
   c.pos <- off + width;
   (* Null and booleans 8, other fixed-width values 16, strings 24 + len *)
   if width = 1 then 8 else if tag = 'S' then 21 + width else 16
