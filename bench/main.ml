@@ -15,7 +15,6 @@
      table3    GDPR anti-pattern latencies (non-secure vs IronSafe)
      table4    attestation breakdown
      cluster   shard-count sweep (scatter-gather QPS) → BENCH_cluster.json
-     micro     bechamel microbenchmarks of the real primitives
 
      microbench wall-clock ns/op of the hot-path kernels (AES, CBC,
                 SHA-256/HMAC, Merkle, secure-store read, buffer-pool
@@ -28,8 +27,8 @@
                 --sat-slo-p99-ms/--sat-dump-dir)
                 → BENCH_saturation.json
 
-   Usage: main.exe [--experiment <id>] [--scale <sf>] [--no-micro]
-          [--trace-out FILE] [--quick] [--bench-out FILE]
+   Usage: main.exe [--experiment <id>] [--scale <sf>] [--trace-out FILE]
+          [--quick] [--bench-out FILE]
           [--check-floor FILE] [--sat-sessions N] [--sat-queries N]
           [--sample-sessions N] [--saturation-out FILE]
           [--sat-floor FILE] [--sat-slo-p99-ms MS] [--sat-dump-dir DIR]
@@ -708,59 +707,6 @@ let ablations scale =
       ("Realms (+1 switch/page)", Sim.Params.default.Sim.Params.world_switch_ns);
       ("Realms (+2 switches/page)", 2.0 *. Sim.Params.default.Sim.Params.world_switch_ns);
     ]
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks of the real primitives.                    *)
-
-let micro () =
-  header "Microbenchmarks (bechamel; real wall time of the primitives)";
-  let open Bechamel in
-  let drbg = C.Drbg.create ~seed:"bench-micro" in
-  let page = C.Drbg.generate drbg 4096 in
-  let aes_key = C.Aes.expand_key (C.Drbg.generate drbg 16) in
-  let iv = C.Drbg.generate drbg 16 in
-  let ciphertext = C.Modes.cbc_encrypt ~key:aes_key ~iv page in
-  let hmac_key = C.Drbg.generate drbg 32 in
-  let policy_src =
-    "read ::= sessionKeyIs(Ka) | sessionKeyIs(Kb) & le(T, TIMESTAMP)"
-  in
-  let db = Sql.Database.create ~pager:(Sql.Pager.in_memory ()) in
-  ignore (Tpch.Dbgen.populate db ~scale:0.002);
-  let tests =
-    [
-      Test.make ~name:"sha256-4KiB-page"
-        (Staged.stage (fun () -> C.Sha256.digest page));
-      Test.make ~name:"hmac-4KiB-page"
-        (Staged.stage (fun () -> C.Hmac.mac ~key:hmac_key page));
-      Test.make ~name:"aes128-cbc-decrypt-page"
-        (Staged.stage (fun () -> C.Modes.cbc_decrypt ~key:aes_key ~iv ciphertext));
-      Test.make ~name:"policy-parse"
-        (Staged.stage (fun () -> Ironsafe_policy.Policy_parser.parse policy_src));
-      Test.make ~name:"tpch-q6-plain"
-        (Staged.stage (fun () ->
-             Sql.Database.query db (Tpch.Queries.by_id 6).Tpch.Queries.sql));
-    ]
-  in
-  let benchmark test =
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.3) () in
-    let results =
-      Benchmark.all cfg [ instance ]
-        (Test.make_grouped ~name:"ironsafe" [ test ])
-    in
-    let ols =
-      Analyze.all
-        (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-        instance results
-    in
-    Hashtbl.iter
-      (fun name result ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> Fmt.pr "%-36s %14.1f ns/op@." name est
-        | Some _ | None -> Fmt.pr "%-36s (no estimate)@." name)
-      ols
-  in
-  List.iter benchmark tests
 
 (* ------------------------------------------------------------------ *)
 
@@ -1776,7 +1722,6 @@ let write_trace file =
 let () =
   let experiment = ref "all" in
   let scale = ref default_scale in
-  let run_micro = ref true in
   let trace_out = ref None in
   let rec parse = function
     | [] -> ()
@@ -1785,9 +1730,6 @@ let () =
         parse rest
     | "--scale" :: v :: rest ->
         scale := float_of_string v;
-        parse rest
-    | "--no-micro" :: rest ->
-        run_micro := false;
         parse rest
     | "--trace-out" :: v :: rest ->
         trace_out := Some v;
@@ -1862,15 +1804,13 @@ let () =
   | "all" ->
       (* the 10^5-session saturation sweep is a targeted run, not part
          of "all" — invoke it with --experiment saturation *)
-      List.iter (fun (name, f) -> guarded name f !scale) experiments;
-      if !run_micro then micro ()
-  | "micro" -> micro ()
+      List.iter (fun (name, f) -> guarded name f !scale) experiments
   | "saturation" -> guarded "saturation" saturation !scale
   | name -> (
       match List.assoc_opt name experiments with
       | Some f -> guarded name f !scale
       | None ->
-          Fmt.epr "unknown experiment %s (available: %s, micro, saturation)@."
+          Fmt.epr "unknown experiment %s (available: %s, saturation)@."
             name
             (String.concat ", " (List.map fst experiments));
           exit 2));

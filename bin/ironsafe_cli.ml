@@ -23,13 +23,9 @@ module Fault = Ironsafe_fault.Fault
 module Cluster = Ironsafe_cluster.Cluster
 module Monitor = Ironsafe_monitor.Trusted_monitor
 
-let build_deployment ?(faults = Fault.none) ?(pool_frames = 0)
-    ?(crypto_mode = Ironsafe_securestore.Secure_store.Cbc) ?(crypto_lanes = 1)
-    scale =
-  let params = { Ironsafe_sim.Params.default with crypto_lanes } in
+let build_deployment ?(faults = Fault.none) ?(pool_frames = 0) scale =
   let deploy =
-    Deployment.create ~seed:"ironsafe-cli" ~params ~faults ~pool_frames
-      ~crypto_mode
+    Deployment.create ~seed:"ironsafe-cli" ~faults ~pool_frames
       ~populate:(fun db -> ignore (Tpch.Dbgen.populate db ~scale))
       ()
   in
@@ -98,38 +94,6 @@ let pool_frames_arg =
         ~doc:
           "Decrypted-page buffer pool size in frames for both media (0 \
            disables the pool entirely; reads then always hit the backend).")
-
-let crypto_mode_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "cbc" -> Ok Ironsafe_securestore.Secure_store.Cbc
-    | "ctr" -> Ok Ironsafe_securestore.Secure_store.Ctr
-    | _ -> Error (`Msg (Printf.sprintf "unknown crypto mode %s (cbc/ctr)" s))
-  in
-  let print ppf m =
-    Fmt.string ppf
-      (match m with
-      | Ironsafe_securestore.Secure_store.Cbc -> "cbc"
-      | Ironsafe_securestore.Secure_store.Ctr -> "ctr")
-  in
-  Arg.conv (parse, print)
-
-let crypto_mode_arg =
-  Arg.(
-    value
-    & opt crypto_mode_conv Ironsafe_securestore.Secure_store.Cbc
-    & info [ "crypto-mode" ] ~docv:"MODE"
-        ~doc:
-          "Secure-store page cipher: $(b,cbc) (chained, single lane) or \
-           $(b,ctr) (independently decryptable blocks).")
-
-let crypto_lanes_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "crypto-lanes" ] ~docv:"N"
-        ~doc:
-          "Decrypt lanes per CTR page charged on the virtual clock (CBC \
-           always runs single-lane).")
 
 let shards_conv =
   let parse s =
@@ -339,16 +303,14 @@ let start_exports ~profile ?trace_out ?jsonl_out ?metrics_out ~sample_every
   (obs_on, write_exports)
 
 let run_query ?(profile = false) ?trace_out ?jsonl_out ?metrics_out
-    ?(sample_every = 1) ?(faults = Fault.none) ?(pool_frames = 0) ?crypto_mode
-    ?crypto_lanes ?(recorder_frames = 256) ?dump_dir ?(slo_p99_ms = 0.0) scale
-    config policy sql =
+    ?(sample_every = 1) ?(faults = Fault.none) ?(pool_frames = 0)
+    ?(recorder_frames = 256) ?dump_dir ?(slo_p99_ms = 0.0) scale config policy
+    sql =
   let _, write_exports =
     start_exports ~profile ?trace_out ?jsonl_out ?metrics_out ~sample_every
       ~recorder_frames dump_dir
   in
-  let deploy =
-    build_deployment ~faults ~pool_frames ?crypto_mode ?crypto_lanes scale
-  in
+  let deploy = build_deployment ~faults ~pool_frames scale in
   let engine = setup_engine deploy policy in
   match Engine.submit engine ~client:"cli" ~config ~sql () with
   | Error e ->
@@ -377,16 +339,13 @@ let run_query ?(profile = false) ?trace_out ?jsonl_out ?metrics_out
    compliance gate runs before execution: one non-compliant or
    unattested shard rejects the whole query. *)
 let run_cluster_query ?trace_out ?jsonl_out ?metrics_out ?(sample_every = 1)
-    ?(faults = Fault.none) ?(pool_frames = 0) ?crypto_mode ?crypto_lanes
-    ?(recorder_frames = 256) ?dump_dir ?(slo_p99_ms = 0.0)
-    ~shards ~scheme scale config policy sql =
+    ?(faults = Fault.none) ?(pool_frames = 0) ?(recorder_frames = 256)
+    ?dump_dir ?(slo_p99_ms = 0.0) ~shards ~scheme scale config policy sql =
   let obs_on, write_exports =
     start_exports ~profile:false ?trace_out ?jsonl_out ?metrics_out
       ~sample_every ~recorder_frames dump_dir
   in
-  let deploy =
-    build_deployment ~faults ~pool_frames ?crypto_mode ?crypto_lanes scale
-  in
+  let deploy = build_deployment ~faults ~pool_frames scale in
   let engine = setup_engine deploy policy in
   let cl = build_cluster ~shards ~scheme deploy in
   let monitor = Engine.monitor engine in
@@ -479,8 +438,8 @@ let query_cmd =
              events are always collected while observability is on).")
   in
   let run scale config policy explain profile trace_out jsonl_out metrics_out
-      sample_every fault_seed fault_profile pool_frames crypto_mode crypto_lanes
-      shards scheme recorder_frames dump_dir slo_p99_ms sql =
+      sample_every fault_seed fault_profile pool_frames shards scheme
+      recorder_frames dump_dir slo_p99_ms sql =
     if explain then begin
       let deploy = build_deployment scale in
       let plan =
@@ -494,12 +453,12 @@ let query_cmd =
     else if shards > 1 then
       run_cluster_query ?trace_out ?jsonl_out ?metrics_out ~sample_every
         ~faults:(fault_plan fault_seed fault_profile)
-        ~pool_frames ~crypto_mode ~crypto_lanes ~recorder_frames
+        ~pool_frames ~recorder_frames
         ?dump_dir ~slo_p99_ms ~shards ~scheme scale config policy sql
     else
       run_query ~profile ?trace_out ?jsonl_out ?metrics_out ~sample_every
         ~faults:(fault_plan fault_seed fault_profile)
-        ~pool_frames ~crypto_mode ~crypto_lanes ~recorder_frames
+        ~pool_frames ~recorder_frames
         ?dump_dir ~slo_p99_ms scale config policy sql
   in
   Cmd.v
@@ -507,9 +466,8 @@ let query_cmd =
     Term.(
       const run $ scale_arg $ config_arg $ policy_arg $ explain $ profile
       $ trace_out $ jsonl_out $ metrics_out $ sample_every $ fault_seed_arg
-      $ fault_profile_arg $ pool_frames_arg $ crypto_mode_arg $ crypto_lanes_arg
-      $ shards_arg $ scheme_arg $ recorder_frames_arg
-      $ dump_dir_arg $ slo_p99_ms_arg $ sql)
+      $ fault_profile_arg $ pool_frames_arg $ shards_arg $ scheme_arg
+      $ recorder_frames_arg $ dump_dir_arg $ slo_p99_ms_arg $ sql)
 
 let tpch_cmd =
   let id =
@@ -518,13 +476,11 @@ let tpch_cmd =
   let all =
     Arg.(value & flag & info [ "all-configs" ] ~doc:"Run under all five configurations.")
   in
-  let run scale config all fault_seed fault_profile pool_frames crypto_mode
-      crypto_lanes shards scheme id =
+  let run scale config all fault_seed fault_profile pool_frames shards scheme
+      id =
     let q = Tpch.Queries.by_id_complete id in
     let faults = fault_plan fault_seed fault_profile in
-    let deploy =
-      build_deployment ~faults ~pool_frames ~crypto_mode ~crypto_lanes scale
-    in
+    let deploy = build_deployment ~faults ~pool_frames scale in
     let run_outcome =
       if shards > 1 then begin
         let cl = build_cluster ~shards ~scheme deploy in
@@ -553,8 +509,7 @@ let tpch_cmd =
     (Cmd.info "tpch" ~doc:"Run a TPC-H query under one or all configurations")
     Term.(
       const run $ scale_arg $ config_arg $ all $ fault_seed_arg
-      $ fault_profile_arg $ pool_frames_arg $ crypto_mode_arg $ crypto_lanes_arg
-      $ shards_arg $ scheme_arg $ id)
+      $ fault_profile_arg $ pool_frames_arg $ shards_arg $ scheme_arg $ id)
 
 let workload_cmd =
   let module Sched = Ironsafe_sched.Sched in

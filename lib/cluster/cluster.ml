@@ -143,7 +143,6 @@ let create ?(storage_cores = 16) ?(storage_version = 1)
     incr instances;
     let instance = !instances in
     let params = base.Deployment.params in
-    let page_mode = Sec.Secure_store.page_mode base.Deployment.secure_store in
     let who = "Cluster.create" in
     (* per-shard TrustZone identity + empty plain replica *)
     let protos =
@@ -192,7 +191,7 @@ let create ?(storage_cores = 16) ?(storage_version = 1)
       Array.mapi
         (fun i (node, tz, booted, plain_db) ->
           let m =
-            Deployment.provision_secure ~who ~page_mode
+            Deployment.provision_secure ~who
               ~plain_pages:
                 (Sql.Catalog.total_pages (Sql.Database.catalog plain_db))
               tz base.Deployment.drbg

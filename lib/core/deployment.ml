@@ -31,14 +31,13 @@ type t = {
   plain_db : Sql.Database.t;
   secure_db : Sql.Database.t;
   (* decrypted-page buffer pools in front of each medium's pager
-     ([None] when [pool_frames] = 0: the pagers are not wrapped at all,
-     so pool-less runs are byte-identical to the pre-pool system) *)
+     ([None] when [pool_frames] = 0: the pagers are not wrapped, and
+     every page access reaches the backend) *)
   pool_frames : int;
   plain_pool : Sql.Bufpool.t option;
   secure_pool : Sql.Bufpool.t option;
   (* crash-safe write path ([None] when [wal] is off: the secure pager
-     is built exactly as before, so read-only runs stay byte-identical
-     to WAL-less builds) *)
+     reads and writes the secure store directly) *)
   device_wal : Storage.Block_device.t option;
   txn_store : Wal.Txn_store.t option;
   (* TEEs *)
@@ -106,7 +105,7 @@ type secure_medium = {
 
 (* A fresh secure medium keyed to [tz]'s hardware key, sized for a
    database of [plain_pages] pages plus a quarter of headroom. *)
-let provision_secure ~who ~page_mode ~plain_pages tz drbg =
+let provision_secure ~who ~plain_pages tz drbg =
   let data_pages = plain_pages + (plain_pages / 4) + 64 in
   let device =
     Storage.Block_device.create
@@ -115,8 +114,7 @@ let provision_secure ~who ~page_mode ~plain_pages tz drbg =
   let rpmb = Storage.Rpmb.create () in
   match
     Sec.Secure_store.initialize ~device ~rpmb
-      ~hardware_key:(Tee.Trustzone.hardware_key tz) ~page_mode ~data_pages
-      ~drbg ()
+      ~hardware_key:(Tee.Trustzone.hardware_key tz) ~data_pages ~drbg ()
   with
   | Ok store -> { device; rpmb; store }
   | Error e ->
@@ -132,8 +130,7 @@ let fault_medium faults m =
 let create ?(params = Sim.Params.default) ?(host_cores = 10)
     ?(storage_cores = 16) ?storage_mem_limit ?(host_version = 1)
     ?(storage_version = 1) ?(storage_location = "eu-west")
-    ?(faults = Fault.none) ?(pool_frames = 0)
-    ?(crypto_mode = Sec.Secure_store.Cbc) ?(wal = false)
+    ?(faults = Fault.none) ?(pool_frames = 0) ?(wal = false)
     ?(wal_window_ns = 0.0) ?(wal_log_pages = 512) ~seed ~populate () =
   let drbg = C.Drbg.create ~seed in
   let host =
@@ -165,16 +162,13 @@ let create ?(params = Sim.Params.default) ?(host_cores = 10)
     boot_storage_tee ~who ~location:storage_location
       ~device_id:"clearfog-cx-lx2k-0001" ~normal_world:storage_nw_image drbg
   in
-  let medium =
-    provision_secure ~who ~page_mode:crypto_mode ~plain_pages tz_device drbg
-  in
+  let medium = provision_secure ~who ~plain_pages tz_device drbg in
   let device_secure = medium.device and rpmb = medium.rpmb in
   let secure_store = medium.store in
   (* Crash-safe write path: a WAL on its own device plus the
      transactional overlay; the secure pager then routes through the
      overlay so DML is logged and SELECTs can pin snapshots. Off (the
-     default) the pager is built exactly as before, so read-only runs
-     stay byte-identical to WAL-less builds. *)
+     default) the pager sits directly on the secure store. *)
   let device_wal, txn_store, secure_pool, secure_pager =
     if not wal then begin
       let secure_pool, secure_pager = pool (Sql.Pager.secure secure_store) in
@@ -327,21 +321,19 @@ let txn_store t = t.txn_store
    and the WAL from the persistent media, and redo the committed log
    into the base store.
 
-   The two per-boot freshness secrets are reset together here: the
-   reopened secure store draws a fresh CTR nonce salt and the reopened
-   WAL draws a fresh boot salt while [Txn_store.adopt] bumps the log
-   epoch — so no post-recovery page or record encryption ever reuses a
-   pre-crash nonce, even at the same (page, version) or (epoch, LSN)
-   coordinates. *)
+   The reopened WAL draws a fresh boot salt while [Txn_store.adopt]
+   bumps the log epoch, so no post-recovery record encryption reuses a
+   pre-crash CTR nonce, even at the same (epoch, LSN) coordinates.
+   Pages need no such reset: every page write draws a fresh random CBC
+   IV. *)
 let reboot_secure t =
   match (t.txn_store, t.device_wal) with
   | Some ts, Some dw -> (
       Option.iter Sql.Bufpool.invalidate t.secure_pool;
       let hardware_key = Tee.Trustzone.hardware_key t.tz_device in
       match
-        Sec.Secure_store.open_existing
-          ~page_mode:(Sec.Secure_store.page_mode t.secure_store)
-          ~device:t.device_secure ~rpmb:t.rpmb ~hardware_key
+        Sec.Secure_store.open_existing ~device:t.device_secure ~rpmb:t.rpmb
+          ~hardware_key
           ~data_pages:(Sec.Secure_store.data_page_count t.secure_store)
           ~drbg:t.drbg ()
       with

@@ -17,15 +17,15 @@ type t = {
   secure_db : Ironsafe_sql.Database.t;
   pool_frames : int;
       (** frames per decrypted-page buffer pool (0 = the pagers are not
-          wrapped at all; runs are byte-identical to a pool-less build) *)
+          wrapped, and every page access reaches the backend) *)
   plain_pool : Ironsafe_sql.Bufpool.t option;
   secure_pool : Ironsafe_sql.Bufpool.t option;
   device_wal : Ironsafe_storage.Block_device.t option;
       (** dedicated log device ([None] when the WAL is off) *)
   txn_store : Ironsafe_wal.Txn_store.t option;
       (** transactional overlay the secure pager routes through when
-          the WAL is on; [None] leaves the pager byte-identical to a
-          WAL-less build *)
+          the WAL is on; [None] leaves the pager directly on the secure
+          store *)
   ias : Ironsafe_tee.Sgx.ias;
   sgx : Ironsafe_tee.Sgx.platform;
   host_enclave : Ironsafe_tee.Sgx.enclave;
@@ -51,7 +51,6 @@ val create :
   ?storage_location:string ->
   ?faults:Ironsafe_fault.Fault.t ->
   ?pool_frames:int ->
-  ?crypto_mode:Ironsafe_securestore.Secure_store.page_mode ->
   ?wal:bool ->
   ?wal_window_ns:float ->
   ?wal_log_pages:int ->
@@ -74,9 +73,6 @@ val create :
     always clean; the plain replica is never faulted and doubles as a
     fault-free oracle over the same deployment.
 
-    [crypto_mode] (default [Cbc]) selects the secure store's page
-    cipher mode.
-
     [wal] (default false) enables the crash-safe write path: an
     encrypted HMAC-chained log on its own [wal_log_pages]-page device
     (default 512) with its commit horizon anchored in RPMB, and the
@@ -95,9 +91,9 @@ val reboot_secure : t -> (unit, string) result
     (pool frames are {e not} written back — with power they never
     existed), reopen the secure store and the WAL from the persistent
     media, verify the chained log against the RPMB anchor, and
-    redo-apply the committed records. The reopened store draws a fresh
-    CTR nonce salt and the WAL a fresh boot salt + epoch in the same
-    step, so post-recovery encryption never reuses a pre-crash nonce.
+    redo-apply the committed records. The reopened WAL draws a fresh
+    boot salt and epoch, so post-recovery record encryption never
+    reuses a pre-crash nonce.
     Existing pager closures (and therefore the SQL layer) survive the
     swap; the SQL layer's volatile heap cursors and indexes are
     re-anchored on the recovered pages
@@ -153,7 +149,6 @@ type secure_medium = {
 
 val provision_secure :
   who:string ->
-  page_mode:Ironsafe_securestore.Secure_store.page_mode ->
   plain_pages:int ->
   Ironsafe_tee.Trustzone.device ->
   Ironsafe_crypto.Drbg.t ->

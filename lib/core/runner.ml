@@ -75,23 +75,14 @@ let snapshot_secure_stats store =
 (* Charge decryption/freshness for secure-store operations to [node].
    [parallel] models the secure-storage layer verifying pages on a
    thread pool (split configs); a single engine instance (sos) does
-   its page crypto inline on one core. [lanes] divides the AES cost:
-   a CTR page is a set of independent keystream chunks decrypted on
-   [lanes] cores, while MAC/Merkle/RPMB freshness work stays serial
-   per page (the MAC covers the whole ciphertext). CBC callers pass 1
-   (block chaining admits no intra-page parallelism), which keeps the
-   span attributes and charges bit-identical to the pre-lane model. *)
-let charge_crypto ?(parallel = true) ?(lanes = 1) node (params : Sim.Params.t)
-    ~decrypts ~macs ~merkle ~rpmb =
-  let lanes = max 1 lanes in
+   its page crypto inline on one core. Each page is one CBC chain, so
+   its decrypt is charged whole to one core. *)
+let charge_crypto ?(parallel = true) node (params : Sim.Params.t) ~decrypts
+    ~macs ~merkle ~rpmb =
   Sim.Node.with_span node ~name:"crypto"
-    ~attrs:
-      (("decrypts", string_of_int decrypts)
-      :: (if lanes > 1 then [ ("lanes", string_of_int lanes) ] else []))
+    ~attrs:[ ("decrypts", string_of_int decrypts) ]
     (fun () ->
-      let dec =
-        float_of_int decrypts *. params.decrypt_page_ns /. float_of_int lanes
-      in
+      let dec = float_of_int decrypts *. params.decrypt_page_ns in
       let fresh =
         (float_of_int macs *. params.hmac_page_ns)
         +. (float_of_int merkle *. params.merkle_node_ns)
@@ -288,21 +279,13 @@ let note_split config (plan : Partitioner.plan) =
 
 (* -- one node's share of a query -------------------------------------- *)
 
-(* CTR pages decrypt on [crypto_lanes] cores; CBC chains blocks and
-   stays single-lane, so its charges are untouched by the knob *)
-let crypto_lanes d =
-  match Sec.Secure_store.page_mode d.Deployment.secure_store with
-  | Sec.Secure_store.Ctr -> d.Deployment.params.Sim.Params.crypto_lanes
-  | Sec.Secure_store.Cbc -> 1
-
 let storage_share d config ~storage ~store ~sessions ~shipped
     (c : Sql.Observer.counters) =
   let params = d.Deployment.params and host = d.Deployment.host in
-  let lanes = crypto_lanes d in
   let pages = c.Sql.Observer.page_reads and hits = c.Sql.Observer.page_hits in
   let crypto ?parallel node =
     let decrypts, macs, merkle, rpmb = snapshot_secure_stats store in
-    charge_crypto ?parallel ~lanes node params ~decrypts ~macs ~merkle ~rpmb
+    charge_crypto ?parallel node params ~decrypts ~macs ~merkle ~rpmb
   in
   let offload_sessions () =
     Sim.Node.charge storage ~category:"other"

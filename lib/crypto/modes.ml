@@ -177,23 +177,6 @@ module Aesni : KERNELS = struct
     ctr_k (Aes.schedule key) ctr src soff dst doff len
 end
 
-(* -- CTR counter ---------------------------------------------------- *)
-
-(* Big-endian addition of a small integer into the 16-byte counter,
-   wrapping mod 2^128 (the carry off byte 0 is dropped, matching what
-   repeated [incr_counter] does). Lets a lane start mid-message. *)
-let add_counter ctr k =
-  if k < 0 then invalid_arg "Modes: negative counter offset";
-  let rec add i k =
-    if k = 0 || i < 0 then ()
-    else begin
-      let v = Char.code (Bytes.get ctr i) + (k land 0xff) in
-      Bytes.set ctr i (Char.chr (v land 0xff));
-      add (i - 1) ((k lsr 8) + (v lsr 8))
-    end
-  in
-  add 15 k
-
 (* -- The modes, over either set of kernels ---------------------------- *)
 
 module Make (K : KERNELS) = struct
@@ -244,17 +227,14 @@ module Make (K : KERNELS) = struct
       invalid_arg "Modes.cbc_decrypt: iv must be 16 bytes";
     cbc_decrypt_sub ~key ~iv ~iv_off:0 cipher 0 (String.length cipher)
 
-  let ctr_transform_into ~key ~nonce ?(block_offset = 0) src soff dst doff
-      len =
+  let ctr_transform_into ~key ~nonce src soff dst doff len =
     if String.length nonce <> 16 then
       invalid_arg "Modes.ctr_transform_into: nonce must be 16 bytes";
     if soff < 0 || len < 0 || soff + len > String.length src then
       invalid_arg "Modes.ctr_transform_into: source range out of bounds";
     if doff < 0 || doff + len > Bytes.length dst then
       invalid_arg "Modes.ctr_transform_into: destination range out of bounds";
-    let ctr = Bytes.of_string nonce in
-    add_counter ctr block_offset;
-    K.ctr key ctr src soff dst doff len
+    K.ctr key (Bytes.of_string nonce) src soff dst doff len
 
   let ctr_transform ~key ~nonce data =
     let n = String.length data in

@@ -29,21 +29,16 @@ val ctr_transform : key:Aes.key -> nonce:string -> string -> string
 val ctr_transform_into :
   key:Aes.key ->
   nonce:string ->
-  ?block_offset:int ->
   string ->
   int ->
   Bytes.t ->
   int ->
   int ->
   unit
-(** [ctr_transform_into ~key ~nonce ~block_offset src soff dst doff len]
-    is the allocation-free form of {!ctr_transform}: it XORs the CTR
-    keystream over [src.[soff .. soff+len-1]] into a caller-owned [dst]
-    at [doff]. [block_offset] (default 0) starts the counter
-    [block_offset] blocks past the nonce, so independent lanes can each
-    transform a block-aligned slice of one message and produce exactly
-    the bytes the single-lane transform would. Unlike CBC, any 16-byte
-    block is decryptable on its own. *)
+(** [ctr_transform_into ~key ~nonce src soff dst doff len] is
+    {!ctr_transform} into a caller-owned buffer: it XORs the CTR
+    keystream, counting up from [nonce], over [src.[soff .. soff+len-1]]
+    into [dst] at [doff]. Only the 16-byte counter is allocated. *)
 
 (**/**)
 
@@ -72,7 +67,6 @@ module Reference : sig
   val ctr_transform_into :
     key:Aes.key ->
     nonce:string ->
-    ?block_offset:int ->
     string ->
     int ->
     Bytes.t ->

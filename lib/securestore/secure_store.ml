@@ -71,25 +71,11 @@ let pp_error ppf = function
    bounding the blast radius of a single page-key compromise. *)
 type key_mode = Single_key | Per_page_keys
 
-(* Page cipher mode. CBC is the paper's SQLCipher-style default; CTR
-   keeps the MAC-then-anchor layout bit-for-bit identical (the nonce
-   simply lives in the IV slot and is MACed the same way) but makes
-   each 16-byte block of a page independently decryptable, which is
-   what lets the cost model split one page's decrypt across
-   [Params.crypto_lanes] lanes. *)
-type page_mode = Cbc | Ctr
-
 type t = {
   device : S.Block_device.t;
   rpmb : S.Rpmb.t;
   keys : Keyslot.t;
   key_mode : key_mode;
-  page_mode : page_mode;
-  mutable write_epoch : int;
-      (* monotone per-store write counter; CTR nonces derive from it *)
-  nonce_salt : string;
-      (* 16 DRBG bytes drawn per boot (CTR mode only): nonces stay
-         unique across reboots without persisting the epoch counter *)
   enc_key : C.Aes.key; (* Single_key mode *)
   mutable page_keys : C.Aes.key option array; (* Per_page_keys cache *)
   merkle : C.Merkle.t;
@@ -215,49 +201,15 @@ let page_mac t index iv iv_off ct ct_off clen =
   C.Hmac.feed_sub c ct ct_off clen;
   C.Hmac.finish c
 
-let page_mode t = t.page_mode
-
-(* CTR nonce for one page write: hash of (boot salt, page id, epoch).
-   The epoch bumps on every write and the salt is fresh per boot, so no
-   (key, nonce) pair ever recurs — the CTR keystream is never reused
-   even when the same page is rewritten, or written again after a
-   reboot that restarts the epoch counter. The nonce travels in the
-   page's IV slot and is bound by the page MAC exactly like a CBC IV. *)
-let ctr_nonce t index =
-  t.write_epoch <- t.write_epoch + 1;
-  String.sub
-    (C.Sha256.digest_list
-       [
-         "ironsafe-ctr-nonce";
-         t.nonce_salt;
-         Printf.sprintf "%08d|%016x" index t.write_epoch;
-       ])
-    0 16
-
-(* Mode-dispatched page cipher. CTR ciphertext is plaintext-length
-   (no padding); both fit the shared len field and leave [capacity]
-   unchanged, so page packing is identical across modes. *)
-let encrypt_payload t index ~iv plain =
-  match t.page_mode with
-  | Cbc -> C.Modes.cbc_encrypt ~key:(page_key t index) ~iv plain
-  | Ctr -> C.Modes.ctr_transform ~key:(page_key t index) ~nonce:iv plain
-
 (* Decrypt the [clen]-byte ciphertext of a raw page in place: the IV
-   (or CTR nonce) sits at offset 0, the ciphertext at [header_len]. *)
+   sits at offset 0, the ciphertext at [header_len]. *)
 let decrypt_payload t index raw clen =
-  match t.page_mode with
-  | Cbc -> (
-      match
-        C.Modes.cbc_decrypt_sub ~key:(page_key t index) ~iv:raw ~iv_off:0 raw
-          header_len clen
-      with
-      | Ok plain -> Ok plain
-      | Error msg -> Error (Corrupt_page (index, msg)))
-  | Ctr ->
-      let plain = Bytes.create clen in
-      C.Modes.ctr_transform_into ~key:(page_key t index)
-        ~nonce:(String.sub raw 0 16) raw header_len plain 0 clen;
-      Ok (Bytes.unsafe_to_string plain)
+  match
+    C.Modes.cbc_decrypt_sub ~key:(page_key t index) ~iv:raw ~iv_off:0 raw
+      header_len clen
+  with
+  | Ok plain -> Ok plain
+  | Error msg -> Error (Corrupt_page (index, msg))
 
 (* Encrypt and store [plain] (<= capacity bytes) at data page [index]. *)
 let write_page t index plain =
@@ -266,12 +218,8 @@ let write_page t index plain =
   if String.length plain > capacity then
     invalid_arg "Secure_store.write_page: payload exceeds page capacity";
   Obs.count ~scope:obs_scope "pages_written";
-  let iv =
-    match t.page_mode with
-    | Cbc -> C.Drbg.generate t.drbg 16
-    | Ctr -> ctr_nonce t index
-  in
-  let ciphertext = encrypt_payload t index ~iv plain in
+  let iv = C.Drbg.generate t.drbg 16 in
+  let ciphertext = C.Modes.cbc_encrypt ~key:(page_key t index) ~iv plain in
   t.stats.page_encrypts <- t.stats.page_encrypts + 1;
   Obs.count ~scope:obs_scope "page_encrypts";
   let clen = String.length ciphertext in
@@ -356,18 +304,12 @@ let read_page t index =
   attempt 0
 
 (* The store's in-memory state under [keys], its tree all empty leaves. *)
-let make ~key_mode ~page_mode ~device ~rpmb ~keys ~data_pages ~drbg =
+let make ~key_mode ~device ~rpmb ~keys ~data_pages ~drbg =
   {
     device;
     rpmb;
     keys;
     key_mode;
-    page_mode;
-    write_epoch = 0;
-    (* drawn only in CTR mode so the CBC DRBG stream — and with it every
-       CBC ciphertext — is unchanged by mode selection *)
-    nonce_salt =
-      (match page_mode with Cbc -> "" | Ctr -> C.Drbg.generate drbg 16);
     enc_key = C.Aes.expand_key (Keyslot.page_enc_key keys);
     page_keys = Array.make data_pages None;
     page_mac_prekey = C.Hmac.precompute ~key:(Keyslot.page_mac_key keys);
@@ -383,7 +325,7 @@ let make ~key_mode ~page_mode ~device ~rpmb ~keys ~data_pages ~drbg =
 
 (* First-time initialization: generate data key, persist it to RPMB,
    build an empty Merkle tree over zeroed leaf tags. *)
-let initialize ?(key_mode = Single_key) ?(page_mode = Cbc) ~device ~rpmb
+let initialize ?(key_mode = Single_key) ~device ~rpmb
     ~hardware_key ~data_pages ~drbg () =
   if device_pages_for ~data_pages > S.Block_device.page_count device then
     invalid_arg "Secure_store.initialize: device too small for data + metadata";
@@ -402,7 +344,7 @@ let initialize ?(key_mode = Single_key) ?(page_mode = Cbc) ~device ~rpmb
   | Error e -> Error (Rpmb_error e)
   | Ok _ ->
       let t =
-        make ~key_mode ~page_mode ~device ~rpmb ~keys ~data_pages ~drbg
+        make ~key_mode ~device ~rpmb ~keys ~data_pages ~drbg
       in
       (* persist initial (empty) leaf tags *)
       for i = 0 to data_pages - 1 do
@@ -416,7 +358,7 @@ let initialize ?(key_mode = Single_key) ?(page_mode = Cbc) ~device ~rpmb
    Merkle tree from the on-device leaf tags, and require the resulting
    root to match the RPMB anchor. A rolled-back or forked medium fails
    here with [Stale_root]. *)
-let open_existing ?(key_mode = Single_key) ?(page_mode = Cbc) ~device ~rpmb
+let open_existing ?(key_mode = Single_key) ~device ~rpmb
     ~hardware_key ~data_pages ~drbg () =
   let rpmb_key = Keyslot.derive_rpmb_auth_key ~hardware_key in
   let nonce = C.Drbg.generate drbg 16 in
@@ -429,7 +371,7 @@ let open_existing ?(key_mode = Single_key) ?(page_mode = Cbc) ~device ~rpmb
         let data_key = String.sub key_frame.S.Rpmb.payload 0 32 in
         let keys = Keyslot.of_data_key ~hardware_key ~data_key in
         let t =
-          make ~key_mode ~page_mode ~device ~rpmb ~keys ~data_pages ~drbg
+          make ~key_mode ~device ~rpmb ~keys ~data_pages ~drbg
         in
         for i = 0 to data_pages - 1 do
           let meta_page = data_pages + (i / tags_per_page) in

@@ -42,19 +42,8 @@ type key_mode =
   | Single_key  (** one AES key for every page (the paper's default) *)
   | Per_page_keys  (** per-page keys derived from the data key (§4.1) *)
 
-type page_mode =
-  | Cbc  (** AES-CBC + PKCS#7, serial per block (the paper's default) *)
-  | Ctr
-      (** AES-CTR: identical page layout and MAC coverage (the nonce
-          lives in the IV slot), but every 16-byte block is
-          independently decryptable, so the cost model may split its
-          decrypt across lanes.
-          Nonces are derived from (per-boot salt, page id, write
-          epoch), never reused per key. *)
-
 val initialize :
   ?key_mode:key_mode ->
-  ?page_mode:page_mode ->
   device:Ironsafe_storage.Block_device.t ->
   rpmb:Ironsafe_storage.Rpmb.t ->
   hardware_key:string ->
@@ -67,7 +56,6 @@ val initialize :
 
 val open_existing :
   ?key_mode:key_mode ->
-  ?page_mode:page_mode ->
   device:Ironsafe_storage.Block_device.t ->
   rpmb:Ironsafe_storage.Rpmb.t ->
   hardware_key:string ->
@@ -77,8 +65,7 @@ val open_existing :
   (t, error) result
 (** Reboot path: recovers keys from RPMB, rebuilds the tree from
     on-device tags, and detects rollback/fork via the anchored root.
-    [key_mode] and [page_mode] must match the modes used at
-    initialization. *)
+    [key_mode] must match the mode used at initialization. *)
 
 val set_faults : t -> Ironsafe_fault.Fault.t -> unit
 (** Attach the deployment's fault plan. Under a plan, the recovery
@@ -90,8 +77,6 @@ val set_faults : t -> Ironsafe_fault.Fault.t -> unit
 
 val write_page : t -> int -> string -> (unit, error) result
 val read_page : t -> int -> (string, error) result
-
-val page_mode : t -> page_mode
 
 val data_page_count : t -> int
 val stats : t -> stats

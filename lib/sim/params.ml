@@ -33,10 +33,6 @@ type t = {
   rpmb_access_ns : float;  (** one RPMB read or write frame *)
   (* Secure storage crypto, per 4 KiB page (measured on ARM A72) *)
   decrypt_page_ns : float;
-  crypto_lanes : int;
-      (** decrypt lanes per page: CTR pages split into [crypto_lanes]
-          independent keystream chunks decrypted in parallel (CBC chains
-          blocks, so it always runs on one lane regardless) *)
   hmac_page_ns : float;
   merkle_node_ns : float;  (** one internal HMAC (64-byte input) *)
   offload_session_ns : float;
@@ -76,7 +72,6 @@ let default =
     world_switch_ns = 3_500.0;
     rpmb_access_ns = 180_000.0;
     decrypt_page_ns = 9_200.0;
-    crypto_lanes = 1;
     hmac_page_ns = 6_100.0;
     merkle_node_ns = 2_000.0;
     offload_session_ns = 600_000.0;

@@ -19,40 +19,29 @@ module StringSet = Set.Make (String)
 
 type binding = { name : string; table : string; schema : Schema.t }
 
-type t = {
-  needed : (string, StringSet.t) Hashtbl.t;  (** table -> columns read *)
-  whole : (string, unit) Hashtbl.t;
-      (** tables whose rows must be decoded whole, see [mask] *)
-}
+type t = (string, StringSet.t) Hashtbl.t (* table -> columns read *)
 
 type walk = {
   catalog : Catalog.t;
   on_select :
     scopes:binding list list -> local:binding list -> Ast.select -> unit;
   refs : t;
-  mutable lowest : int;
-      (** smallest scope level a column resolved to since it was last
-          reset; 0 for a column that resolved to no base table *)
 }
 
 let need_table w table =
-  if not (Hashtbl.mem w.refs.needed table) then
-    Hashtbl.replace w.refs.needed table StringSet.empty
+  if not (Hashtbl.mem w.refs table) then
+    Hashtbl.replace w.refs table StringSet.empty
 
 let columns_of t table =
-  Option.value ~default:StringSet.empty (Hashtbl.find_opt t.needed table)
+  Option.value ~default:StringSet.empty (Hashtbl.find_opt t table)
 
 let need_column w b col =
-  Hashtbl.replace w.refs.needed b.table
-    (StringSet.add col (columns_of w.refs b.table))
+  Hashtbl.replace w.refs b.table (StringSet.add col (columns_of w.refs b.table))
 
 let need_all_columns w b =
   List.iter (need_column w b) (Schema.column_names b.schema)
 
-(* The binding a column resolves to in a scope stack (innermost
-   first), with the level of its scope: 1 for the statement's own FROM
-   clause, one more for each enclosing subquery. *)
-let resolve_level scopes qualifier name =
+let resolve scopes qualifier name =
   let name = String.lowercase_ascii name in
   let qualifier = Option.map String.lowercase_ascii qualifier in
   let in_scope bindings =
@@ -62,17 +51,7 @@ let resolve_level scopes qualifier name =
         && Option.is_some (Schema.column_index b.schema name))
       bindings
   in
-  let rec go level = function
-    | [] -> None
-    | scope :: rest -> (
-        match in_scope scope with
-        | Some b -> Some (b, level)
-        | None -> go (level - 1) rest)
-  in
-  go (List.length scopes) scopes
-
-let resolve scopes qualifier name =
-  Option.map fst (resolve_level scopes qualifier name)
+  List.find_map in_scope scopes
 
 (* bindings of the base tables in one FROM item *)
 let rec bindings_of_from_item catalog acc = function
@@ -95,12 +74,10 @@ let rec bindings_of_from_item catalog acc = function
 let rec walk_expr w scopes (e : Ast.expr) =
   match e with
   | Lit _ | Interval _ -> ()
-  | Col { qualifier; name } -> (
-      match resolve_level scopes qualifier name with
-      | Some (b, level) ->
-          need_column w b (String.lowercase_ascii name);
-          w.lowest <- min w.lowest level
-      | None -> w.lowest <- 0)
+  | Col { qualifier; name } ->
+      Option.iter
+        (fun b -> need_column w b (String.lowercase_ascii name))
+        (resolve scopes qualifier name)
   | Unary (_, x) | Extract { arg = x; _ } | Is_null { subject = x; _ } ->
       walk_expr w scopes x
   | Binop (_, a, b) ->
@@ -116,18 +93,7 @@ let rec walk_expr w scopes (e : Ast.expr) =
       List.iter (walk_expr w scopes) items
   | In_select { subject; select; _ } ->
       walk_expr w scopes subject;
-      (* The executor memoizes a correlated IN subquery on the whole
-         rows in scope (every level's), so a column it never reads still
-         tells two outer rows apart. A subquery that may read an outer
-         column therefore keeps those rows whole. *)
-      let lowest = w.lowest in
-      w.lowest <- max_int;
-      walk_select w scopes ~exists_context:false select;
-      if w.lowest <= List.length scopes then
-        List.iter
-          (List.iter (fun b -> Hashtbl.replace w.refs.whole b.table ()))
-          scopes;
-      w.lowest <- min lowest w.lowest
+      walk_select w scopes ~exists_context:false select
   | Exists { select; _ } -> walk_select w scopes ~exists_context:true select
   | Scalar_select select -> walk_select w scopes ~exists_context:false select
   | Case { branches; else_ } ->
@@ -155,9 +121,7 @@ and walk_select w outer_scopes ~exists_context (q : Ast.select) =
         walk_from left;
         walk_from right;
         (* the executor compiles ON with no outer scope *)
-        let lowest = w.lowest in
-        walk_expr w [ bindings_of_from_item w.catalog [] join ] on;
-        w.lowest <- lowest
+        walk_expr w [ bindings_of_from_item w.catalog [] join ] on
   in
   List.iter walk_from q.from;
   List.iter
@@ -173,14 +137,12 @@ and walk_select w outer_scopes ~exists_context (q : Ast.select) =
   w.on_select ~scopes ~local q
 
 let of_select ?(on_select = fun ~scopes:_ ~local:_ _ -> ()) catalog q =
-  let refs = { needed = Hashtbl.create 8; whole = Hashtbl.create 2 } in
-  walk_select
-    { catalog; on_select; refs; lowest = max_int }
-    [] ~exists_context:false q;
+  let refs = Hashtbl.create 8 in
+  walk_select { catalog; on_select; refs } [] ~exists_context:false q;
   refs
 
 let tables t =
-  Hashtbl.fold (fun table _ acc -> table :: acc) t.needed []
+  Hashtbl.fold (fun table _ acc -> table :: acc) t []
   |> List.sort compare
 
 let columns t schema =
@@ -189,9 +151,9 @@ let columns t schema =
 
 let mask t schema =
   let table = Schema.name schema in
-  match Hashtbl.find_opt t.needed table with
-  | Some cols when not (Hashtbl.mem t.whole table) ->
+  match Hashtbl.find_opt t table with
+  | Some cols ->
       Array.map
         (fun c -> StringSet.mem c.Schema.col_name cols)
         (Schema.columns schema)
-  | Some _ | None -> Array.make (Schema.arity schema) true
+  | None -> Array.make (Schema.arity schema) true

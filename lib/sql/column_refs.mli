@@ -42,6 +42,4 @@ val columns : t -> Schema.t -> string list
 val mask : t -> Schema.t -> bool array
 (** Per schema column: whether a scan of the table must decode it.
     That is {!columns}, except that it is all-true for a table the
-    statement does not name, and for a table whose rows a correlated
-    IN subquery sees: the executor memoizes such a subquery on the
-    whole rows in scope, so every column of them counts. *)
+    statement does not name. *)

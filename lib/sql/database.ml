@@ -49,15 +49,7 @@ let add_resident_table t schema rows =
 
 (* Evaluate a constant expression (INSERT values). *)
 let const_value st expr =
-  let ctx =
-    {
-      Exec.cols = [||];
-      agg_slots = [];
-      parent = None;
-      uses_outer = ref false;
-      state = st;
-    }
-  in
+  let ctx = Exec.mk_ctx ~state:st [||] in
   (Exec.compile ctx expr) (Exec.mk_env [||])
 
 let exec_ast t stmt =
@@ -123,15 +115,7 @@ let exec_ast t stmt =
           (fun c -> (Some (Schema.name schema), c.Schema.col_name))
           (Schema.columns schema)
       in
-      let ctx =
-        {
-          Exec.cols;
-          agg_slots = [];
-          parent = None;
-          uses_outer = ref false;
-          state = st;
-        }
-      in
+      let ctx = Exec.mk_ctx ~state:st cols in
       let cwhere = Option.map (Exec.compile ctx) where in
       let csets =
         List.map
@@ -169,15 +153,7 @@ let exec_ast t stmt =
           (fun c -> (Some (Schema.name schema), c.Schema.col_name))
           (Schema.columns schema)
       in
-      let ctx =
-        {
-          Exec.cols;
-          agg_slots = [];
-          parent = None;
-          uses_outer = ref false;
-          state = st;
-        }
-      in
+      let ctx = Exec.mk_ctx ~state:st cols in
       let cwhere = Option.map (Exec.compile ctx) where in
       let n =
         Heap_file.rewrite hf ~f:(fun row ->

@@ -86,12 +86,16 @@ type comp_ctx = {
   cols : (string option * string) array;
   agg_slots : (Ast.expr * int) list;
   parent : comp_ctx option;
-  uses_outer : bool ref;
+  outer_reads : (int * int) list ref;
+      (* the outer columns the query level reads, itself or through a
+         nested subquery, each as (depth, index) in the level's outer
+         environment: [(climb outer depth).row.(index)]. Shared by
+         every context of one level. *)
   state : state;
 }
 
 let mk_ctx ?(agg_slots = []) ?parent ~state cols =
-  { cols; agg_slots; parent; uses_outer = ref false; state }
+  { cols; agg_slots; parent; outer_reads = ref []; state }
 
 let resolve_local cols qualifier name =
   let name = String.lowercase_ascii name in
@@ -160,10 +164,12 @@ let has_null key = Array.exists (function Value.Null -> true | _ -> false) key
 type value_set = { mutable has_null : bool; table : unit Key_tbl.t }
 
 (* Subquery runtime: a function from the (optional) outer env to the
-   result rows of the subquery. *)
+   result rows of the subquery, which depend on the outer env only
+   through [sub_outer_reads] (sorted, without duplicates; empty for an
+   uncorrelated subquery). *)
 type subplan = {
   sub_cols : string list;
-  sub_correlated : bool;
+  sub_outer_reads : (int * int) list;
   sub_run : env option -> Row.t list;
 }
 
@@ -234,12 +240,12 @@ let filter_stage (state : state) ~env_of preds =
     let env = env_of outer_env r in
     if List.for_all (fun f -> Value.as_bool (f env)) preds then k r h
 
-(* A reference [depth] scopes up makes every scope it crosses depend on
-   the outer row, not only the innermost one. *)
-let rec mark_outer ctx depth =
+(* A reference to column [i] [depth] scopes up is an outer read of
+   every scope it crosses, not only of the innermost one. *)
+let rec mark_outer ctx depth i =
   if depth > 0 then begin
-    ctx.uses_outer := true;
-    Option.iter (fun p -> mark_outer p (depth - 1)) ctx.parent
+    ctx.outer_reads := (depth - 1, i) :: !(ctx.outer_reads);
+    Option.iter (fun p -> mark_outer p (depth - 1) i) ctx.parent
   end
 
 let rec compile ctx expr : compiled =
@@ -250,7 +256,7 @@ let rec compile ctx expr : compiled =
       match resolve ctx qualifier name 0 with
       | Some (0, i) -> fun env -> env.row.(i)
       | Some (depth, i) ->
-          mark_outer ctx depth;
+          mark_outer ctx depth i;
           fun env -> (climb env depth).row.(i)
       | None ->
           fail "unknown column %s%s"
@@ -340,13 +346,15 @@ let rec compile ctx expr : compiled =
       let cs = compile ctx subject in
       let sub = plan_select ctx.state ~outer:(Some ctx) select in
       let memo : (string, value_set) Hashtbl.t = Hashtbl.create 4 in
-      let correlated = sub.sub_correlated in
+      let reads = sub.sub_outer_reads in
+      let correlated = reads <> [] in
       fun env ->
-        let key = if correlated then corr_key env else "" in
+        let key = if correlated then corr_key reads env else "" in
         let set =
           match Hashtbl.find_opt memo key with
           | Some s -> s
           | None ->
+              Ironsafe_obs.Obs.count ~scope:"sql" "in_subquery_runs";
               let rows = sub.sub_run (Some env) in
               let s = { has_null = false; table = Key_tbl.create 64 } in
               List.iter
@@ -425,15 +433,14 @@ let rec compile ctx expr : compiled =
         let isn = cs env = Value.Null in
         Value.Bool (if negated then not isn else isn)
 
-(* Correlation memo key: the outer row contents along the whole scope
-   chain — equal outer rows produce equal subquery inputs. *)
-and corr_key env =
-  let buf = Buffer.create 32 in
-  let rec add env =
-    Array.iter (Value.encode buf) env.row;
-    match env.up with Some u -> add u | None -> ()
-  in
-  add env;
+(* Correlation memo key: the encoded values of the outer columns the
+   subquery reads — outer rows that agree on them give the subquery
+   equal inputs. *)
+and corr_key reads env =
+  let buf = Buffer.create 16 in
+  List.iter
+    (fun (depth, i) -> Value.encode buf (climb env depth).row.(i))
+    reads;
   Buffer.contents buf
 
 (* -- FROM planning --------------------------------------------------- *)
@@ -518,15 +525,7 @@ and scan_table state ~binding table ~filters ~ctx_parent =
       (fun c -> (Some (String.lowercase_ascii binding), c.Schema.col_name))
       (Schema.columns schema)
   in
-  let ctx =
-    {
-      cols;
-      agg_slots = [];
-      parent = ctx_parent;
-      uses_outer = ref false;
-      state;
-    }
-  in
+  let ctx = mk_ctx ?parent:ctx_parent ~state cols in
   let cfilters = List.map (compile ctx) filters in
   let index_pages = index_access state table filters in
   let mask =
@@ -707,14 +706,14 @@ and plan_select state ~outer (q : select) : subplan =
   (* 2. plan the FROM clause, threading a growing context *)
   let parent_ctx = outer in
   (* First build contexts for every base relation to know bindings. *)
-  let uses_outer = ref false in
+  let outer_reads = ref [] in
   (* per-binding pushdown filters; assembled below *)
-  let plan = plan_from state ~parent_ctx ~uses_outer q where_conjuncts in
+  let plan = plan_from state ~parent_ctx ~outer_reads q where_conjuncts in
   plan
 
 (* The full pipeline: FROM+WHERE -> joined rows -> correlated residuals
    -> grouping -> having -> projection -> sort -> limit. *)
-and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
+and plan_from state ~parent_ctx ~outer_reads (q : select) where_conjuncts :
     subplan =
   (* -- set up base relations ---------------------------------------- *)
   let rec flatten_from acc = function
@@ -755,7 +754,9 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
       (function
         | `Base (binding, table, cols) -> (cols, `Scan (binding, table))
         | `Join fi ->
-            let cols, src = plan_join_tree state ~parent_ctx ~uses_outer fi in
+            let cols, src =
+              plan_join_tree state ~parent_ctx ~outer_reads fi
+            in
             (cols, `Planned src))
       item_cols
   in
@@ -765,7 +766,7 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
       cols = combined_cols;
       agg_slots = [];
       parent = parent_ctx;
-      uses_outer;
+      outer_reads;
       state;
     }
   in
@@ -790,7 +791,6 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
   let join_preds = List.rev !join_preds in
   let post_preds = List.rev !post_preds in
   let correlated_preds = List.rev !correlated in
-  if correlated_preds <> [] then uses_outer := true;
   (* -- build runners for each unit with pushdown filters -------------- *)
   let bindings_of_cols cols =
     Array.to_list cols |> List.filter_map fst |> List.sort_uniq compare
@@ -824,7 +824,7 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
                   cols;
                   agg_slots = [];
                   parent = parent_ctx;
-                  uses_outer;
+                  outer_reads;
                   state;
                 }
               in
@@ -948,7 +948,7 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
             cols = left_ctx_cols;
             agg_slots = [];
             parent = parent_ctx;
-            uses_outer;
+            outer_reads;
             state;
           }
         and rctx =
@@ -956,7 +956,7 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
             cols = right_ctx_cols;
             agg_slots = [];
             parent = parent_ctx;
-            uses_outer;
+            outer_reads;
             state;
           }
         and cctx =
@@ -964,7 +964,7 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
             cols = combined;
             agg_slots = [];
             parent = parent_ctx;
-            uses_outer;
+            outer_reads;
             state;
           }
         in
@@ -1002,7 +1002,7 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
       cols = joined_cols;
       agg_slots = [];
       parent = parent_ctx;
-      uses_outer;
+      outer_reads;
       state;
     }
   in
@@ -1047,10 +1047,10 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
   let local_post, outer_post =
     List.partition_map
       (fun pred ->
-        let refs_outer = ref false in
-        let c = compile { joined_ctx with uses_outer = refs_outer } pred in
-        if !refs_outer then begin
-          uses_outer := true;
+        let refs_outer = ref [] in
+        let c = compile { joined_ctx with outer_reads = refs_outer } pred in
+        if !refs_outer <> [] then begin
+          outer_reads := !refs_outer @ !outer_reads;
           Right (pred, c)
         end
         else Left (pred, c))
@@ -1276,7 +1276,11 @@ and plan_from state ~parent_ctx ~uses_outer (q : select) where_conjuncts :
         agg_finish (List.rev !order) outer_env
     end
   in
-  { sub_cols = out_cols; sub_correlated = !uses_outer; sub_run = run }
+  {
+    sub_cols = out_cols;
+    sub_outer_reads = List.sort_uniq compare !outer_reads;
+    sub_run = run;
+  }
 
 and sort_and_limit state projected limit =
   let sorted =
@@ -1305,23 +1309,25 @@ and sort_and_limit state projected limit =
   | Some n -> List.filteri (fun i _ -> i < n) sorted
 
 (* Explicit JOIN ... ON trees (inner and left outer). *)
-and plan_join_tree state ~parent_ctx ~uses_outer fi :
+and plan_join_tree state ~parent_ctx ~outer_reads fi :
     (string option * string) array * source =
   match fi with
   | Table { table; alias } ->
       let binding = Option.value ~default:table alias in
       scan_table state ~binding table ~filters:[] ~ctx_parent:parent_ctx
   | Derived { select; alias } ->
+      (* run in the scope it stands in: its outer environment is this
+         level's *)
       let sub = plan_select state ~outer:parent_ctx select in
-      if sub.sub_correlated then uses_outer := true;
+      outer_reads := sub.sub_outer_reads @ !outer_reads;
       let alias = String.lowercase_ascii alias in
       let cols =
         Array.of_list (List.map (fun n -> (Some alias, n)) sub.sub_cols)
       in
       (cols, of_rows sub.sub_run)
   | Join { kind; left; right; on } ->
-      let lcols, lsrc = plan_join_tree state ~parent_ctx ~uses_outer left in
-      let rcols, rsrc = plan_join_tree state ~parent_ctx ~uses_outer right in
+      let lcols, lsrc = plan_join_tree state ~parent_ctx ~outer_reads left in
+      let rcols, rsrc = plan_join_tree state ~parent_ctx ~outer_reads right in
       let combined = Array.append lcols rcols in
       let lctx = mk_ctx ~state lcols
       and rctx = mk_ctx ~state rcols

@@ -11,6 +11,18 @@ open Ironsafe_crypto
 
 let check_hex msg expected actual = Alcotest.(check string) msg expected (Hex.of_string actual)
 
+(* the 16-byte CTR counter [nonce] advanced by [k] blocks, big-endian,
+   wrapping mod 2^128 *)
+let counter_plus nonce k =
+  let ctr = Bytes.of_string nonce in
+  let carry = ref k in
+  for i = 15 downto 0 do
+    let v = Char.code (Bytes.get ctr i) + (!carry land 0xff) in
+    Bytes.set ctr i (Char.chr (v land 0xff));
+    carry := (!carry lsr 8) + (v lsr 8)
+  done;
+  Bytes.to_string ctr
+
 module type PATH = sig
   val encrypt_block : Aes.key -> string -> string
   val decrypt_block : Aes.key -> string -> string
@@ -20,7 +32,6 @@ module type PATH = sig
   val ctr_transform_into :
     key:Aes.key ->
     nonce:string ->
-    ?block_offset:int ->
     string ->
     int ->
     Bytes.t ->
@@ -412,14 +423,23 @@ let test_ctr () =
        (P.ctr_transform ~key ~nonce (Hex.to_string "6bc1bee22e409f96e93d7e117393172a")))
 
 (* SP 800-38A F.5.1 CTR-AES128.Encrypt: the complete four-block known
-   answer, one shot and then block by block through [block_offset] (the
-   lane-chunk entry point must land every block on the same counter the
-   one-shot walk reaches); then F.5.5, CTR-AES256, in one shot. *)
+   answer, one shot and then block by block, each block a one-shot call
+   from the counter block the standard lists for it (so the one-shot
+   walk must carry from ..feff to ..ff00); then F.5.5, CTR-AES256, in
+   one shot. *)
 let test_ctr_sp800_38a_full () =
   both_paths @@ fun path (module P : PATH) ->
   let check_hex msg = check_hex (path ^ ": " ^ msg) in
   let key = Aes.expand_key (Hex.to_string sp800_38a_key128) in
   let nonce = Hex.to_string "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff" in
+  let counter_blocks =
+    [
+      "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff";
+      "f0f1f2f3f4f5f6f7f8f9fafbfcfdff00";
+      "f0f1f2f3f4f5f6f7f8f9fafbfcfdff01";
+      "f0f1f2f3f4f5f6f7f8f9fafbfcfdff02";
+    ]
+  in
   let plain_blocks =
     [
       "6bc1bee22e409f96e93d7e117393172a";
@@ -441,12 +461,13 @@ let test_ctr_sp800_38a_full () =
     (String.concat "" cipher_blocks)
     (P.ctr_transform ~key ~nonce plain);
   List.iteri
-    (fun i (p, c) ->
+    (fun i (ctr, (p, c)) ->
       let dst = Bytes.create 16 in
-      P.ctr_transform_into ~key ~nonce ~block_offset:i (Hex.to_string p) 0
+      P.ctr_transform_into ~key ~nonce:(Hex.to_string ctr) (Hex.to_string p) 0
         dst 0 16;
-      check_hex (Printf.sprintf "block %d via offset" i) c (Bytes.to_string dst))
-    (List.combine plain_blocks cipher_blocks);
+      check_hex (Printf.sprintf "block %d from its counter" i) c
+        (Bytes.to_string dst))
+    (List.combine counter_blocks (List.combine plain_blocks cipher_blocks));
   check_hex "aes-256 four blocks one shot"
     "601ec313775789a5b7a7f504bbf3d228f443e3ca4d62b59aca84e990cacaf5c5\
      2b0930daa23de94ce87017ba2d84988ddfc9c58db67aada613c2dd08457941a6"
@@ -468,13 +489,6 @@ let test_ctr_counter_overflow () =
   check_str "block 2 wraps to E(00..00)"
     (Hex.of_string (P.encrypt_block key (String.make 16 '\x00')))
     (Hex.of_string (String.sub ks 16 16));
-  (* [block_offset] over the wrap lands on the same counters *)
-  let dst = Bytes.create 16 in
-  P.ctr_transform_into ~key ~nonce ~block_offset:1 (String.make 16 '\x00')
-    0 dst 0 16;
-  check_str "offset crosses the wrap"
-    (Hex.of_string (String.sub ks 16 16))
-    (Hex.of_string (Bytes.to_string dst));
   (* a carry out of the low 64 bits only: ..00 FF..FF -> ..01 00..00 *)
   let nonce = String.make 7 '\x00' ^ "\x00" ^ String.make 8 '\xff' in
   let next = String.make 7 '\x00' ^ "\x01" ^ String.make 8 '\x00' in
@@ -689,18 +703,21 @@ let qcheck_tests =
         let key = Aes.expand_key (String.make 16 'q') in
         let nonce = String.make 16 'n' in
         Modes.ctr_transform ~key ~nonce (Modes.ctr_transform ~key ~nonce s) = s);
+    (* the second half restarts from the counter the first half ended
+       on; the nonce's low bytes sit near 0xffff so the count carries *)
     Test.make ~name:"ctr_transform_into split at any block = one-shot"
       ~count:100
       (pair (string_of_size Gen.(0 -- 300)) small_nat)
       (fun (s, cut_blocks) ->
         let key = Aes.expand_key (String.make 16 'q') in
-        let nonce = String.make 16 'n' in
+        let nonce = String.make 14 'n' ^ "\xff\xf8" in
         let n = String.length s in
         let cut = min n (cut_blocks * 16) in
         let dst = Bytes.create n in
         Modes.ctr_transform_into ~key ~nonce s 0 dst 0 cut;
-        Modes.ctr_transform_into ~key ~nonce ~block_offset:(cut / 16) s cut dst
-          cut (n - cut);
+        Modes.ctr_transform_into ~key
+          ~nonce:(counter_plus nonce (cut / 16))
+          s cut dst cut (n - cut);
         Bytes.to_string dst = Modes.ctr_transform ~key ~nonce s);
     Test.make ~name:"aes block roundtrip" ~count:100
       (string_of_size (Gen.return 16)) (fun s ->
@@ -738,16 +755,15 @@ let gen_aes_case =
   let* iv = string_size (return 16) in
   let* soff = 0 -- 40 in
   let* doff = 0 -- 40 in
-  let* block_offset = 0 -- 1000 in
   (* a counter whose low 64 bits wrap inside the message *)
   let* near_wrap = bool in
-  return (msg, key, iv, soff, doff, block_offset, near_wrap)
+  return (msg, key, iv, soff, doff, near_wrap)
 
-let print_aes_case (msg, key, _, soff, doff, block_offset, near_wrap) =
-  Printf.sprintf "len=%d key=%d soff=%d doff=%d block_offset=%d near_wrap=%b"
-    (String.length msg) (String.length key) soff doff block_offset near_wrap
+let print_aes_case (msg, key, _, soff, doff, near_wrap) =
+  Printf.sprintf "len=%d key=%d soff=%d doff=%d near_wrap=%b"
+    (String.length msg) (String.length key) soff doff near_wrap
 
-let aes_paths_agree (msg, key_bytes, iv, soff, doff, block_offset, near_wrap) =
+let aes_paths_agree (msg, key_bytes, iv, soff, doff, near_wrap) =
   let key = Aes.expand_key key_bytes in
   let n = String.length msg in
   let frame off x = String.make off '<' ^ x ^ String.make 7 '>' in
@@ -789,18 +805,20 @@ let aes_paths_agree (msg, key_bytes, iv, soff, doff, block_offset, near_wrap) =
     in
     Modes.cbc_decrypt ~key ~iv bad = Modes.Reference.cbc_decrypt ~key ~iv bad
   in
-  (* CTR from an offset counter, between unaligned offsets, and in place *)
+  (* CTR between unaligned offsets and in place; near the wrap, the low
+     64 counter bits run out within the first four blocks *)
   let nonce =
-    if near_wrap then String.sub iv 0 8 ^ String.make 7 '\xff' ^ String.sub iv 15 1
+    if near_wrap then
+      String.sub iv 0 8 ^ String.make 7 '\xff'
+      ^ String.make 1 (Char.chr (0xff - (Char.code iv.[15] land 3)))
     else iv
   in
   let ctr_run into =
     let src = frame soff msg in
     let dst = Bytes.make (doff + n + 3) '#' in
-    into ~key ~nonce ?block_offset:(Some block_offset) src soff dst doff n;
+    into ~key ~nonce src soff dst doff n;
     let inplace = Bytes.of_string src in
-    into ~key ~nonce ?block_offset:(Some block_offset)
-      (Bytes.unsafe_to_string inplace) soff inplace soff n;
+    into ~key ~nonce (Bytes.unsafe_to_string inplace) soff inplace soff n;
     (Bytes.to_string dst, Bytes.to_string inplace)
   in
   let ctr_ok =

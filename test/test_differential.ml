@@ -8,42 +8,18 @@
    The generator deliberately leans on the small TPC-H tables (region,
    nation, supplier, customer, part): the secure configurations really
    decrypt and verify every page they scan with the pure-OCaml crypto,
-   so scan volume, not query count, is the cost driver.
-
-   The shared deployment's page cipher follows IRONSAFE_CRYPTO_MODE
-   (cbc, the default, or ctr). A second deployment over the same data
-   in the other cipher mode re-runs the secure full-query configs (hos,
-   sos), whose answers must be exactly equal — same rows in the same
-   order — across ciphers. *)
+   so scan volume, not query count, sets the cost. *)
 
 open Ironsafe
 module Sql = Ironsafe_sql
-module Sec = Ironsafe_securestore
 module Tpch = Ironsafe_tpch
 
-let crypto_mode =
-  match Sys.getenv_opt "IRONSAFE_CRYPTO_MODE" with
-  | Some "ctr" -> Sec.Secure_store.Ctr
-  | Some "cbc" | None -> Sec.Secure_store.Cbc
-  | Some other ->
-      invalid_arg
-        (Printf.sprintf "IRONSAFE_CRYPTO_MODE=%s (want cbc or ctr)" other)
-
-let other_mode =
-  match crypto_mode with
-  | Sec.Secure_store.Cbc -> Sec.Secure_store.Ctr
-  | Sec.Secure_store.Ctr -> Sec.Secure_store.Cbc
-
-let mk_deploy mode =
-  Deployment.create ~seed:"differential-test" ~crypto_mode:mode
-    ~populate:(fun db -> ignore (Tpch.Dbgen.populate db ~scale:0.01))
-    ()
-
 (* one shared deployment, built once, at SF 0.01 *)
-let deploy = lazy (mk_deploy crypto_mode)
-
-(* same seed, same data, the other page cipher *)
-let cross_deploy = lazy (mk_deploy other_mode)
+let deploy =
+  lazy
+    (Deployment.create ~seed:"differential-test"
+       ~populate:(fun db -> ignore (Tpch.Dbgen.populate db ~scale:0.01))
+       ())
 
 (* order-insensitive canonical form: the row multiset, rendered *)
 let canonical (r : Sql.Exec.result) =
@@ -226,26 +202,9 @@ let qcheck_five_configs_agree =
       List.for_all
         (fun cfg ->
           let m = Runner.run_query d cfg sql in
-          if canonical m.Runner.result <> want then
-            QCheck.Test.fail_reportf "%s diverges from hons on:@.%s@."
-              (Config.abbrev cfg) sql
-          else
-            match cfg with
-            | Config.Hos | Config.Sos ->
-                let x = Runner.run_query (Lazy.force cross_deploy) cfg sql in
-                if x.Runner.result.Sql.Exec.columns
-                   = m.Runner.result.Sql.Exec.columns
-                   && x.Runner.result.Sql.Exec.rows = m.Runner.result.Sql.Exec.rows
-                then true
-                else
-                  QCheck.Test.fail_reportf
-                    "%s/%s cipher cross-check diverges on:@.%s@."
-                    (Config.abbrev cfg)
-                    (match other_mode with
-                    | Sec.Secure_store.Cbc -> "cbc"
-                    | Sec.Secure_store.Ctr -> "ctr")
-                    sql
-            | Config.Hons | Config.Vcs | Config.Scs -> true)
+          canonical m.Runner.result = want
+          || QCheck.Test.fail_reportf "%s diverges from hons on:@.%s@."
+               (Config.abbrev cfg) sql)
         [ Config.Hos; Config.Vcs; Config.Scs; Config.Sos ])
 
 (* a fixed smoke query per shape, so a total generator failure cannot

@@ -94,7 +94,6 @@ let metrics_line (m : Runner.metrics) =
 
 let pinned_deployment () =
   Deployment.create ~seed:"pinned" ~pool_frames:16
-    ~crypto_mode:Sec.Secure_store.Cbc
     ~populate:(fun db -> ignore (Tpch.Dbgen.populate db ~scale))
     ()
 

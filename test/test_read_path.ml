@@ -3,9 +3,7 @@
    MAC check, one decrypt and one modelled Merkle path walk of [depth]
    hashes. The runner charges the virtual clock from exactly these
    counts, so they are pinned here end to end — through the SQL engine,
-   the partitioner and the runner — for every Table-2 configuration.
-   The deployments' page cipher follows IRONSAFE_CRYPTO_MODE (cbc, the
-   default, or ctr), as in the differential suite. *)
+   the partitioner and the runner — for every Table-2 configuration. *)
 
 open Ironsafe
 module Sql = Ironsafe_sql
@@ -15,8 +13,7 @@ module Tpch = Ironsafe_tpch
 
 let mk_deploy ?pool_frames () =
   let d =
-    Deployment.create ?pool_frames ~crypto_mode:Test_differential.crypto_mode
-      ~seed:"read-path-test"
+    Deployment.create ?pool_frames ~seed:"read-path-test"
       ~populate:(fun db -> ignore (Tpch.Dbgen.populate db ~scale:0.002))
       ()
   in

@@ -10,21 +10,15 @@ module Metrics = Ironsafe_obs.Metrics
 
 let hardware_key = String.make 32 'H'
 
-(* [setup]'s page cipher follows IRONSAFE_CRYPTO_MODE (cbc, the
-   default, or ctr), so the tamper, displacement, reboot and freshness
-   tests run under either cipher; tests of one cipher's specifics name
-   it. *)
-let crypto_mode = Test_differential.crypto_mode
-
-let setup ?(data_pages = 8) ?(page_mode = crypto_mode) () =
+let setup ?(data_pages = 8) () =
   let device =
     S.Block_device.create ~pages:(Sec.Secure_store.device_pages_for ~data_pages)
   in
   let rpmb = S.Rpmb.create () in
   let drbg = C.Drbg.create ~seed:"securestore-test" in
   match
-    Sec.Secure_store.initialize ~device ~rpmb ~hardware_key ~page_mode
-      ~data_pages ~drbg ()
+    Sec.Secure_store.initialize ~device ~rpmb ~hardware_key ~data_pages ~drbg
+      ()
   with
   | Ok store -> (device, rpmb, store, drbg)
   | Error e -> Alcotest.failf "init failed: %a" Sec.Secure_store.pp_error e
@@ -105,8 +99,8 @@ let test_reopen () =
   write_ok store 4 "survives reboot";
   let drbg2 = C.Drbg.create ~seed:"reboot" in
   match
-    Sec.Secure_store.open_existing ~device ~rpmb ~hardware_key
-      ~page_mode:crypto_mode ~data_pages:8 ~drbg:drbg2 ()
+    Sec.Secure_store.open_existing ~device ~rpmb ~hardware_key ~data_pages:8
+      ~drbg:drbg2 ()
   with
   | Error e -> Alcotest.failf "reopen failed: %a" Sec.Secure_store.pp_error e
   | Ok store2 ->
@@ -261,8 +255,7 @@ let test_root_mac_memo_freshness () =
     (Ironsafe_fault.Fault.stats faults).Ironsafe_fault.Fault.injected;
   (* reboot: a fresh store starts with a cold memo and must recover *)
   (match
-     Sec.Secure_store.open_existing ~device ~rpmb ~hardware_key
-       ~page_mode:crypto_mode ~data_pages:8
+     Sec.Secure_store.open_existing ~device ~rpmb ~hardware_key ~data_pages:8
        ~drbg:(C.Drbg.create ~seed:"memo-reboot") ()
    with
   | Ok store2 ->
@@ -289,7 +282,7 @@ let test_root_mac_memo_freshness () =
    current version, whether the whole medium (data page and leaf-tag
    metadata) is rolled back or only the data page's old bytes are put
    back. *)
-let test_replay_detected page_mode () =
+let test_replay_detected () =
   let expect_tampered store what =
     match Sec.Secure_store.read_page store 3 with
     | Error (Sec.Secure_store.Tampered_page 3) -> ()
@@ -297,7 +290,7 @@ let test_replay_detected page_mode () =
     | Error e ->
         Alcotest.failf "%s: unexpected error: %a" what Sec.Secure_store.pp_error e
   in
-  let device, _, store, _ = setup ~page_mode () in
+  let device, _, store, _ = setup () in
   write_ok store 3 "version 1";
   write_ok store 5 "bystander";
   S.Block_device.snapshot device ~name:"v1";
@@ -308,62 +301,12 @@ let test_replay_detected page_mode () =
   expect_tampered store "rolled-back medium";
   Alcotest.(check string) "unchanged page still reads" "bystander"
     (read_ok store 5);
-  let device, _, store, _ = setup ~page_mode () in
+  let device, _, store, _ = setup () in
   write_ok store 3 "version 1";
   let v1 = S.Block_device.read_page device 3 in
   write_ok store 3 "version 2";
   S.Block_device.write_page device 3 v1;
   expect_tampered store "restored data page"
-
-(* -- CTR page mode ------------------------------------------------------ *)
-
-let test_ctr_roundtrip () =
-  let device, _, store, _ = setup ~page_mode:Sec.Secure_store.Ctr () in
-  Alcotest.(check bool) "mode reported" true
-    (Sec.Secure_store.page_mode store = Sec.Secure_store.Ctr);
-  write_ok store 0 "ctr secret payload";
-  write_ok store 7 (String.make Sec.Secure_store.capacity 'z');
-  Alcotest.(check string) "page 0" "ctr secret payload" (read_ok store 0);
-  Alcotest.(check string) "page 7 full"
-    (String.make Sec.Secure_store.capacity 'z')
-    (read_ok store 7);
-  (* rewriting the same plaintext must produce a different ciphertext:
-     the nonce is derived from a fresh write epoch each time *)
-  let raw1 = S.Block_device.read_page device 0 in
-  write_ok store 0 "ctr secret payload";
-  let raw2 = S.Block_device.read_page device 0 in
-  Alcotest.(check bool) "fresh nonce per write" true (raw1 <> raw2);
-  Alcotest.(check string) "overwrite reads back" "ctr secret payload"
-    (read_ok store 0)
-
-let test_ctr_tamper_detected () =
-  let device, _, store, _ = setup ~page_mode:Sec.Secure_store.Ctr () in
-  write_ok store 2 "ctr integrity protected";
-  (* CTR decryption itself can never fail (it is a keystream XOR), so
-     detection rests entirely on the page MAC *)
-  S.Block_device.tamper device ~page:2 ~offset:55;
-  match Sec.Secure_store.read_page store 2 with
-  | Error (Sec.Secure_store.Tampered_page 2) -> ()
-  | Ok _ -> Alcotest.fail "tampered CTR page read back successfully"
-  | Error e -> Alcotest.failf "unexpected error: %a" Sec.Secure_store.pp_error e
-
-let test_ctr_reopen () =
-  let device, rpmb, store, _ = setup ~page_mode:Sec.Secure_store.Ctr () in
-  write_ok store 4 "ctr survives reboot";
-  (* a reboot draws a fresh boot salt from a different DRBG; old pages
-     decrypt with their stored nonces, new writes stay unique *)
-  match
-    Sec.Secure_store.open_existing ~device ~rpmb ~hardware_key
-      ~page_mode:Sec.Secure_store.Ctr ~data_pages:8
-      ~drbg:(C.Drbg.create ~seed:"ctr-reboot") ()
-  with
-  | Error e -> Alcotest.failf "reopen failed: %a" Sec.Secure_store.pp_error e
-  | Ok store2 ->
-      Alcotest.(check string) "data recovered" "ctr survives reboot"
-        (read_ok store2 4);
-      write_ok store2 4 "ctr post-reboot write";
-      Alcotest.(check string) "post-reboot write" "ctr post-reboot write"
-        (read_ok store2 4)
 
 (* -- observability instrumentation ------------------------------------- *)
 
@@ -457,23 +400,21 @@ let qcheck_tests =
         match Sec.Secure_store.write_page store i data with
         | Error _ -> false
         | Ok () -> Sec.Secure_store.read_page store i = Ok data);
-    (* CTR pages round-trip, and a single flipped bit anywhere in the
-       MAC-covered region (IV | MAC | len | ciphertext) must be caught
-       by the page MAC — the keystream XOR itself detects nothing. *)
-    Test.make ~name:"ctr page roundtrip + single-bit tamper detected"
-      ~count:30
+    (* a single flipped bit anywhere in the MAC-covered region
+       (IV | MAC | len | ciphertext) is caught before decryption *)
+    Test.make ~name:"page roundtrip + single-bit tamper detected" ~count:30
       (quad (int_bound 7)
          (string_of_size Gen.(1 -- Sec.Secure_store.capacity))
          small_nat (int_bound 7))
       (fun (i, data, byte_seed, bit) ->
-        let device, _, store, _ = setup ~page_mode:Sec.Secure_store.Ctr () in
+        let device, _, store, _ = setup () in
         match Sec.Secure_store.write_page store i data with
         | Error _ -> false
         | Ok () ->
             Sec.Secure_store.read_page store i = Ok data
             && begin
-                 (* header_len (50) + ciphertext length = MAC coverage *)
-                 let covered = 50 + String.length data in
+                 (* header_len (50) + the PKCS#7-padded ciphertext *)
+                 let covered = 50 + ((String.length data / 16) + 1) * 16 in
                  let off = byte_seed mod covered in
                  let raw = Bytes.of_string (S.Block_device.read_page device i) in
                  Bytes.set raw off
@@ -500,13 +441,7 @@ let suite =
     ("iv uniqueness", `Quick, test_iv_uniqueness);
     ("per-page key mode", `Quick, test_per_page_keys);
     ("root mac memo never stale", `Quick, test_root_mac_memo_freshness);
-    ("replay on live store (cbc)", `Quick,
-     test_replay_detected Sec.Secure_store.Cbc);
-    ("replay on live store (ctr)", `Quick,
-     test_replay_detected Sec.Secure_store.Ctr);
-    ("ctr roundtrip", `Quick, test_ctr_roundtrip);
-    ("ctr tamper detected", `Quick, test_ctr_tamper_detected);
-    ("ctr reopen after reboot", `Quick, test_ctr_reopen);
+    ("replay on live store (cbc)", `Quick, test_replay_detected);
     ("obs counters match analytic counts", `Quick, test_obs_counters_match_analytic);
     ("index reduces decrypts", `Quick, test_index_reduces_decrypts);
   ]

@@ -192,6 +192,13 @@ let test_counts_of_scale () =
   let tiny = Tpch.Dbgen.counts_of_scale 0.000001 in
   Alcotest.(check int) "floor of one" 1 tiny.Tpch.Dbgen.suppliers
 
+(* a correlated IN subquery, memoized on the one outer column it
+   reads: many customers share it *)
+let correlated_in =
+  "select count(*) as n from customer where c_nationkey in (select \
+   s_nationkey from supplier where s_nationkey = c_nationkey and s_acctbal \
+   > 0)"
+
 (* A scan of a paged table decodes only the columns the statement
    reads; a resident table's rows are whole and never decoded. Every
    statement must give the same rows and the same observer charges
@@ -220,11 +227,7 @@ let projection_statements =
      where ps_partkey = p_partkey and ps_availqty > p_size * 150)";
     "select s_name from supplier where s_acctbal > (select avg(c_acctbal) \
      from customer where c_nationkey = s_nationkey) order by s_name";
-    (* a correlated IN subquery, memoized on the whole outer row: many
-       customers share the one column it reads *)
-    "select count(*) as n from customer where c_nationkey in (select \
-     s_nationkey from supplier where s_nationkey = c_nationkey and \
-     s_acctbal > 0)";
+    correlated_in;
     "select t.k, t.n from (select o_custkey as k, count(*) as n from orders \
      group by o_custkey) t where t.n > 12 order by t.k";
     "select c_custkey, count(o_orderkey) as n from customer left outer join \
@@ -261,6 +264,36 @@ let test_projected_scan_equals_resident () =
     (projection_statements
     @ List.map (fun (q : Tpch.Queries.t) -> q.sql) Tpch.Queries.all)
 
+(* The 750 customers fall in at most 25 nations, and the subquery runs
+   once per nation, not once per customer. *)
+let test_correlated_in_runs_per_key () =
+  let module Obs = Ironsafe_obs.Obs in
+  let module Metrics = Ironsafe_obs.Metrics in
+  let was_obs = Obs.enabled () in
+  Obs.enable ();
+  let runs =
+    Fun.protect
+      ~finally:(fun () -> if not was_obs then Obs.disable ())
+      (fun () ->
+        let before = Obs.metrics () in
+        ignore (Database.query (db ()) correlated_in);
+        Metrics.counter_value
+          (Metrics.diff ~before ~after:(Obs.metrics ()))
+          ~scope:"sql" "in_subquery_runs")
+  in
+  let nations =
+    match
+      (Database.query (db ())
+         "select count(distinct c_nationkey) as n from customer")
+        .Exec.rows
+    with
+    | [ [| Value.Int n |] ] -> n
+    | _ -> Alcotest.fail "distinct count failed"
+  in
+  Alcotest.(check int) "customers" 750 (count (db ()) "customer");
+  Alcotest.(check bool) "at most 25 nations" true (nations <= 25);
+  Alcotest.(check int) "one run per distinct outer key" nations runs
+
 let suite =
   [
     ("row counts", `Quick, test_row_counts);
@@ -276,4 +309,6 @@ let suite =
     ("q22 substring semantics", `Quick, test_q22_substring_semantics);
     ("counts of scale", `Quick, test_counts_of_scale);
     ("projected scan equals resident", `Quick, test_projected_scan_equals_resident);
+    ("correlated IN runs once per outer key", `Quick,
+     test_correlated_in_runs_per_key);
   ]

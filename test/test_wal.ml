@@ -22,20 +22,14 @@ let ok_exn pp = function
 
 let init_content p = Printf.sprintf "init-%d" p
 
-(* CI's crash matrix reruns this suite under several fixed seeds and
-   both page ciphers: IRONSAFE_FAULT_SEED joins the built-in seed list,
-   IRONSAFE_CRYPTO_MODE selects the cipher the crash and idempotence
-   properties run over, and IRONSAFE_WAL_JSONL, when set, exports the
-   crash matrix's wal.* recovery events as a JSONL artifact. *)
+(* CI's crash matrix reruns this suite under several fixed seeds:
+   IRONSAFE_FAULT_SEED joins the built-in seed list, and
+   IRONSAFE_WAL_JSONL, when set, exports the crash matrix's wal.*
+   recovery events as a JSONL artifact. *)
 let env_seed =
   match Sys.getenv_opt "IRONSAFE_FAULT_SEED" with
   | Some s -> int_of_string_opt s
   | None -> None
-
-let ci_page_mode =
-  match Sys.getenv_opt "IRONSAFE_CRYPTO_MODE" with
-  | Some "ctr" -> Sec.Ctr
-  | _ -> Sec.Cbc
 
 (* A self-contained secure medium + WAL + transactional overlay, every
    data page pre-imaged before the overlay engages (mirroring
@@ -46,21 +40,18 @@ type env = {
   wal_dev : S.Block_device.t;
   rpmb : S.Rpmb.t;
   drbg : C.Drbg.t;
-  page_mode : Sec.page_mode;
   data_pages : int;
   now : float ref;
 }
 
-let fresh ?(page_mode = Sec.Cbc) ?(window_ns = 0.0) ?(data_pages = 12)
-    ?(log_pages = 64) ~seed () =
+let fresh ?(window_ns = 0.0) ?(data_pages = 12) ?(log_pages = 64) ~seed () =
   let drbg = C.Drbg.create ~seed in
   let device = S.Block_device.create ~pages:(Sec.device_pages_for ~data_pages) in
   let wal_dev = S.Block_device.create ~pages:log_pages in
   let rpmb = S.Rpmb.create () in
   let store =
     ok_exn Sec.pp_error
-      (Sec.initialize ~page_mode ~device ~rpmb ~hardware_key:hk ~data_pages
-         ~drbg ())
+      (Sec.initialize ~device ~rpmb ~hardware_key:hk ~data_pages ~drbg ())
   in
   for p = 0 to data_pages - 1 do
     ok_exn Sec.pp_error (Sec.write_page store p (init_content p))
@@ -73,7 +64,7 @@ let fresh ?(page_mode = Sec.Cbc) ?(window_ns = 0.0) ?(data_pages = 12)
   let now = ref 0.0 in
   W.Txn_store.set_clock ts (fun () -> !now);
   W.Txn_store.engage ts;
-  { ts; device; wal_dev; rpmb; drbg; page_mode; data_pages; now }
+  { ts; device; wal_dev; rpmb; drbg; data_pages; now }
 
 let recover_wal env =
   W.Wal.recover ~device:env.wal_dev ~rpmb:env.rpmb ~hardware_key:hk
@@ -85,9 +76,8 @@ let recover_wal env =
 let reboot env =
   let store =
     ok_exn Sec.pp_error
-      (Sec.open_existing ~page_mode:env.page_mode ~device:env.device
-         ~rpmb:env.rpmb ~hardware_key:hk ~data_pages:env.data_pages
-         ~drbg:env.drbg ())
+      (Sec.open_existing ~device:env.device ~rpmb:env.rpmb ~hardware_key:hk
+         ~data_pages:env.data_pages ~drbg:env.drbg ())
   in
   match recover_wal env with
   | Error e -> Alcotest.failf "recover: %a" W.Wal.pp_error e
@@ -453,7 +443,7 @@ let test_crash_at_every_point () =
       List.iter
         (fun seed ->
           let env =
-            fresh ~page_mode:ci_page_mode ~window_ns:2_000.0
+            fresh ~window_ns:2_000.0
               ~seed:(Printf.sprintf "crash-%s-%d" (Fault.site_name site) seed)
               ()
           in
@@ -494,7 +484,7 @@ let test_recovery_idempotent () =
       List.iter
         (fun seed ->
           let env =
-            fresh ~page_mode:ci_page_mode ~window_ns:2_000.0
+            fresh ~window_ns:2_000.0
               ~seed:(Printf.sprintf "idem-%d" seed)
               ()
           in
@@ -534,7 +524,7 @@ let test_recovery_idempotent () =
 (* -- nonce freshness across reboots ------------------------------------ *)
 
 let test_no_nonce_reuse_after_recovery () =
-  let env = fresh ~page_mode:Sec.Ctr ~window_ns:5_000.0 ~seed:"nonce" () in
+  let env = fresh ~window_ns:5_000.0 ~seed:"nonce" () in
   (* persist frames for LSNs the recovery will roll back: crash between
      the device writes and the anchor bump *)
   let plan =
@@ -554,7 +544,7 @@ let test_no_nonce_reuse_after_recovery () =
   let pre = W.Wal.scan_nonces env.wal_dev in
   Alcotest.(check bool) "pre-crash frames persisted" true
     (List.length pre >= 6);
-  let pre_ctr_iv = String.sub (S.Block_device.read_page env.device 0) 0 16 in
+  let pre_iv = String.sub (S.Block_device.read_page env.device 0) 0 16 in
   ignore (reboot env);
   W.Txn_store.set_faults env.ts Fault.none;
   (* the same LSNs are reassigned after recovery; same-length payloads
@@ -573,12 +563,12 @@ let test_no_nonce_reuse_after_recovery () =
             (not (String.equal nonce old_nonce))
       | None -> ())
     post;
-  (* ...and a post-recovery CTR page write at the same page coordinates
-     draws a different nonce (fresh per-boot salt) *)
+  (* ...and the checkpoint's rewrite of the same page after recovery
+     carries a different IV *)
   ok_exn W.Txn_store.pp_error (W.Txn_store.checkpoint env.ts);
-  let post_ctr_iv = String.sub (S.Block_device.read_page env.device 0) 0 16 in
-  Alcotest.(check bool) "page nonce differs across boots" true
-    (not (String.equal pre_ctr_iv post_ctr_iv))
+  let post_iv = String.sub (S.Block_device.read_page env.device 0) 0 16 in
+  Alcotest.(check bool) "page iv differs across boots" true
+    (not (String.equal pre_iv post_iv))
 
 (* -- deployment integration -------------------------------------------- *)
 
@@ -692,7 +682,7 @@ let test_engine_submit_crash_after_ack () =
           let d =
             Deployment.create
               ~seed:(Printf.sprintf "submit-crash-%s-%d" (Fault.site_name site) seed)
-              ~wal:true ~crypto_mode:ci_page_mode
+              ~wal:true
               ~populate:(fun db ->
                 ignore (Sql.Database.exec db "create table acked (k int)"))
               ()
