@@ -9,7 +9,8 @@
    With --shards N (N > 1) the tables are partitioned across N storage
    nodes, each attested under its own TrustZone identity, and SELECTs
    scatter-gather across them; results are exactly the single-node
-   results. --shards 1 (the default) leaves every code path unchanged.
+   results. --shards 1 (the default) runs on the deployment's own
+   storage node. Either way a statement goes through Engine.submit.
 
    The deployment is built fresh per invocation (TPC-H data at the
    requested scale factor), attested, and queries flow through the
@@ -21,21 +22,24 @@ module Sql = Ironsafe_sql
 module Tpch = Ironsafe_tpch
 module Fault = Ironsafe_fault.Fault
 module Cluster = Ironsafe_cluster.Cluster
-module Monitor = Ironsafe_monitor.Trusted_monitor
 
 let build_deployment ?(faults = Fault.none) ?(pool_frames = 0) scale =
-  let deploy =
-    Deployment.create ~seed:"ironsafe-cli" ~faults ~pool_frames
-      ~populate:(fun db -> ignore (Tpch.Dbgen.populate db ~scale))
-      ()
-  in
-  (match Deployment.attest_reliable deploy with
-  | Ok () -> ()
-  | Error e -> failwith ("attestation failed: " ^ e));
-  deploy
+  Deployment.create ~seed:"ironsafe-cli" ~faults ~pool_frames
+    ~populate:(fun db -> ignore (Tpch.Dbgen.populate db ~scale))
+    ()
 
-let setup_engine deploy policy =
-  let engine = Engine.create deploy in
+(* The deployment partitioned over [shards] storage nodes (one shard is
+   the deployment's own storage node), attested *)
+let build_cluster ?faults ?pool_frames ~shards ~scheme scale =
+  let cl =
+    Cluster.create ~shards ~scheme (build_deployment ?faults ?pool_frames scale)
+  in
+  match Cluster.attest_reliable cl with
+  | Ok () -> cl
+  | Error e -> failwith ("attestation failed: " ^ e)
+
+let setup_engine cl policy =
+  let engine = Cluster.engine cl in
   ignore (Engine.register_client engine ~label:"cli" ~reuse_bit:0 ());
   Engine.set_access_policy engine policy;
   engine
@@ -109,10 +113,12 @@ let shards_arg =
     value & opt shards_conv 1
     & info [ "shards" ] ~docv:"N"
         ~doc:
-          "Number of storage shards. $(b,1) (the default) runs the \
-           single-node deployment unchanged; $(b,N > 1) partitions every \
+          "Number of storage shards. $(b,1) (the default) runs on the \
+           deployment's own storage node; $(b,N > 1) partitions every \
            table across N storage nodes, each attested under its own \
-           TrustZone identity, and scatters SELECTs across them.")
+           TrustZone identity, and scatters SELECTs across them (writes \
+           are refused). A split configuration runs host-only unless \
+           every shard's device satisfies the execution policy.")
 
 let scheme_conv =
   let parse s =
@@ -131,13 +137,6 @@ let scheme_arg =
         ~doc:
           "Row-to-shard assignment over the table's first integer column: \
            $(b,hash) or $(b,range).")
-
-let build_cluster ~shards ~scheme deploy =
-  let cl = Cluster.create ~shards ~scheme deploy in
-  (match Cluster.attest_reliable cl with
-  | Ok () -> ()
-  | Error e -> failwith ("cluster attestation failed: " ^ e));
-  cl
 
 let fault_plan seed profile = Fault.of_profile ~seed profile
 
@@ -304,14 +303,14 @@ let start_exports ~profile ?trace_out ?jsonl_out ?metrics_out ~sample_every
 
 let run_query ?(profile = false) ?trace_out ?jsonl_out ?metrics_out
     ?(sample_every = 1) ?(faults = Fault.none) ?(pool_frames = 0)
-    ?(recorder_frames = 256) ?dump_dir ?(slo_p99_ms = 0.0) scale config policy
-    sql =
-  let _, write_exports =
+    ?(recorder_frames = 256) ?dump_dir ?(slo_p99_ms = 0.0) ~shards ~scheme
+    scale config policy sql =
+  let obs_on, write_exports =
     start_exports ~profile ?trace_out ?jsonl_out ?metrics_out ~sample_every
       ~recorder_frames dump_dir
   in
-  let deploy = build_deployment ~faults ~pool_frames scale in
-  let engine = setup_engine deploy policy in
+  let cl = build_cluster ~faults ~pool_frames ~shards ~scheme scale in
+  let engine = setup_engine cl policy in
   match Engine.submit engine ~client:"cli" ~config ~sql () with
   | Error e ->
       Fmt.epr "error: %s@." e;
@@ -326,6 +325,14 @@ let run_query ?(profile = false) ?trace_out ?jsonl_out ?metrics_out
       | Some p when profile ->
           Fmt.pr "-- profile (virtual time):@.%a@." Ironsafe_obs.Obs.pp_profile p
       | _ -> ());
+      if Cluster.nshards cl > 1 then begin
+        Fmt.pr "-- gather: %s over %d shards (%s partitioning)@."
+          (Cluster.gather_operator cl sql)
+          (Cluster.nshards cl) (Partitioner.scheme_name scheme);
+        if obs_on then
+          Fmt.pr "-- scatter latency (per shard, bucket-merged):@.%s"
+            (Cluster.scatter_latency_table cl)
+      end;
       print_faults faults;
       Fmt.pr "-- proof of compliance: %s@."
         (if Engine.verify_response engine resp ~sql then "verified" else "INVALID");
@@ -333,63 +340,6 @@ let run_query ?(profile = false) ?trace_out ?jsonl_out ?metrics_out
         resp.Engine.resp_metrics.Runner.end_to_end_ns;
       write_exports ();
       0
-
-(* Sharded SELECT path: same monitor authorization as Engine.submit,
-   then scatter-gather through the cluster runner. The per-shard
-   compliance gate runs before execution: one non-compliant or
-   unattested shard rejects the whole query. *)
-let run_cluster_query ?trace_out ?jsonl_out ?metrics_out ?(sample_every = 1)
-    ?(faults = Fault.none) ?(pool_frames = 0) ?(recorder_frames = 256)
-    ?dump_dir ?(slo_p99_ms = 0.0) ~shards ~scheme scale config policy sql =
-  let obs_on, write_exports =
-    start_exports ~profile:false ?trace_out ?jsonl_out ?metrics_out
-      ~sample_every ~recorder_frames dump_dir
-  in
-  let deploy = build_deployment ~faults ~pool_frames scale in
-  let engine = setup_engine deploy policy in
-  let cl = build_cluster ~shards ~scheme deploy in
-  let monitor = Engine.monitor engine in
-  let catalog = Sql.Database.catalog deploy.Deployment.secure_db in
-  match
-    Monitor.authorize monitor ~catalog ~client_label:"cli" ~database:"ironsafe"
-      ~exec_policy:[] ~sql
-  with
-  | Error e ->
-      Fmt.epr "error: %s@." e;
-      print_faults faults;
-      write_exports ();
-      1
-  | Ok auth ->
-      let finish code =
-        Monitor.session_cleanup monitor auth.Monitor.auth_session_key;
-        print_faults faults;
-        write_exports ();
-        code
-      in
-      if not (Cluster.policy_compliant cl auth) then begin
-        Fmt.epr "error: execution policy excludes a shard's storage device@.";
-        finish 1
-      end
-      else begin
-        match
-          Cluster.run_stmt_outcome cl config auth.Monitor.auth_stmt
-        with
-        | Runner.Ok m | Runner.Degraded (m, _) ->
-            Fmt.pr "%a" Sql.Exec.pp_result m.Runner.result;
-            print_metrics m;
-            Fmt.pr "-- gather: %s over %d shards (%s partitioning)@."
-              (Cluster.gather_operator cl sql)
-              shards
-              (Partitioner.scheme_name scheme);
-            if obs_on then
-              Fmt.pr "-- scatter latency (per shard, bucket-merged):@.%s"
-                (Cluster.scatter_latency_table cl);
-            check_query_slo ~slo_p99_ms m.Runner.end_to_end_ns;
-            finish 0
-        | Runner.Rejected v | Runner.Crashed v ->
-            Fmt.epr "error: %a@." Runner.pp_violation v;
-            finish 1
-      end
 
 let query_cmd =
   let sql =
@@ -450,16 +400,11 @@ let query_cmd =
       print_string (Partitioner.describe plan);
       0
     end
-    else if shards > 1 then
-      run_cluster_query ?trace_out ?jsonl_out ?metrics_out ~sample_every
-        ~faults:(fault_plan fault_seed fault_profile)
-        ~pool_frames ~recorder_frames
-        ?dump_dir ~slo_p99_ms ~shards ~scheme scale config policy sql
     else
       run_query ~profile ?trace_out ?jsonl_out ?metrics_out ~sample_every
         ~faults:(fault_plan fault_seed fault_profile)
-        ~pool_frames ~recorder_frames
-        ?dump_dir ~slo_p99_ms scale config policy sql
+        ~pool_frames ~recorder_frames ?dump_dir ~slo_p99_ms ~shards ~scheme
+        scale config policy sql
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Run one policy-checked SQL statement")
@@ -480,19 +425,12 @@ let tpch_cmd =
       id =
     let q = Tpch.Queries.by_id_complete id in
     let faults = fault_plan fault_seed fault_profile in
-    let deploy = build_deployment ~faults ~pool_frames scale in
-    let run_outcome =
-      if shards > 1 then begin
-        let cl = build_cluster ~shards ~scheme deploy in
-        fun cfg -> Cluster.run_query_outcome cl cfg q.Tpch.Queries.sql
-      end
-      else fun cfg -> Runner.run_query_outcome deploy cfg q.Tpch.Queries.sql
-    in
+    let cl = build_cluster ~faults ~pool_frames ~shards ~scheme scale in
     let configs = if all then Config.all else [ config ] in
     let code = ref 0 in
     List.iter
       (fun cfg ->
-        match run_outcome cfg with
+        match Cluster.run_query_outcome cl cfg q.Tpch.Queries.sql with
         | Runner.Ok m | Runner.Degraded (m, _) ->
             if List.length configs = 1 then
               Fmt.pr "%a" Sql.Exec.pp_result m.Runner.result;
@@ -598,14 +536,12 @@ let workload_cmd =
       slo_p99_ms recorder_frames dump_dir lane_frames =
     let recorder = arm_recorder ~frames:recorder_frames dump_dir in
     if recorder then Ironsafe_obs.Obs.enable ();
-    let deploy = build_deployment ~pool_frames scale in
-    let cl =
-      if shards > 1 then Some (build_cluster ~shards ~scheme deploy) else None
-    in
+    let cl = build_cluster ~pool_frames ~shards ~scheme scale in
+    let deploy = Cluster.base cl in
     let tenant_names =
       List.init (max 1 tenants) (Printf.sprintf "tenant-%d")
     in
-    let engine = Engine.create deploy in
+    let engine = Cluster.engine cl in
     List.iter
       (fun t -> ignore (Engine.register_client engine ~label:t ()))
       tenant_names;
@@ -619,16 +555,11 @@ let workload_cmd =
       List.map
         (fun id ->
           let q = Tpch.Queries.by_id id in
-          let label = Printf.sprintf "q%d" id in
-          match cl with
-          | None ->
-              Sched.profile deploy config ~label ~sql:q.Tpch.Queries.sql
-          | Some cl ->
-              let stmt = Sql.Parser.parse q.Tpch.Queries.sql in
-              Sched.profile_run
-                ~working_set:(Sched.host_working_set (Cluster.base cl))
-                ~label ~sql:q.Tpch.Queries.sql config
-                (fun () -> Cluster.run_stmt cl config stmt))
+          let stmt = Sql.Parser.parse q.Tpch.Queries.sql in
+          Sched.profile_run
+            ~working_set:(Sched.host_working_set deploy)
+            ~label:(Printf.sprintf "q%d" id) ~sql:q.Tpch.Queries.sql config
+            (fun () -> Cluster.run_stmt cl config stmt))
         mix
     in
     let spec =
@@ -653,10 +584,10 @@ let workload_cmd =
       }
     in
     let gate = Sched.monitor_gate deploy in
-    let storage_nodes =
-      Option.bind cl Cluster.sched_storage_nodes
+    let report =
+      Sched.run ~gate ~storage_nodes:(Cluster.storage_nodes cl) deploy spec
+        profiles
     in
-    let report = Sched.run ~gate ?storage_nodes deploy spec profiles in
     if json then print_endline (Sched.json_of_report report)
     else Fmt.pr "%a" Sched.pp_report report;
     (match trace_out with
@@ -687,8 +618,8 @@ let workload_cmd =
 
 let shell_cmd =
   let run scale policy =
-    let deploy = build_deployment scale in
-    let engine = setup_engine deploy policy in
+    let cl = build_cluster ~shards:1 ~scheme:Partitioner.Hash scale in
+    let engine = setup_engine cl policy in
     let config = ref Config.Scs in
     Fmt.pr "IronSafe shell (scale %g). \\config <c> to switch, \\quit to exit.@." scale;
     let rec loop () =

@@ -26,9 +26,10 @@
    wrapper, so pre-flight TEE faults and outcome events reach sharded
    queries exactly as single-node ones.
 
-   With [shards = 1] execution delegates to the single-node
-   {!Ironsafe.Runner}, so a one-shard cluster is byte-identical to no
-   cluster at all. *)
+   A one-shard cluster has no shard nodes of its own: it runs on the
+   base deployment's storage node through the single-node
+   {!Ironsafe.Runner}. {!engine} gives either shape the same
+   {!Ironsafe.Engine.submit}. *)
 
 module Sim = Ironsafe_sim
 module Storage = Ironsafe_storage
@@ -60,7 +61,7 @@ type shard = {
 type t = {
   base : Deployment.t;
   scheme : Partitioner.scheme;
-  shards : shard array;  (* empty when nshards = 1: pure delegation *)
+  shards : shard array;  (* empty when nshards = 1: the base node serves *)
   nshards : int;
   ord_col : string;  (* hidden leading insertion-index column *)
 }
@@ -71,15 +72,16 @@ let scheme t = t.scheme
 let ord_column t = t.ord_col
 let shard_nodes t = Array.to_list (Array.map (fun sh -> sh.sh_node) t.shards)
 
-(* The exact value the workload scheduler's [?storage_nodes] expects:
-   [None] for a single node (legacy server names, byte-identical
-   replay), the shard node list otherwise. One definition so bench
-   sweeps and tests cannot disagree on the mapping. *)
-let sched_storage_nodes t =
-  match shard_nodes t with [] -> None | l -> Some l
-
 let shard_device_ids t =
   Array.to_list (Array.map (fun sh -> Tee.Trustzone.device_id sh.sh_tz) t.shards)
+
+(* The storage nodes a statement runs on, and their device ids *)
+let storage_nodes t =
+  if t.nshards = 1 then [ t.base.Deployment.storage ] else shard_nodes t
+
+let storage_device_ids t =
+  if t.nshards = 1 then [ Tee.Trustzone.device_id t.base.Deployment.tz_device ]
+  else shard_device_ids t
 
 (* A column name free in every table, so the hidden ord column can
    never shadow user data. *)
@@ -266,16 +268,6 @@ let attest ?host_location ?(storage_location = "eu-west") t =
 let attest_reliable ?host_location ?storage_location ?max_attempts t =
   Deployment.retry_attestation ?max_attempts ~also:(shard_nodes t) t.base
     (fun () -> attest ?host_location ?storage_location t)
-
-(* Every shard's device must satisfy the execution policy the monitor
-   evaluated; one non-compliant shard fails the whole cluster query. *)
-let policy_compliant t (auth : Monitor.Trusted_monitor.authorization) =
-  Array.for_all
-    (fun sh ->
-      List.mem
-        (Tee.Trustzone.device_id sh.sh_tz)
-        auth.Monitor.Trusted_monitor.auth_compliant_storage)
-    t.shards
 
 (* -- gather operators -------------------------------------------------- *)
 
@@ -875,40 +867,58 @@ let run_stmt ?reset ?project t config stmt =
 
 let run_query t config sql = run_stmt t config (Sql.Parser.parse sql)
 
-(* Fault-aware execution through the single-node outcome wrapper: an
-   unattested shard rejects the query before it scatters, the TEE
-   faults strike in pre-flight as on one node (a failed world switch is
-   retried on the flaky shard, the one the plan strikes; every shard
-   waits out a pre-flight stall with the host), and a flaky
-   shard degrades or rejects the query — it never silently returns
-   wrong rows. *)
+(* Fault-aware execution through the single-node outcome wrapper: a
+   write on shard replicas and an unattested shard reject the statement
+   before it scatters, the TEE faults strike in pre-flight as on one
+   node (a failed world switch is retried on the flaky shard, the one
+   the plan strikes; every storage node waits out a pre-flight stall
+   with the host), and a flaky shard degrades or rejects the query — it
+   never silently returns wrong rows. *)
 let run_stmt_outcome ?(reset = true) ?project t config stmt =
   if reset then reset_counters t;
   let admit () =
     let attested =
       Monitor.Trusted_monitor.attested_storage_nodes t.base.Deployment.monitor
     in
-    Array.to_list t.shards
-    |> List.find_map (fun sh ->
-           let id = Tee.Trustzone.device_id sh.sh_tz in
-           if List.mem id attested then None
-           else
-             Some
-               {
-                 Runner.v_site = "cluster.attest";
-                 v_detail = Printf.sprintf "shard device %s is not attested" id;
-               })
+    match stmt with
+    | Sql.Ast.Select _ ->
+        shard_device_ids t
+        |> List.find_map (fun id ->
+               if List.mem id attested then None
+               else
+                 Some
+                   {
+                     Runner.v_site = "cluster.attest";
+                     v_detail =
+                       Printf.sprintf "shard device %s is not attested" id;
+                   })
+    | _ when t.nshards > 1 ->
+        Some
+          {
+            Runner.v_site = "cluster.read_only";
+            v_detail =
+              Printf.sprintf
+                "shard replicas are read-only; only SELECT runs on %d shards"
+                t.nshards;
+          }
+    | _ -> None
   in
-  let storage = if t.nshards = 1 then None else Some t.shards.(0).sh_node in
-  let peers =
-    if t.nshards = 1 then None
-    else Some (Array.to_list (Array.map (fun sh -> sh.sh_node) t.shards))
-  in
-  Runner.with_outcome ~admit ?storage ?peers t.base config (fun () ->
-      run_stmt ~reset:false ?project t config stmt)
+  let nodes = storage_nodes t in
+  Runner.with_outcome ~admit ~storage:(List.hd nodes) ~peers:nodes t.base
+    config (fun () -> run_stmt ~reset:false ?project t config stmt)
 
 let run_query_outcome t config sql =
   run_stmt_outcome t config (Sql.Parser.parse sql)
+
+let engine ?database t =
+  Ironsafe.Engine.over ?database t.base
+    {
+      Ironsafe.Engine.attest = (fun () -> attest_reliable t);
+      reset_counters = (fun () -> reset_counters t);
+      nodes = storage_nodes t;
+      device_ids = storage_device_ids t;
+      run = (fun config stmt -> run_stmt_outcome ~reset:false t config stmt);
+    }
 
 (* -- merged scatter-latency distribution ------------------------------- *)
 

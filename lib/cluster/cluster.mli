@@ -15,9 +15,10 @@
     charges its slice of a query, and the query runs inside the
     runner's root span and outcome wrapper.
 
-    [shards = 1] delegates everything to {!Ironsafe.Runner}: a
-    one-shard cluster is byte-identical — results, charges, spans,
-    events — to no cluster at all. *)
+    A one-shard cluster runs on the base deployment's own storage node
+    through {!Ironsafe.Runner}: its results, charges, spans and events
+    are those of the single-node runner. {!engine} runs the §3.1
+    workflow ({!Ironsafe.Engine.submit}) over either shape. *)
 
 type t
 
@@ -50,12 +51,11 @@ val ord_column : t -> string
 val shard_nodes : t -> Ironsafe_sim.Node.t list
 (** Simulated nodes of the shards (empty when [nshards = 1]). *)
 
-val sched_storage_nodes : t -> Ironsafe_sim.Node.t list option
-(** The [?storage_nodes] argument for the workload scheduler's
-    [Sched.run] when replaying tapes captured through this cluster:
-    [None] with a single node (so the replay keeps the legacy server
-    names and is byte-identical to a plain deployment), the shard
-    nodes otherwise (per-shard contended servers). *)
+val storage_nodes : t -> Ironsafe_sim.Node.t list
+(** The storage nodes a statement runs on: the base deployment's
+    storage node for one shard, the shard nodes otherwise. This is
+    the [?storage_nodes] argument of the workload scheduler's
+    [Sched.run] for tapes captured through this cluster. *)
 
 val shard_device_ids : t -> string list
 
@@ -85,10 +85,6 @@ val attest_reliable :
     plan), charging the backoff to the host, the base storage node and
     every shard lane. *)
 
-val policy_compliant : t -> Ironsafe_monitor.Trusted_monitor.authorization -> bool
-(** Every shard's device id is in the authorization's compliant set;
-    one non-compliant shard fails the whole cluster query. *)
-
 val gather_operator : t -> string -> string
 (** Which gather operator the query would use: ["partial-agg"],
     ["merge-sort"], or ["concat"] (["none"] for non-SELECT). *)
@@ -109,7 +105,8 @@ val run_stmt :
     {!Ironsafe.Runner.host_share} for the gather and host portion.
 
     @raise Invalid_argument for non-SELECT statements when
-    [nshards > 1] (shard replicas are read-only). *)
+    [nshards > 1] (shard replicas are read-only); {!run_stmt_outcome}
+    turns that case into a [Rejected] outcome. *)
 
 val run_query : t -> Ironsafe.Config.t -> string -> Ironsafe.Runner.metrics
 
@@ -120,8 +117,10 @@ val run_stmt_outcome :
   Ironsafe.Config.t ->
   Ironsafe_sql.Ast.stmt ->
   Ironsafe.Runner.outcome
-(** Fault-aware execution through {!Ironsafe.Runner.with_outcome}: an
-    unattested shard rejects the query first (site [cluster.attest]);
+(** Fault-aware execution through {!Ironsafe.Runner.with_outcome}: a
+    non-SELECT statement on [nshards > 1] is rejected first (site
+    [cluster.read_only]), and so is a query on an unattested shard
+    (site [cluster.attest]);
     then the pre-flight TEE faults strike as on one node (a failed
     world switch is retried on shard 0, the flaky shard); a flaky shard
     degrades the query (faults recovered mid-query) or rejects it
@@ -129,6 +128,14 @@ val run_stmt_outcome :
     with their outcome events, never silently-wrong rows. *)
 
 val run_query_outcome : t -> Ironsafe.Config.t -> string -> Ironsafe.Runner.outcome
+
+val engine : ?database:string -> t -> Ironsafe.Engine.t
+(** The §3.1 engine over this cluster: {!Ironsafe.Engine.submit}
+    attests through {!attest_reliable}, charges the control path,
+    delivers the session key to every storage node under a fault plan,
+    runs each statement through {!run_stmt_outcome} and signs the
+    result. A split configuration runs split only when every shard's
+    device satisfies the execution policy, and host-only otherwise. *)
 
 (** {2 Gathered latency} *)
 

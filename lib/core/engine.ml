@@ -17,8 +17,17 @@ module Sql = Ironsafe_sql
 module Net = Ironsafe_net
 module Fault = Ironsafe_fault.Fault
 
+type storage = {
+  attest : unit -> (unit, string) result;
+  reset_counters : unit -> unit;
+  nodes : Ironsafe_sim.Node.t list;
+  device_ids : string list;
+  run : Config.t -> Sql.Ast.stmt -> Runner.outcome;
+}
+
 type t = {
   deploy : Deployment.t;
+  storage : storage;
   database : string;
   mutable attested : bool;
 }
@@ -32,7 +41,20 @@ type response = {
   resp_metrics : Runner.metrics;
 }
 
-let create ?(database = "ironsafe") deploy = { deploy; database; attested = false }
+let over ?(database = "ironsafe") deploy storage =
+  { deploy; storage; database; attested = false }
+
+(* [attest_reliable] retries only under an enabled fault plan, so it is
+   exactly [Deployment.attest] when faults are off *)
+let create ?database (d : Deployment.t) =
+  over ?database d
+    {
+      attest = (fun () -> Deployment.attest_reliable d);
+      reset_counters = (fun () -> Deployment.reset_counters d);
+      nodes = [ d.Deployment.storage ];
+      device_ids = [ Ironsafe_tee.Trustzone.device_id d.Deployment.tz_device ];
+      run = (fun config stmt -> Runner.run_stmt_outcome ~reset:false d config stmt);
+    }
 
 let monitor t = t.deploy.Deployment.monitor
 let deployment t = t.deploy
@@ -40,9 +62,7 @@ let deployment t = t.deploy
 let ensure_attested t =
   if t.attested then Ok ()
   else begin
-    (* [attest_reliable] retries only under an enabled fault plan, so
-       this is exactly [Deployment.attest] when faults are off *)
-    match Deployment.attest_reliable t.deploy with
+    match t.storage.attest () with
     | Ok () ->
         t.attested <- true;
         Ok ()
@@ -99,7 +119,7 @@ let submit ?(exec_policy = "") ?(config = Config.Scs) t ~client ~sql () =
              host <-> monitor round, policy interpretation, session-key
              issuance and proof signing (§4.2 / Table 3) *)
           let params = t.deploy.Deployment.params in
-          Deployment.reset_counters t.deploy;
+          t.storage.reset_counters ();
           let host_node = t.deploy.Deployment.host in
           Ironsafe_sim.Node.charge host_node ~category:"policy"
             (params.Ironsafe_sim.Params.tls_handshake_ns
@@ -109,45 +129,44 @@ let submit ?(exec_policy = "") ?(config = Config.Scs) t ~client ~sql () =
           let stmt = auth.Monitor.Trusted_monitor.auth_stmt in
           let query = match stmt with Sql.Ast.Select _ -> true | _ -> false in
           (* DML runs whole on the secure (authoritative) database, so it
-             commits through the WAL when the deployment has one; a query
-             may have its offloading downgraded by the monitor *)
+             commits through the WAL when the deployment has one. A query
+             runs split only when every storage node it runs on satisfies
+             the execution policy; otherwise it runs host-only. *)
+          let offload_ok =
+            List.for_all
+              (fun id ->
+                List.mem id auth.Monitor.Trusted_monitor.auth_compliant_storage)
+              t.storage.device_ids
+          in
           let config =
             if not query then Config.Sos
-            else if
-              Config.split_execution config
-              && not auth.Monitor.Trusted_monitor.auth_offload_allowed
-            then if Config.secure config then Config.Hos else Config.Hons
+            else if Config.split_execution config && not offload_ok then
+              if Config.secure config then Config.Hos else Config.Hons
             else config
           in
-          (* under a fault plan the session-key delivery to the storage
-             node runs over a real (lossy) channel with reliable
-             delivery; with faults off it stays a charged abstraction,
-             preserving the exact fault-free timing *)
+          (* under a fault plan the session key reaches each storage
+             node over a real (lossy) channel with reliable delivery;
+             with faults off the delivery is the control-path charge
+             above *)
           let faults = Deployment.faults t.deploy in
+          let deliver node =
+            Result.map_error
+              (fun e -> "control channel: " ^ Net.Channel.error_message e)
+              (Result.bind
+                 (Net.Channel.connect ~faults ~a:host_node ~b:node
+                    ~session_key:auth.Monitor.Trusted_monitor.auth_session_key
+                    ~drbg:t.deploy.Deployment.drbg ())
+                 (fun ch ->
+                   let r = Net.Channel.roundtrip_reliable ch ~from:host_node sql in
+                   Net.Channel.close ch;
+                   Result.map ignore r))
+          in
           let control_plane_ok =
             if not (Fault.enabled faults) then Ok ()
-            else begin
-              match
-                Net.Channel.connect ~faults ~a:host_node
-                  ~b:t.deploy.Deployment.storage
-                  ~session_key:auth.Monitor.Trusted_monitor.auth_session_key
-                  ~drbg:t.deploy.Deployment.drbg ()
-              with
-              | Error e ->
-                  Error ("control channel: " ^ Net.Channel.error_message e)
-              | Ok ch ->
-                  let r =
-                    match
-                      Net.Channel.roundtrip_reliable ch ~from:host_node sql
-                    with
-                    | Ok _ -> Ok ()
-                    | Error e ->
-                        Error
-                          ("control channel: " ^ Net.Channel.error_message e)
-                  in
-                  Net.Channel.close ch;
-                  r
-            end
+            else
+              List.fold_left
+                (fun acc node -> Result.bind acc (fun () -> deliver node))
+                (Ok ()) t.storage.nodes
           in
           (* the session ends with the request, however the request ends *)
           let outcome =
@@ -157,8 +176,7 @@ let submit ?(exec_policy = "") ?(config = Config.Scs) t ~client ~sql () =
                   auth.Monitor.Trusted_monitor.auth_session_key)
               (fun () ->
                 Result.map
-                  (fun () ->
-                    Runner.run_stmt_outcome ~reset:false t.deploy config stmt)
+                  (fun () -> t.storage.run config stmt)
                   control_plane_ok)
           in
           let respond metrics resp_result =

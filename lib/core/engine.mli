@@ -14,7 +14,27 @@ type response = {
   resp_metrics : Runner.metrics;
 }
 
+(** The storage side a query runs on: one storage node, or the shards
+    of a cluster. *)
+type storage = {
+  attest : unit -> (unit, string) result;
+      (** attest the host and every storage node *)
+  reset_counters : unit -> unit;
+      (** zero the clocks and counters of the host and every storage node *)
+  nodes : Ironsafe_sim.Node.t list;  (** the storage nodes a statement runs on *)
+  device_ids : string list;  (** their TrustZone device ids *)
+  run : Config.t -> Ironsafe_sql.Ast.stmt -> Runner.outcome;
+      (** run a statement under a config, without resetting counters *)
+}
+
 val create : ?database:string -> Deployment.t -> t
+(** The engine over the deployment's own storage node. *)
+
+val over : ?database:string -> Deployment.t -> storage -> t
+(** The engine over another storage side, such as a sharded cluster's.
+    The deployment still supplies the host, the monitor, the keys and
+    the database replicas. *)
+
 val monitor : t -> Ironsafe_monitor.Trusted_monitor.t
 val deployment : t -> Deployment.t
 
@@ -40,8 +60,9 @@ val submit :
   unit ->
   (response, string) result
 (** Run the full workflow. Attests lazily on first use; downgrades a
-    split configuration to host-only when the execution policy rules
-    out the storage node. DML statements run whole on the
+    split configuration to host-only unless every storage node the
+    statement runs on satisfies the execution policy. DML statements
+    run whole on the
     authoritative secure database ([Sos], whatever [config] asks), so
     a WAL deployment commits them before [submit] returns (durably,
     unless the deployment has a group-commit window); only then are

@@ -125,8 +125,7 @@ let charge_io node (params : Sim.Params.t) pages =
 
 (* Buffer-pool hits: the page is already decrypted and resident, so
    instead of device + crypto cost the engine pays one in-memory cache
-   probe per access. Guarded so a pool-less run (hits = 0) emits no
-   extra span and its event stream stays byte-identical. *)
+   probe per access. A run without hits (no pool) emits no span. *)
 let charge_cache_hits node (params : Sim.Params.t) hits =
   if hits > 0 then
     Sim.Node.with_span node ~name:"bufpool.hits"
@@ -334,8 +333,7 @@ let storage_share d config ~storage ~store ~sessions ~shipped
       with_offload host storage (fun () ->
           charge_io storage params pages;
           charge_cache_hits storage params hits;
-          (* one engine instance: inline crypto and compute on one core
-             (CTR lane fan-out still applies inside the decrypt kernel) *)
+          (* one engine instance: inline crypto and compute on one core *)
           crypto ~parallel:false storage;
           Sim.Node.compute_serial storage ~category:"ndp"
             ~row_ops:c.Sql.Observer.rows;

@@ -132,9 +132,8 @@ let incidents_since t mark =
 
 let last_unrecovered t = List.find_opt (fun i -> not i.inc_recovered) t.incidents
 
-(* All randomness delegates to the shared splitmix64 stream; the plan
-   seed feeds it unmixed, preserving the historical incident
-   timelines of the seeded CI matrix. *)
+(* All randomness delegates to the shared splitmix64 stream, which the
+   plan seed feeds unmixed: one seed, one incident timeline. *)
 let uniform t = Prng.uniform t.rng
 let rand_int t bound = Prng.rand_int t.rng bound
 

@@ -212,9 +212,7 @@ let attest_storage ?shard t ~challenge ~response ~location =
   (* Cluster sessions pass [shard]: the monitor then records one
      evidence entry per shard in the hash-chained audit log — success
      or failure — so a rejected shard is observable as its own
-     audit-chain entry. Single-node callers pass nothing and their
-     audit/event streams stay byte-identical to the pre-cluster
-     monitor. *)
+     audit-chain entry. Without [shard] no audit entry is added. *)
   (match shard with
   | None -> ()
   | Some i ->
@@ -265,7 +263,6 @@ let attest_storage ?shard t ~challenge ~response ~location =
 type authorization = {
   auth_session_key : string;
   auth_stmt : Sql.Ast.stmt;  (** rewritten to be policy compliant *)
-  auth_offload_allowed : bool;
   auth_compliant_storage : string list;
       (** device ids satisfying the execution policy (Fig. 5) *)
   auth_proof : proof;
@@ -472,7 +469,6 @@ let authorize t ~catalog ~client_label ~database ~exec_policy ~sql =
                     {
                       auth_session_key = key;
                       auth_stmt = stmt;
-                      auth_offload_allowed = compliant_storage <> [];
                       auth_compliant_storage = compliant_storage;
                       auth_proof = make_proof t ~sql ~policy:access_policy;
                       auth_obligations = obligations;

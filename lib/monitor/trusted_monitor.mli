@@ -33,7 +33,6 @@ type proof = {
 type authorization = {
   auth_session_key : string;
   auth_stmt : Ironsafe_sql.Ast.stmt;  (** rewritten to be compliant *)
-  auth_offload_allowed : bool;  (** at least one compliant storage node *)
   auth_compliant_storage : string list;
       (** device ids satisfying the execution policy (Fig. 5) *)
   auth_proof : proof;
@@ -89,8 +88,8 @@ val attest_storage :
     appends one evidence entry per shard to the audit chain — on
     success {e and} on failure, so a rejected shard leaves its own
     distinct audit-chain entry — and the [attest.storage] forensics
-    event carries the shard id. Without [shard] the audit and event
-    streams are byte-identical to the single-node monitor. *)
+    event carries the shard id. Without [shard] no audit entry is
+    appended and the event carries no shard id. *)
 
 (** {2 Authorization} *)
 

@@ -13,8 +13,8 @@
    tail-latency breach) writes the merged rings as JSONL plus a Chrome
    trace into the dump directory.
 
-   Everything is a no-op while disabled: recorder-off runs stay
-   byte-identical to a build without this module. *)
+   Everything is a no-op while disabled: a recorder-off run neither
+   buffers frames nor writes dumps. *)
 
 type frame = {
   fr_seq : int;  (* global append order — the merge key across rings *)

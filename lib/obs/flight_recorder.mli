@@ -8,8 +8,8 @@
     Frames are virtual-clock-stamped and carry only virtual-time data
     (JSONL rendering is deferred to dump time to keep appends cheap),
     so dumps are byte-deterministic for a fixed seed. While disabled every
-    entry point is a no-op (one boolean load), and recorder-off runs
-    are byte-identical to pre-recorder builds. *)
+    entry point is a no-op (one boolean load): nothing is buffered and
+    nothing is written. *)
 
 type frame = {
   fr_seq : int;  (** global append order — total order across rings *)

@@ -356,17 +356,16 @@ let run ?gate ?storage_nodes deploy spec profiles =
     Server.create ~name:"host.cores"
       ~slots:(Sim.Cpu.cores (Sim.Node.cpu deploy.Deployment.host))
   in
-  (* One (cores, device, channel) server triple per storage node: a
-     sharded cluster contends each shard's ARM cores, NVMe queue depth
-     and host<->shard channel streams independently, sharing only the
-     host. With the default single storage node the servers keep their
-     legacy names, so existing runs are byte-identical. *)
+  (* One (cores, device, channel) server triple per storage node, named
+     after the node: a sharded cluster contends each shard's ARM cores,
+     NVMe queue depth and host<->shard channel streams independently,
+     sharing only the host. *)
   let storage_nodes =
-    match storage_nodes with
-    | None | Some [] -> [| deploy.Deployment.storage |]
-    | Some l -> Array.of_list l
+    Array.of_list
+      (Option.value storage_nodes ~default:[ deploy.Deployment.storage ])
   in
   let n_storage = Array.length storage_nodes in
+  if n_storage = 0 then invalid_arg "Sched.run: no storage nodes";
   let storage_index : (string, int) Hashtbl.t = Hashtbl.create 8 in
   Array.iteri
     (fun i n -> Hashtbl.replace storage_index (Sim.Node.name n) i)
@@ -375,45 +374,24 @@ let run ?gate ?storage_nodes deploy spec profiles =
     invalid_arg "Sched.run: duplicate storage node names";
   if Hashtbl.mem storage_index host_name then
     invalid_arg "Sched.run: host listed among storage nodes";
+  let servers kind ~slots =
+    Array.map
+      (fun node -> Server.create ~name:(Sim.Node.name node ^ kind) ~slots:(slots node))
+      storage_nodes
+  in
   let srv_cores =
-    Array.map
-      (fun node ->
-        let prefix = if n_storage = 1 then "storage" else Sim.Node.name node in
-        Server.create ~name:(prefix ^ ".cores")
-          ~slots:(Sim.Cpu.cores (Sim.Node.cpu node)))
-      storage_nodes
+    servers ".cores" ~slots:(fun node -> Sim.Cpu.cores (Sim.Node.cpu node))
   in
-  let srv_device =
-    Array.map
-      (fun node ->
-        let prefix = if n_storage = 1 then "storage" else Sim.Node.name node in
-        Server.create ~name:(prefix ^ ".device") ~slots:spec.device_queue_depth)
-      storage_nodes
-  in
-  let srv_channel =
-    Array.map
-      (fun node ->
-        Server.create
-          ~name:
-            (if n_storage = 1 then "channel" else Sim.Node.name node ^ ".channel")
-          ~slots:spec.channel_streams)
-      storage_nodes
-  in
+  let srv_device = servers ".device" ~slots:(fun _ -> spec.device_queue_depth) in
+  let srv_channel = servers ".channel" ~slots:(fun _ -> spec.channel_streams) in
   (* sync segments label after the channel they ride *)
   let sync_label =
     Array.map (fun srv -> Server.name srv ^ ".transfer") srv_channel
   in
-  (* tapes recorded against a node outside the set (never the case for
-     runner/cluster tapes) fall back to the first storage node, which is
-     exactly the legacy routing when there is one *)
-  let storage_idx node =
-    match Hashtbl.find_opt storage_index node with Some i -> i | None -> 0
-  in
   let epc_limit = params.Sim.Params.epc_limit_bytes in
   (* EPC occupancy starts at the decrypted-page pool's footprint when
      the pool lives inside the host enclave (hos); it is pinned cache
-     capacity every admitted query contends with. Zero without a pool,
-     so pool-less schedules are unchanged. *)
+     capacity every admitted query contends with. Zero without a pool. *)
   let epc_resident =
     ref (if config = Config.Hos then Deployment.pool_bytes deploy else 0)
   in
@@ -431,7 +409,11 @@ let run ?gate ?storage_nodes deploy spec profiles =
   let compile p =
     let it = p.qp_itape in
     let names = Sim.Tape.interned_nodes it in
-    let node_to_idx = Array.map storage_idx names in
+    let node_to_idx =
+      Array.map
+        (fun n -> Option.value (Hashtbl.find_opt storage_index n) ~default:(-1))
+        names
+    in
     let node_is_host = Array.map (fun n -> n = host_name) names in
     let len = Sim.Tape.interned_length it in
     let ct_kind = Array.make len k_sync in
@@ -448,6 +430,12 @@ let run ?gate ?storage_nodes deploy spec profiles =
         ct_epc.(i) <- cls = Sim.Tape.cls_epc;
         if node_is_host.(nid) then ct_kind.(i) <- k_host
         else begin
+          if node_to_idx.(nid) < 0 then
+            invalid_arg
+              (Printf.sprintf
+                 "Sched.run: profile %s charges node %s, which is neither \
+                  the host nor a listed storage node"
+                 p.qp_label names.(nid));
           ct_idx.(i) <- node_to_idx.(nid);
           ct_kind.(i) <- (if cls = Sim.Tape.cls_io then k_device else k_cores)
         end
@@ -1189,8 +1177,7 @@ let json_of_report r =
       addf "%S:%.6f" name u)
     r.rep_util;
   addf "}";
-  (* SLO block only when the watchdog was armed, so default runs keep
-     byte-identical JSON *)
+  (* the SLO block appears only when the watchdog was armed *)
   if r.rep_spec.tail_slo_ns > 0.0 then begin
     addf ",\"tail_breaches\":%d,\"anomalous\":%d," r.rep_tail_breaches
       r.rep_anomalous;

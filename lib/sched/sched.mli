@@ -225,14 +225,13 @@ val run :
     [<node>.cores] / [<node>.device] / [<node>.channel]), and tape
     charges route to the server set of the node they were recorded
     against, so a sharded cluster's scatter phases contend per shard
-    while sharing the host's gather capacity. With one storage node
-    the servers keep the legacy names ([storage.cores],
-    [storage.device], [channel]) and the replay is byte-identical to
-    before the parameter existed.
+    while sharing the host's gather capacity.
 
     @raise Invalid_argument on an infeasible spec, an empty mix, a
-    mix spanning different configurations, duplicate storage node
-    names, or the host listed among the storage nodes. *)
+    mix spanning different configurations, an empty or duplicate
+    storage node list, the host listed among the storage nodes, or a
+    profile whose tape charges a node that is neither the host nor a
+    listed storage node. *)
 
 val monitor_gate :
   ?database:string ->

@@ -11,9 +11,8 @@
 
 type t = { mutable state : int64 }
 
-(* The state is the seed itself (not pre-mixed): existing consumers
-   (fault plans) rely on this exact stream for their seeded CI
-   matrices. *)
+(* The state is the seed itself, not pre-mixed: seed [n] yields the
+   splitmix64 stream that starts from state [n]. *)
 let create ~seed = { state = Int64.of_int seed }
 
 let copy t = { state = t.state }

@@ -266,9 +266,12 @@ let rec compile ctx expr : compiled =
       match List.find_opt (fun (e, _) -> e = expr) ctx.agg_slots with
       | Some (_, slot) -> fun env -> env.aggs.(slot)
       | None -> fail "aggregate used outside of an aggregation context")
-  | Unary (`Not, e) ->
+  | Unary (`Not, e) -> (
       let ce = compile ctx e in
-      fun env -> Value.Bool (not (Value.as_bool (ce env)))
+      fun env ->
+        match ce env with
+        | Value.Null -> Value.Null
+        | v -> Value.Bool (not (Value.as_bool v)))
   | Unary (`Neg, e) -> (
       let ce = compile ctx e in
       fun env ->
@@ -277,12 +280,22 @@ let rec compile ctx expr : compiled =
         | Value.Float f -> Value.Float (-.f)
         | Value.Null -> Value.Null
         | v -> fail "cannot negate %s" (Value.to_string v))
-  | Binop (And, a, b) ->
+  | Binop (((And | Or) as op), a, b) -> (
+      (* Kleene logic: the dominant value (FALSE for AND, TRUE for OR)
+         decides alone; otherwise a NULL operand makes the result NULL *)
+      let dom = op = Or in
       let ca = compile ctx a and cb = compile ctx b in
-      fun env -> Value.Bool (Value.as_bool (ca env) && Value.as_bool (cb env))
-  | Binop (Or, a, b) ->
-      let ca = compile ctx a and cb = compile ctx b in
-      fun env -> Value.Bool (Value.as_bool (ca env) || Value.as_bool (cb env))
+      let truth = function
+        | (Value.Null | Value.Bool _) as v -> v
+        | v -> Value.Bool (Value.as_bool v)
+      in
+      fun env ->
+        match truth (ca env) with
+        | Value.Bool d as va when d = dom -> va
+        | va -> (
+            match truth (cb env) with
+            | Value.Bool d as vb when d = dom -> vb
+            | vb -> ( match va with Value.Null -> va | _ -> vb)))
   | Binop (op, a, Interval { n; unit_ }) -> (
       let ca = compile ctx a in
       let shift =
@@ -333,15 +346,23 @@ let rec compile ctx expr : compiled =
             let inside = a >= 0 && b <= 0 in
             Value.Bool (if negated then not inside else inside)
         | _ -> Value.Null)
-  | In_list { negated; subject; items } ->
+  | In_list { negated; subject; items } -> (
       let cs = compile ctx subject in
       let citems = List.map (compile ctx) items in
+      (* no match is FALSE, or NULL when the subject or an item is NULL *)
+      let rec scan v saw_null env = function
+        | [] -> if saw_null then Value.Null else Value.Bool negated
+        | ci :: rest -> (
+            match ci env with
+            | Value.Null -> scan v true env rest
+            | w ->
+                if Value.equal v w then Value.Bool (not negated)
+                else scan v saw_null env rest)
+      in
       fun env ->
-        let v = cs env in
-        let mem =
-          List.exists (fun ci -> Value.equal v (ci env)) citems
-        in
-        Value.Bool (if negated then not mem else mem)
+        match cs env with
+        | Value.Null -> Value.Null
+        | v -> scan v false env citems)
   | In_select { negated; subject; select } ->
       let cs = compile ctx subject in
       let sub = plan_select ctx.state ~outer:(Some ctx) select in
@@ -368,7 +389,9 @@ let rec compile ctx expr : compiled =
               s
         in
         (match cs env with
-        | Value.Null -> Value.Null
+        | Value.Null ->
+            if set.has_null || Key_tbl.length set.table > 0 then Value.Null
+            else Value.Bool negated
         | v ->
             if Key_tbl.mem set.table [| v |] then Value.Bool (not negated)
             else if set.has_null then Value.Null

@@ -319,6 +319,109 @@ let test_rejects_dml_on_shards () =
   | _ -> Alcotest.fail "DML must not run on read-only shard replicas"
   | exception Invalid_argument _ -> ()
 
+(* -- the front door: Engine.submit over shards ----------------------------- *)
+
+(* The same §3.1 workflow as on one node: the control path is charged,
+   the result is signed and verifies, and the session is cleaned up. *)
+let front_door cl =
+  let e = Cluster.engine cl in
+  ignore (Engine.register_client e ~label:"front" ());
+  Engine.set_access_policy e
+    "read ::= sessionKeyIs(front)\nwrite ::= sessionKeyIs(front)";
+  e
+
+let engine2 = lazy (front_door (Lazy.force cluster2))
+
+let control_path_ns () =
+  let p = (Lazy.force deploy).Deployment.params in
+  p.Ironsafe_sim.Params.tls_handshake_ns
+  +. (6.0 *. p.Ironsafe_sim.Params.net_latency_ns)
+  +. p.Ironsafe_sim.Params.monitor_policy_ns
+  +. p.Ironsafe_sim.Params.monitor_session_ns
+
+let live_sessions e = Monitor.live_sessions (Engine.monitor e)
+
+let test_front_door_all_configs () =
+  let d = Lazy.force deploy in
+  let e = Lazy.force engine2 in
+  let control = control_path_ns () in
+  List.iter
+    (fun sql ->
+      List.iter
+        (fun config ->
+          let want = (Runner.run_query d config sql).Runner.result in
+          match Engine.submit e ~client:"front" ~config ~sql () with
+          | Error err -> Alcotest.failf "%s: %s" (Config.abbrev config) err
+          | Ok r ->
+              let tag = Config.abbrev config ^ ": " in
+              Alcotest.check result_t (tag ^ "single-node rows") (exact want)
+                (exact r.Engine.resp_result);
+              Alcotest.(check bool) (tag ^ "proof verifies") true
+                (Engine.verify_response e r ~sql);
+              Alcotest.(check bool) (tag ^ "control path charged") true
+                (r.Engine.resp_metrics.Runner.end_to_end_ns >= control);
+              Alcotest.(check int) (tag ^ "no live session") 0
+                (live_sessions e))
+        all_configs)
+    [
+      (Tpch.Queries.by_id 6).Tpch.Queries.sql;
+      "select n_name, n_regionkey from nation order by n_regionkey, n_name";
+    ]
+
+let test_front_door_refusals () =
+  let e = Lazy.force engine2 in
+  (match
+     Engine.submit e ~client:"front"
+       ~sql:"insert into region values (9, 'X', 'y')" ()
+   with
+  | Ok _ -> Alcotest.fail "DML ran on read-only shard replicas"
+  | Error err ->
+      Alcotest.(check bool) "typed read-only refusal" true
+        (contains err "cluster.read_only"));
+  Alcotest.(check int) "no live session after DML" 0 (live_sessions e);
+  (match
+     Engine.submit e ~client:"mallory" ~sql:"select count(*) from nation" ()
+   with
+  | Ok _ -> Alcotest.fail "unregistered client answered"
+  | Error _ -> ());
+  Alcotest.(check int) "no live session after denial" 0 (live_sessions e)
+
+(* Shards on an older storage firmware than the base node fail
+   [fwVersionStorage(latest)]: the base node alone complies, so a split
+   config must run host-only rather than offload to the shards. *)
+let test_front_door_exec_policy_downgrades () =
+  let d = Lazy.force deploy in
+  let cl =
+    attested
+      (Cluster.create ~storage_version:0 ~shards:2 ~scheme:Partitioner.Hash d)
+  in
+  let e = front_door cl in
+  let sql = (Tpch.Queries.by_id 6).Tpch.Queries.sql in
+  List.iter
+    (fun (config, downgraded) ->
+      let want = (Runner.run_query d config sql).Runner.result in
+      match
+        Engine.submit e ~client:"front" ~config
+          ~exec_policy:"exec ::= fwVersionStorage(latest)" ~sql ()
+      with
+      | Error err -> Alcotest.fail err
+      | Ok r ->
+          Alcotest.(check string)
+            (Config.abbrev config ^ " runs host-only")
+            downgraded
+            (Config.abbrev r.Engine.resp_metrics.Runner.config);
+          Alcotest.check result_t "same rows" (exact want)
+            (exact r.Engine.resp_result))
+    [ (Config.Scs, "hos"); (Config.Vcs, "hons") ];
+  match
+    Engine.submit e ~client:"front" ~exec_policy:"exec ::= fwVersionStorage(0)"
+      ~sql ()
+  with
+  | Error err -> Alcotest.fail err
+  | Ok r ->
+      Alcotest.(check string) "compliant shards keep the split" "scs"
+        (Config.abbrev r.Engine.resp_metrics.Runner.config)
+
 (* -- per-shard attestation ----------------------------------------------- *)
 
 let test_per_shard_audit_entries () =
@@ -524,6 +627,10 @@ let suite =
     ("one shard is byte-identical", `Quick, test_single_shard_byte_identity);
     ("rejects shards < 1", `Quick, test_rejects_bad_shard_count);
     ("rejects DML on shard replicas", `Quick, test_rejects_dml_on_shards);
+    ("front door: five configs", `Quick, test_front_door_all_configs);
+    ("front door: typed refusals", `Quick, test_front_door_refusals);
+    ("front door: exec policy downgrades", `Quick,
+     test_front_door_exec_policy_downgrades);
     ("per-shard audit entries", `Quick, test_per_shard_audit_entries);
     ("unattested shard rejects query", `Quick, test_unattested_shard_rejected);
     ("plan.split fans out per shard", `Quick, test_plan_split_events_per_shard);

@@ -287,8 +287,8 @@ let test_authorize_exec_policy_downgrade () =
   match authorize ~exec_policy f "select v from records" with
   | Error e -> Alcotest.fail e
   | Ok auth ->
-      Alcotest.(check bool) "offload blocked" false
-        auth.M.Trusted_monitor.auth_offload_allowed
+      Alcotest.(check (list string)) "offload blocked" []
+        auth.M.Trusted_monitor.auth_compliant_storage
 
 let test_authorize_exec_policy_denies_host () =
   let f = fixture () in
@@ -466,7 +466,7 @@ let test_multi_storage_nodes () =
       Alcotest.(check (list string)) "one compliant node" [ "tz-1" ]
         auth.M.Trusted_monitor.auth_compliant_storage;
       Alcotest.(check bool) "offload allowed" true
-        auth.M.Trusted_monitor.auth_offload_allowed);
+        (auth.M.Trusted_monitor.auth_compliant_storage <> []));
   (* a location policy can select the other node *)
   let exec_policy = P.Policy_parser.parse "exec ::= storageLocIs(us-east)" in
   match authorize ~exec_policy f "select v from records" with

@@ -369,7 +369,7 @@ let replay_transcript () =
     }
   in
   add_report "cluster-2shard open"
-    (Sched.run ?storage_nodes:(Cluster.sched_storage_nodes cl) d spec profiles);
+    (Sched.run ~storage_nodes:(Cluster.storage_nodes cl) d spec profiles);
   (Buffer.contents buf, List.rev !digests)
 
 (* one replay of the corpus serves both checks below *)
@@ -950,6 +950,32 @@ let test_sharded_profile_working_set () =
   Alcotest.(check bool) "2 shards: working set recorded" true
     ((sharded 2).Sched.qp_working_set > 0)
 
+(* A 2-shard tape charges shard0 and shard1; replayed without their
+   nodes, it has no server to route to and the replay refuses it. *)
+let test_unrouted_tape_node () =
+  let module Cluster = Ironsafe_cluster.Cluster in
+  let d = Lazy.force deploy in
+  let cl = Cluster.create ~shards:2 ~scheme:Partitioner.Hash d in
+  (match Cluster.attest_reliable cl with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "cluster attestation failed: %s" e);
+  let q = Tpch.Queries.by_id 6 in
+  let stmt = Ironsafe_sql.Parser.parse q.Tpch.Queries.sql in
+  let p =
+    Sched.profile_run ~working_set:(Sched.host_working_set d) ~label:"q6"
+      ~sql:q.Tpch.Queries.sql Config.Scs
+      (fun () -> Cluster.run_stmt cl Config.Scs stmt)
+  in
+  let spec = { Sched.default_spec with Sched.queries = 4 } in
+  (match Sched.run d spec [ p ] with
+  | _ -> Alcotest.fail "replay routed shard charges to the storage node"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) "names the profile" true
+        (String.starts_with ~prefix:"Sched.run: profile q6 charges node shard"
+           msg));
+  let r = Sched.run ~storage_nodes:(Cluster.storage_nodes cl) d spec [ p ] in
+  Alcotest.(check int) "routed replay completes" 4 r.Sched.rep_completed
+
 let suite =
   [
     ("prng", `Quick, test_prng);
@@ -965,6 +991,7 @@ let suite =
     ("lane assignment order", `Quick, test_lane_order);
     ("sharded profile keeps the working set", `Quick,
      test_sharded_profile_working_set);
+    ("replay rejects unrouted tape nodes", `Quick, test_unrouted_tape_node);
     ("bounded forensics stay exact", `Quick, test_bounded_forensics);
     ("per-session memory budget", `Quick, test_memory_budget);
     ("tail retention acceptance", `Quick, test_tail_retention_acceptance);

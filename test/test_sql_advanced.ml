@@ -135,6 +135,48 @@ let test_order_by_nulls_first () =
   let got = rows db "select tag from nums order by tag limit 3" in
   check_rows "nulls sort first" [ [ "NULL" ]; [ "NULL" ]; [ "10" ] ] got
 
+(* Three-valued logic over v(x) = {1, NULL, 3}; expected answers are
+   SQLite's. WHERE keeps only TRUE, so a NULL predicate drops the row. *)
+let kleene_fixture () =
+  let db = mkdb () in
+  ignore (Database.exec db "create table v (x int)");
+  ignore (Database.exec db "insert into v values (1), (null), (3)");
+  db
+
+let test_not_of_null_is_null () =
+  let db = kleene_fixture () in
+  check_rows "not (null < 2) drops the row" [ [ "3" ] ]
+    (rows db "select x from v where not (x < 2) order by x")
+
+let test_and_or_with_null () =
+  let db = kleene_fixture () in
+  check_rows "null and null is null" [ [ "3" ] ]
+    (rows db "select x from v where not (x > 0 and x < 2) order by x");
+  check_rows "null or null is null" [ [ "1" ] ]
+    (rows db "select x from v where not (x < 0 or x > 2) order by x");
+  check_rows "null and true is null" [ [ "2" ] ]
+    (rows db "select count(*) from v where not (x > 100 and x is null)");
+  check_rows "null or true is true" [ [ "1" ] ]
+    (rows db "select count(*) from v where not (x < 2 or x is null)")
+
+let test_in_list_with_null () =
+  let db = kleene_fixture () in
+  check_rows "not in a list holding null" [ [ "0" ] ]
+    (rows db "select count(*) from v where x not in (2, null)");
+  check_rows "null subject not in a list" [ [ "2" ] ]
+    (rows db "select count(*) from v where x not in (2, 4)");
+  check_rows "a match beats a null item" [ [ "1" ] ]
+    (rows db "select count(*) from v where x in (1, null)")
+
+let test_null_in_empty_subquery () =
+  let db = kleene_fixture () in
+  check_rows "null not in an empty set" [ [ "3" ] ]
+    (rows db "select count(*) from v where x not in (select x from v where x > 100)");
+  check_rows "null in an empty set" [ [ "0" ] ]
+    (rows db "select count(*) from v where x in (select x from v where x > 100)");
+  check_rows "not in a set holding null" [ [ "0" ] ]
+    (rows db "select count(*) from v where x not in (select x from v where x is null)")
+
 (* -- expression semantics ---------------------------------------------------- *)
 
 let test_case_without_else_is_null () =
@@ -442,6 +484,10 @@ let suite =
     ("aggregates ignore nulls", `Quick, test_aggregates_ignore_nulls);
     ("null in group key", `Quick, test_null_in_group_key);
     ("order by nulls first", `Quick, test_order_by_nulls_first);
+    ("not of null is null", `Quick, test_not_of_null_is_null);
+    ("and/or with null", `Quick, test_and_or_with_null);
+    ("in list with null", `Quick, test_in_list_with_null);
+    ("null in empty subquery", `Quick, test_null_in_empty_subquery);
     ("case without else", `Quick, test_case_without_else_is_null);
     ("precedence and unary minus", `Quick, test_unary_minus_and_precedence);
     ("string min/max", `Quick, test_string_min_max);
