@@ -403,35 +403,35 @@ let test_byte_identity_golden () =
 let pinned_digests =
   [
     ("hons open",
-     "c06f54e2942e025eae9c63296a60399cf075004eff23dd40da52b26710a3b02b",
-     "5759616ce8a25f0dc7ac56536508b31e8d9eac0bbd967567d906b9905f451563");
+     "64457a8175ca8c7e57000a5a62f31f6be506d173d5bc3df9876742a835d57ec0",
+     "d979519dd3209b785e71459adde914480862ff498fe15e1f27ba475206d4ac3a");
     ("hons closed",
-     "2761ddd38e419f0c79f99883e5959793e0736b184aeffcfcbe3a4840b4f8a5aa",
-     "75e580050e6b2316433acd316e817b4fd3ae78e4654305810ef41e50cc4c2fa6");
+     "3c39397c2eb5a4bf49a1df32760d55b94b7ad089d3d77d2dc45ada093813996a",
+     "c67c33dd1617e76aa2b992fc61805d876a7417e373b1be09378f4a2cbf1a973b");
     ("hos open",
-     "db3843c5004296d7b9730d366f97f8a1262e4074e8fa10bd92544d9cca9f3aa9",
-     "850b244b4bd14f12b5f9a73e9ad5ee552d18928b863c1d6cd429ceab49443ee5");
+     "d8465100dd82b49fc0b1fdc61986cc333793bffacc7625ccf825aa0383bd9084",
+     "45de1b03069e2c82af99a592f3ace28436f9c73e7c83b9a1cf12f09d9b09e43d");
     ("hos closed",
-     "8fb73243d4c180a9bf4f9fde186964a781fda0af5e57207213c79616ddbf2a3c",
-     "7f1fcaa9e38379383a21de197ca8501010e8e6fc736498cecb6cd93638b9ce4c");
+     "c7f4c659119a513128a12b5f9e7cc99bb6f8f8bb719ed533432332102797190a",
+     "40b20d68b1a54f123b8b12a63d62070f563ea67c553578a72b1ded3e1ca944ab");
     ("vcs open",
-     "8ee4b541b79e168c8b620c28a04f6bd6a284dfaf26fc3d249d323d7e989ba291",
-     "2a16f7d4973ab6ecc329f0a4b5ddbd24811c401ae4a3ebf372e78786ac30fd42");
+     "1b11cdf17232ccf713254a04181d3c81b1c7d72e280553b88d60c70fbc4caa24",
+     "fe20a937666b0ffebd1d6fac89fb2b25a1229c6f65824bff2060f689cf71ed2d");
     ("vcs closed",
-     "1560b49b33e73736a7143cf23314d8f4e32a15e487d687190061ed31dfcb27ee",
-     "0a562fe72e4ffe54cb61990f879e18aebb22807e230d8a16e9e73c6b85e60724");
+     "ee5cb63558a1db531a65277a4a4a615517981a5bdc8c0829377c361f7b2ab6c1",
+     "64f1b5e179a5e464491dce20213324ab034ad326dd9a4f3e1ac212d0b3787145");
     ("scs open",
-     "5f0258bc7ffd209bd9cffae5430c8ae702b9369d5757f100f9cb120e2a53b29a",
-     "482353502ee96a2a3f85220cbd030a77ce50fa195318c92414978fe5062a43bd");
+     "9034c2921a939b07dff17d710f9799e02e817bb84cbc3b87367f85902d149a3a",
+     "9400a426a464b28510c6fced7a9316fb9e1e3c7f990a1dcee1e7a383e813fe61");
     ("scs closed",
-     "6da4a01ff3dccfb46ebeb6d79730d9f6baf3243ce9f3822aefdb355c531a9de9",
-     "cea34faa8fa2207fe6cb9eb5332cd6eb4a6412d47d8f66c1e97e52c5585fc87b");
+     "0797c00a88856918f07f6864ef1268b0c2863079b8ab3dd5c2a82c96fe5a39a3",
+     "51ccbb90b3277bd797bb9aa88807cfbb9b6c719937aa71a91b726e60c2f2d871");
     ("sos open",
-     "b8fd20300ccc74624ea4ea68225230a1d423effc153709630429879807c82777",
-     "85d876643a50c015e123655e7c0b8c1a7ed5bd5364258f55f2bcccff78726e7a");
+     "33f353d91ab8dd67caba136fadd0cdd607efd0cafcecf195f85397137a3ee071",
+     "eb32f0a35192464dc4abe7057920bf2d0900ebc75a2bda445227493987f1810e");
     ("sos closed",
-     "01e5c167262cf346c0d4d5f145402563ff78f27d2ef16b1c614e0f6d3bb8c4fa",
-     "d3513ae1e67a1473653371c8f1fd3c29041a7649dfea9f146c9ea89a5e7986fe");
+     "aa9d949650c79abd0a44a98f15d72ec204f4ea8c4412a988c575cadbc9bd962f",
+     "12b0f96413a6699f9bdff6d2c528eb6901f7a75b8a832e8167085cc0e291907d");
     ("cluster-2shard open",
      "311a1cac01259ba4b48c5ed3e3e455a294340a7c99ffd85b051357a49c5dd1b3",
      "52bf95659bec797ce09a4f211d81978db152862b2697a0f7510046245b27e6cd");
