@@ -10,7 +10,7 @@
    nodes, each attested under its own TrustZone identity, and SELECTs
    scatter-gather across them; results are exactly the single-node
    results. --shards 1 (the default) runs on the deployment's own
-   storage node. Either way a statement goes through Engine.submit.
+   storage node. query and shell statements go through Engine.submit.
 
    The deployment is built fresh per invocation (TPC-H data at the
    requested scale factor), attested, and queries flow through the
@@ -29,11 +29,11 @@ let build_deployment ?(faults = Fault.none) ?(pool_frames = 0) scale =
     ()
 
 (* The deployment partitioned over [shards] storage nodes (one shard is
-   the deployment's own storage node), attested *)
+   the deployment's own storage node); [Engine.submit] attests it *)
 let build_cluster ?faults ?pool_frames ~shards ~scheme scale =
-  let cl =
-    Cluster.create ~shards ~scheme (build_deployment ?faults ?pool_frames scale)
-  in
+  Cluster.create ~shards ~scheme (build_deployment ?faults ?pool_frames scale)
+
+let attested cl =
   match Cluster.attest_reliable cl with
   | Ok () -> cl
   | Error e -> failwith ("attestation failed: " ^ e)
@@ -425,7 +425,7 @@ let tpch_cmd =
       id =
     let q = Tpch.Queries.by_id_complete id in
     let faults = fault_plan fault_seed fault_profile in
-    let cl = build_cluster ~faults ~pool_frames ~shards ~scheme scale in
+    let cl = attested (build_cluster ~faults ~pool_frames ~shards ~scheme scale) in
     let configs = if all then Config.all else [ config ] in
     let code = ref 0 in
     List.iter
@@ -536,7 +536,7 @@ let workload_cmd =
       slo_p99_ms recorder_frames dump_dir lane_frames =
     let recorder = arm_recorder ~frames:recorder_frames dump_dir in
     if recorder then Ironsafe_obs.Obs.enable ();
-    let cl = build_cluster ~pool_frames ~shards ~scheme scale in
+    let cl = attested (build_cluster ~pool_frames ~shards ~scheme scale) in
     let deploy = Cluster.base cl in
     let tenant_names =
       List.init (max 1 tenants) (Printf.sprintf "tenant-%d")

@@ -26,10 +26,9 @@
    wrapper, so pre-flight TEE faults and outcome events reach sharded
    queries exactly as single-node ones.
 
-   A one-shard cluster has no shard nodes of its own: it runs on the
-   base deployment's storage node through the single-node
-   {!Ironsafe.Runner}. {!engine} gives either shape the same
-   {!Ironsafe.Engine.submit}. *)
+   A one-shard cluster runs on the base deployment's storage node
+   through the single-node {!Ironsafe.Runner}; {!engine} gives either
+   shape the same {!Ironsafe.Engine.submit}. *)
 
 module Sim = Ironsafe_sim
 module Storage = Ironsafe_storage
@@ -855,25 +854,38 @@ let run_scatter ?(reset = true) ?project t config (q : Sql.Ast.select) stmt =
   in
   Runner.with_query ~attrs:[ ("shards", string_of_int t.nshards) ] d config exec
 
+(* Shard replicas are read-only: on N > 1 shards only SELECT runs *)
+let read_only t = function
+  | Sql.Ast.Select _ -> None
+  | _ when t.nshards = 1 -> None
+  | _ ->
+      Some
+        {
+          Runner.v_site = "cluster.read_only";
+          v_detail =
+            Printf.sprintf
+              "shard replicas are read-only; only SELECT runs on %d shards"
+              t.nshards;
+        }
+
 let run_stmt ?reset ?project t config stmt =
-  if t.nshards = 1 then Runner.run_stmt ?reset ?project t.base config stmt
-  else
-    match stmt with
-    | Sql.Ast.Select q -> run_scatter ?reset ?project t config q stmt
-    | _ ->
-        invalid_arg
-          "Cluster.run_stmt: shard replicas are read-only; only SELECT can \
-           run with shards > 1"
+  match stmt with
+  | _ when t.nshards = 1 -> Runner.run_stmt ?reset ?project t.base config stmt
+  | Sql.Ast.Select q -> run_scatter ?reset ?project t config q stmt
+  | _ ->
+      invalid_arg
+        "Cluster.run_stmt: shard replicas are read-only; only SELECT can \
+         run with shards > 1"
 
 let run_query t config sql = run_stmt t config (Sql.Parser.parse sql)
 
 (* Fault-aware execution through the single-node outcome wrapper: a
-   write on shard replicas and an unattested shard reject the statement
-   before it scatters, the TEE faults strike in pre-flight as on one
-   node (a failed world switch is retried on the flaky shard, the one
-   the plan strikes; every storage node waits out a pre-flight stall
-   with the host), and a flaky shard degrades or rejects the query — it
-   never silently returns wrong rows. *)
+   write on shard replicas is refused before the wrapper's fault
+   bookkeeping, an unattested shard rejects the query before it
+   scatters, the TEE faults strike in pre-flight as on one node (a
+   failed world switch is retried on the flaky shard, the one the plan
+   strikes; every storage node waits out a pre-flight stall with the
+   host), and a flaky shard degrades or rejects the query. *)
 let run_stmt_outcome ?(reset = true) ?project t config stmt =
   if reset then reset_counters t;
   let admit () =
@@ -892,31 +904,26 @@ let run_stmt_outcome ?(reset = true) ?project t config stmt =
                      v_detail =
                        Printf.sprintf "shard device %s is not attested" id;
                    })
-    | _ when t.nshards > 1 ->
-        Some
-          {
-            Runner.v_site = "cluster.read_only";
-            v_detail =
-              Printf.sprintf
-                "shard replicas are read-only; only SELECT runs on %d shards"
-                t.nshards;
-          }
     | _ -> None
   in
   let nodes = storage_nodes t in
-  Runner.with_outcome ~admit ~storage:(List.hd nodes) ~peers:nodes t.base
-    config (fun () -> run_stmt ~reset:false ?project t config stmt)
+  match read_only t stmt with
+  | Some v -> Runner.Rejected v
+  | None ->
+      Runner.with_outcome ~admit ~storage:(List.hd nodes) ~peers:nodes t.base
+        config (fun () -> run_stmt ~reset:false ?project t config stmt)
 
 let run_query_outcome t config sql =
   run_stmt_outcome t config (Sql.Parser.parse sql)
 
-let engine ?database t =
-  Ironsafe.Engine.over ?database t.base
+let engine t =
+  Ironsafe.Engine.over t.base
     {
       Ironsafe.Engine.attest = (fun () -> attest_reliable t);
       reset_counters = (fun () -> reset_counters t);
       nodes = storage_nodes t;
       device_ids = storage_device_ids t;
+      admit = read_only t;
       run = (fun config stmt -> run_stmt_outcome ~reset:false t config stmt);
     }
 

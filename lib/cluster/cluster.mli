@@ -15,10 +15,9 @@
     charges its slice of a query, and the query runs inside the
     runner's root span and outcome wrapper.
 
-    A one-shard cluster runs on the base deployment's own storage node
-    through {!Ironsafe.Runner}: its results, charges, spans and events
-    are those of the single-node runner. {!engine} runs the §3.1
-    workflow ({!Ironsafe.Engine.submit}) over either shape. *)
+    A one-shard cluster is the single-node {!Ironsafe.Runner} on the
+    base deployment's storage node; {!engine} runs the §3.1 workflow
+    ({!Ironsafe.Engine.submit}) over either shape. *)
 
 type t
 
@@ -105,8 +104,7 @@ val run_stmt :
     {!Ironsafe.Runner.host_share} for the gather and host portion.
 
     @raise Invalid_argument for non-SELECT statements when
-    [nshards > 1] (shard replicas are read-only); {!run_stmt_outcome}
-    turns that case into a [Rejected] outcome. *)
+    [nshards > 1] (shard replicas are read-only). *)
 
 val run_query : t -> Ironsafe.Config.t -> string -> Ironsafe.Runner.metrics
 
@@ -117,25 +115,26 @@ val run_stmt_outcome :
   Ironsafe.Config.t ->
   Ironsafe_sql.Ast.stmt ->
   Ironsafe.Runner.outcome
-(** Fault-aware execution through {!Ironsafe.Runner.with_outcome}: a
-    non-SELECT statement on [nshards > 1] is rejected first (site
-    [cluster.read_only]), and so is a query on an unattested shard
-    (site [cluster.attest]);
-    then the pre-flight TEE faults strike as on one node (a failed
-    world switch is retried on shard 0, the flaky shard); a flaky shard
-    degrades the query (faults recovered mid-query) or rejects it
-    (integrity failure surviving the re-read budget) — typed outcomes
-    with their outcome events, never silently-wrong rows. *)
+(** Fault-aware execution through {!Ironsafe.Runner.with_outcome}. A
+    non-SELECT statement on [nshards > 1] is [Rejected] (site
+    [cluster.read_only]) without the fault bookkeeping: a refusal, not
+    a fault. An unattested shard rejects a query (site
+    [cluster.attest]); then the pre-flight TEE faults strike as on one
+    node (a failed world switch is retried on shard 0, the flaky
+    shard); a flaky shard degrades the query (faults recovered
+    mid-query) or rejects it (integrity failure surviving the re-read
+    budget) — typed outcomes with their outcome events, never
+    silently-wrong rows. *)
 
 val run_query_outcome : t -> Ironsafe.Config.t -> string -> Ironsafe.Runner.outcome
 
-val engine : ?database:string -> t -> Ironsafe.Engine.t
+val engine : t -> Ironsafe.Engine.t
 (** The §3.1 engine over this cluster: {!Ironsafe.Engine.submit}
-    attests through {!attest_reliable}, charges the control path,
-    delivers the session key to every storage node under a fault plan,
-    runs each statement through {!run_stmt_outcome} and signs the
-    result. A split configuration runs split only when every shard's
-    device satisfies the execution policy, and host-only otherwise. *)
+    attests through {!attest_reliable}, refuses a write on
+    [nshards > 1] before any session key is delivered, and runs each
+    statement through {!run_stmt_outcome}. A split configuration runs
+    host-only unless every shard's device satisfies the execution
+    policy. *)
 
 (** {2 Gathered latency} *)
 

@@ -22,6 +22,7 @@ type storage = {
   reset_counters : unit -> unit;
   nodes : Ironsafe_sim.Node.t list;
   device_ids : string list;
+  admit : Sql.Ast.stmt -> Runner.violation option;
   run : Config.t -> Sql.Ast.stmt -> Runner.outcome;
 }
 
@@ -41,20 +42,25 @@ type response = {
   resp_metrics : Runner.metrics;
 }
 
-let over ?(database = "ironsafe") deploy storage =
-  { deploy; storage; database; attested = false }
-
 (* [attest_reliable] retries only under an enabled fault plan, so it is
    exactly [Deployment.attest] when faults are off *)
-let create ?database (d : Deployment.t) =
-  over ?database d
-    {
-      attest = (fun () -> Deployment.attest_reliable d);
-      reset_counters = (fun () -> Deployment.reset_counters d);
-      nodes = [ d.Deployment.storage ];
-      device_ids = [ Ironsafe_tee.Trustzone.device_id d.Deployment.tz_device ];
-      run = (fun config stmt -> Runner.run_stmt_outcome ~reset:false d config stmt);
-    }
+let create ?(database = "ironsafe") (d : Deployment.t) =
+  {
+    deploy = d;
+    storage =
+      {
+        attest = (fun () -> Deployment.attest_reliable d);
+        reset_counters = (fun () -> Deployment.reset_counters d);
+        nodes = [ d.Deployment.storage ];
+        device_ids = [ Ironsafe_tee.Trustzone.device_id d.Deployment.tz_device ];
+        admit = (fun _ -> None);
+        run = (fun config stmt -> Runner.run_stmt_outcome ~reset:false d config stmt);
+      };
+    database;
+    attested = false;
+  }
+
+let over d storage = { (create d) with storage }
 
 let monitor t = t.deploy.Deployment.monitor
 let deployment t = t.deploy
@@ -129,14 +135,11 @@ let submit ?(exec_policy = "") ?(config = Config.Scs) t ~client ~sql () =
           let stmt = auth.Monitor.Trusted_monitor.auth_stmt in
           let query = match stmt with Sql.Ast.Select _ -> true | _ -> false in
           (* DML runs whole on the secure (authoritative) database, so it
-             commits through the WAL when the deployment has one. A query
-             runs split only when every storage node it runs on satisfies
-             the execution policy; otherwise it runs host-only. *)
+             commits through the WAL when the deployment has one; a query
+             runs split only if every storage node it runs on complies *)
+          let compliant = auth.Monitor.Trusted_monitor.auth_compliant_storage in
           let offload_ok =
-            List.for_all
-              (fun id ->
-                List.mem id auth.Monitor.Trusted_monitor.auth_compliant_storage)
-              t.storage.device_ids
+            List.for_all (fun id -> List.mem id compliant) t.storage.device_ids
           in
           let config =
             if not query then Config.Sos
@@ -144,10 +147,9 @@ let submit ?(exec_policy = "") ?(config = Config.Scs) t ~client ~sql () =
               if Config.secure config then Config.Hos else Config.Hons
             else config
           in
-          (* under a fault plan the session key reaches each storage
-             node over a real (lossy) channel with reliable delivery;
-             with faults off the delivery is the control-path charge
-             above *)
+          (* under a fault plan the session key reaches each storage node
+             over a lossy channel with reliable delivery; with faults off
+             the control-path charge above stands for the delivery *)
           let faults = Deployment.faults t.deploy in
           let deliver node =
             Result.map_error
@@ -161,23 +163,27 @@ let submit ?(exec_policy = "") ?(config = Config.Scs) t ~client ~sql () =
                    Net.Channel.close ch;
                    Result.map ignore r))
           in
-          let control_plane_ok =
+          let deliver_session_key () =
             if not (Fault.enabled faults) then Ok ()
             else
               List.fold_left
                 (fun acc node -> Result.bind acc (fun () -> deliver node))
                 (Ok ()) t.storage.nodes
           in
-          (* the session ends with the request, however the request ends *)
+          (* the session ends with the request, however the request ends;
+             the storage side's refusal comes before key delivery *)
           let outcome =
             Fun.protect
               ~finally:(fun () ->
                 Monitor.Trusted_monitor.session_cleanup (monitor t)
                   auth.Monitor.Trusted_monitor.auth_session_key)
               (fun () ->
-                Result.map
-                  (fun () -> t.storage.run config stmt)
-                  control_plane_ok)
+                match t.storage.admit stmt with
+                | Some v -> Ok (Runner.Rejected v)
+                | None ->
+                    Result.map
+                      (fun () -> t.storage.run config stmt)
+                      (deliver_session_key ()))
           in
           let respond metrics resp_result =
             Ok

@@ -14,23 +14,24 @@ type response = {
   resp_metrics : Runner.metrics;
 }
 
-(** The storage side a query runs on: one storage node, or the shards
-    of a cluster. *)
+(** The storage side a query runs on, one storage node or a cluster's
+    shards: how to attest the host and its nodes and zero their
+    counters, its nodes and their TrustZone device ids, [admit] (which
+    refuses a statement before any session key is delivered) and [run]
+    (run a statement under a config, without resetting counters). *)
 type storage = {
   attest : unit -> (unit, string) result;
-      (** attest the host and every storage node *)
   reset_counters : unit -> unit;
-      (** zero the clocks and counters of the host and every storage node *)
-  nodes : Ironsafe_sim.Node.t list;  (** the storage nodes a statement runs on *)
-  device_ids : string list;  (** their TrustZone device ids *)
+  nodes : Ironsafe_sim.Node.t list;
+  device_ids : string list;
+  admit : Ironsafe_sql.Ast.stmt -> Runner.violation option;
   run : Config.t -> Ironsafe_sql.Ast.stmt -> Runner.outcome;
-      (** run a statement under a config, without resetting counters *)
 }
 
 val create : ?database:string -> Deployment.t -> t
 (** The engine over the deployment's own storage node. *)
 
-val over : ?database:string -> Deployment.t -> storage -> t
+val over : Deployment.t -> storage -> t
 (** The engine over another storage side, such as a sharded cluster's.
     The deployment still supplies the host, the monitor, the keys and
     the database replicas. *)
@@ -62,14 +63,13 @@ val submit :
 (** Run the full workflow. Attests lazily on first use; downgrades a
     split configuration to host-only unless every storage node the
     statement runs on satisfies the execution policy. DML statements
-    run whole on the
-    authoritative secure database ([Sos], whatever [config] asks), so
-    a WAL deployment commits them before [submit] returns (durably,
-    unless the deployment has a group-commit window); only then are
-    they mirrored to the plain replica. A DML response carries one
-    row, the affected-row count. A malformed [exec_policy], a denial,
-    and a rejected or crashed statement are all [Error]; the session
-    key is released on every path. *)
+    run whole on the authoritative secure database ([Sos], whatever
+    [config] asks), so a WAL deployment commits them before [submit]
+    returns (durably, unless the deployment has a group-commit window);
+    only then are they mirrored to the plain replica. A DML response
+    carries one row, the affected-row count. A malformed [exec_policy],
+    a denial, and a rejected or crashed statement are all [Error]; the
+    session key is released on every path. *)
 
 val verify_response : t -> response -> sql:string -> bool
 (** Client-side verification against the monitor's public key alone:

@@ -386,6 +386,47 @@ let test_front_door_refusals () =
   | Error _ -> ());
   Alcotest.(check int) "no live session after denial" 0 (live_sessions e)
 
+(* A write on shard replicas is a refusal, not a fault: under a plan in
+   which every control-channel handshake fails, the refusal still
+   surfaces (it comes before session-key delivery) and the fault
+   counters do not move. *)
+let test_front_door_refusal_is_not_a_fault () =
+  let faults =
+    Fault.make ~seed:base_seed [ (Fault.Channel_handshake, Fault.rule ()) ]
+  in
+  let d =
+    Deployment.create ~seed:"cluster-refusal" ~faults
+      ~populate:(fun db -> ignore (Tpch.Dbgen.populate db ~scale:0.002))
+      ()
+  in
+  let cl = Cluster.create ~shards:2 ~scheme:Partitioner.Hash d in
+  let e = front_door cl in
+  (match Engine.submit e ~client:"front" ~sql:"select count(*) from nation" () with
+  | Ok _ -> Alcotest.fail "session key delivered over a failing channel"
+  | Error err ->
+      Alcotest.(check bool) "SELECT fails on the control channel" true
+        (contains err "control channel"));
+  let rejected () = (Fault.stats faults).Fault.rejected in
+  let before = rejected () in
+  (match
+     Engine.submit e ~client:"front"
+       ~sql:"insert into region values (9, 'X', 'y')" ()
+   with
+  | Ok _ -> Alcotest.fail "DML ran on read-only shard replicas"
+  | Error err ->
+      Alcotest.(check bool) "read-only refusal, not a channel error" true
+        (contains err "cluster.read_only"));
+  (match
+     Cluster.run_query_outcome cl Config.Scs
+       "insert into region values (9, 'X', 'y')"
+   with
+  | Runner.Rejected v ->
+      Alcotest.(check string) "outcome site" "cluster.read_only"
+        v.Runner.v_site
+  | _ -> Alcotest.fail "DML on shard replicas must be Rejected");
+  Alcotest.(check int) "no fault rejection counted" before (rejected ());
+  Alcotest.(check int) "no live session" 0 (live_sessions e)
+
 (* Shards on an older storage firmware than the base node fail
    [fwVersionStorage(latest)]: the base node alone complies, so a split
    config must run host-only rather than offload to the shards. *)
@@ -629,6 +670,8 @@ let suite =
     ("rejects DML on shard replicas", `Quick, test_rejects_dml_on_shards);
     ("front door: five configs", `Quick, test_front_door_all_configs);
     ("front door: typed refusals", `Quick, test_front_door_refusals);
+    ("front door: refusal is not a fault", `Quick,
+     test_front_door_refusal_is_not_a_fault);
     ("front door: exec policy downgrades", `Quick,
      test_front_door_exec_policy_downgrades);
     ("per-shard audit entries", `Quick, test_per_shard_audit_entries);
