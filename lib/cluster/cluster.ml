@@ -680,7 +680,7 @@ let gather_partial slots (runs : shard_run array) =
   let fold func j =
     let acc = Sql.Agg_state.create func ~distinct:false in
     List.iter
-      (fun (r : Sql.Row.t) -> Sql.Agg_state.update acc (`Value r.(j)))
+      (fun (r : Sql.Row.t) -> Sql.Agg_state.update_value acc r.(j))
       shard_rows;
     Sql.Agg_state.finish acc
   in

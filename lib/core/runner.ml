@@ -592,7 +592,6 @@ let with_outcome ?(admit = fun () -> None) ?storage ?peers d config run =
   let peers = Option.value peers ~default:[ storage ] in
   let rejected v =
     Fault.note_rejected faults;
-    Obs.count ~scope:"fault" "rejected";
     outcome_event ~kind:"query.rejected" v;
     Rejected v
   in

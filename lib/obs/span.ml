@@ -189,16 +189,16 @@ let rec pp_node ppf ~indent s =
         (duration_ns s /. 1e6)
         pp_attrs s.attrs pp_charges s.charges
   | Instant ->
-      Fmt.pf ppf "%s%-24s %-10s   @ %.3f ms%a@." indent ("*" ^ s.name)
+      Fmt.pf ppf "%s%-24s %-10s   @@ %.3f ms%a@." indent ("*" ^ s.name)
         ("[" ^ s.scope ^ "]")
         (s.begin_ns /. 1e6) pp_attrs s.attrs
   | Flow_out fid ->
-      Fmt.pf ppf "%s%-24s %-10s   @ %.3f ms  flow #%d ->%a@." indent
+      Fmt.pf ppf "%s%-24s %-10s   @@ %.3f ms  flow #%d ->%a@." indent
         (">" ^ s.name)
         ("[" ^ s.scope ^ "]")
         (s.begin_ns /. 1e6) fid pp_attrs s.attrs
   | Flow_in fid ->
-      Fmt.pf ppf "%s%-24s %-10s   @ %.3f ms  -> flow #%d%a@." indent
+      Fmt.pf ppf "%s%-24s %-10s   @@ %.3f ms  -> flow #%d%a@." indent
         ("<" ^ s.name)
         ("[" ^ s.scope ^ "]")
         (s.begin_ns /. 1e6) fid pp_attrs s.attrs);

@@ -1,11 +1,22 @@
 (* Incremental aggregate accumulators. SQL semantics: NULLs are ignored
    by all aggregates except count-star; aggregating an empty set yields
-   NULL except count, which yields 0. *)
+   NULL except count, which yields 0.
+
+   Float running sums live in an all-float record, which OCaml stores
+   flat, so adding to one allocates nothing; a mutable float field of a
+   mixed record would box a fresh float on every update. *)
+
+type floats = { mutable total : float; mutable n : float }
+
+(* While [floating], the sum is [Float f.total] and [sum] is unused:
+   once [Value.arith] has made a running sum a [Float], every later
+   addition keeps it one. *)
+type sum = { mutable sum : Value.t; mutable floating : bool; f : floats }
 
 type acc =
-  | Count_acc of { mutable n : int }
-  | Sum_acc of { mutable sum : Value.t }
-  | Avg_acc of { mutable sum : float; mutable n : int }
+  | Count_acc of { mutable count : int }
+  | Sum_acc of sum
+  | Avg_acc of floats
   | Min_acc of { mutable v : Value.t }
   | Max_acc of { mutable v : Value.t }
 
@@ -23,9 +34,10 @@ type t = { acc : acc; distinct : unit Seen.t option }
 let create func ~distinct =
   let acc =
     match func with
-    | Ast.Count -> Count_acc { n = 0 }
-    | Ast.Sum -> Sum_acc { sum = Value.Null }
-    | Ast.Avg -> Avg_acc { sum = 0.0; n = 0 }
+    | Ast.Count -> Count_acc { count = 0 }
+    | Ast.Sum ->
+        Sum_acc { sum = Value.Null; floating = false; f = { total = 0.0; n = 0.0 } }
+    | Ast.Avg -> Avg_acc { total = 0.0; n = 0.0 }
     | Ast.Min -> Min_acc { v = Value.Null }
     | Ast.Max -> Max_acc { v = Value.Null }
   in
@@ -41,40 +53,56 @@ let seen_before t v =
            false
          end
 
-let update t input =
-  match (t.acc, input) with
-  | Count_acc c, `Star -> c.n <- c.n + 1
-  | Count_acc _, `Value Value.Null -> ()
-  | Count_acc c, `Value v -> if not (seen_before t v) then c.n <- c.n + 1
-  | _, `Value Value.Null -> ()
-  | Sum_acc s, `Value v ->
-      if not (seen_before t v) then
-        s.sum <-
-          (match s.sum with
-          | Value.Null -> v
-          | cur -> Value.arith `Add cur v)
-  | Avg_acc a, `Value v ->
+let update_star t =
+  match t.acc with
+  | Count_acc c -> c.count <- c.count + 1
+  | Sum_acc _ | Avg_acc _ | Min_acc _ | Max_acc _ ->
+      invalid_arg "Agg_state.update_star: only count accepts *"
+
+(* [cur + v] as [Value.arith `Add] computes it, with a [Float] sum kept
+   unboxed in [f.total]. *)
+let set_sum s = function
+  | Value.Float x ->
+      s.f.total <- x;
+      s.floating <- true
+  | v -> s.sum <- v
+
+let add_to_sum s v =
+  if s.floating then
+    match v with
+    | Value.Float y -> s.f.total <- s.f.total +. y
+    | Value.Int y -> s.f.total <- s.f.total +. float_of_int y
+    | v -> set_sum s (Value.arith `Add (Value.Float s.f.total) v)
+  else
+    match s.sum with
+    | Value.Null -> set_sum s v
+    | cur -> set_sum s (Value.add cur v)
+
+let update_value t v =
+  match (t.acc, v) with
+  | _, Value.Null -> ()
+  | Count_acc c, v -> if not (seen_before t v) then c.count <- c.count + 1
+  | Sum_acc s, v -> if not (seen_before t v) then add_to_sum s v
+  | Avg_acc a, v ->
       if not (seen_before t v) then begin
-        a.sum <- a.sum +. Value.as_float v;
-        a.n <- a.n + 1
+        (match v with
+        | Value.Float x -> a.total <- a.total +. x
+        | Value.Int x -> a.total <- a.total +. float_of_int x
+        | v -> a.total <- a.total +. Value.as_float v);
+        a.n <- a.n +. 1.0
       end
-  | Min_acc m, `Value v ->
-      (match Value.compare_opt v m.v with
-      | Some c when c < 0 -> m.v <- v
-      | Some _ -> ()
-      | None -> m.v <- v (* current is Null *))
-  | Max_acc m, `Value v ->
-      (match Value.compare_opt v m.v with
-      | Some c when c > 0 -> m.v <- v
-      | Some _ -> ()
-      | None -> m.v <- v)
-  | (Sum_acc _ | Avg_acc _ | Min_acc _ | Max_acc _), `Star ->
-      invalid_arg "Agg_state.update: only count accepts *"
+  | Min_acc m, v ->
+      (* [null_cmp]: the current minimum is NULL *)
+      let c = Value.compare_sql v m.v in
+      if c < 0 then m.v <- v
+  | Max_acc m, v ->
+      let c = Value.compare_sql v m.v in
+      if c > 0 || c = Value.null_cmp then m.v <- v
 
 let finish t =
   match t.acc with
-  | Count_acc c -> Value.Int c.n
-  | Sum_acc s -> s.sum
-  | Avg_acc a -> if a.n = 0 then Value.Null else Value.Float (a.sum /. float_of_int a.n)
+  | Count_acc c -> Value.Int c.count
+  | Sum_acc s -> if s.floating then Value.Float s.f.total else s.sum
+  | Avg_acc a -> if a.n = 0.0 then Value.Null else Value.Float (a.total /. a.n)
   | Min_acc m -> m.v
   | Max_acc m -> m.v

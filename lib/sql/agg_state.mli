@@ -3,5 +3,12 @@
 type t
 
 val create : Ast.agg_func -> distinct:bool -> t
-val update : t -> [ `Star | `Value of Value.t ] -> unit
+
+val update_value : t -> Value.t -> unit
+(** Feed one argument value; NULL is ignored. *)
+
+val update_star : t -> unit
+(** Feed one row to [count( * )].
+    @raise Invalid_argument for any other aggregate. *)
+
 val finish : t -> Value.t

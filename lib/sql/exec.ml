@@ -126,39 +126,90 @@ let rec resolve ctx qualifier name depth =
 
 type compiled = env -> Value.t
 
-let bool_binop op =
+(* One closure per comparison operator: [Value.compare_sql] and a
+   shared truth value, so a comparison allocates nothing. *)
+let compare_binop op (ca : compiled) (cb : compiled) : compiled =
+  let open Value in
   match op with
-  | Eq -> Some (fun c -> c = 0)
-  | Neq -> Some (fun c -> c <> 0)
-  | Lt -> Some (fun c -> c < 0)
-  | Le -> Some (fun c -> c <= 0)
-  | Gt -> Some (fun c -> c > 0)
-  | Ge -> Some (fun c -> c >= 0)
-  | _ -> None
+  | Eq ->
+      fun env ->
+        let c = compare_sql (ca env) (cb env) in
+        if c = null_cmp then Null else of_bool (c = 0)
+  | Neq ->
+      fun env ->
+        let c = compare_sql (ca env) (cb env) in
+        if c = null_cmp then Null else of_bool (c <> 0)
+  | Lt ->
+      fun env ->
+        let c = compare_sql (ca env) (cb env) in
+        if c = null_cmp then Null else of_bool (c < 0)
+  | Le ->
+      fun env ->
+        let c = compare_sql (ca env) (cb env) in
+        if c = null_cmp then Null else of_bool (c <= 0)
+  | Gt ->
+      fun env ->
+        let c = compare_sql (ca env) (cb env) in
+        if c = null_cmp then Null else of_bool (c > 0)
+  | Ge ->
+      fun env ->
+        let c = compare_sql (ca env) (cb env) in
+        if c = null_cmp then Null else of_bool (c >= 0)
+  | Add -> fun env -> add (ca env) (cb env)
+  | Sub -> fun env -> sub (ca env) (cb env)
+  | Mul -> fun env -> mul (ca env) (cb env)
+  | Div -> fun env -> div (ca env) (cb env)
+  | And | Or -> assert false
 
-let arith_binop = function
-  | Add -> Some `Add
-  | Sub -> Some `Sub
-  | Mul -> Some `Mul
-  | Div -> Some `Div
-  | _ -> None
+(* Hash keys: a value per key expression. [equal] is a top-level
+   recursion, so a lookup allocates no closure. *)
+let rec keys_equal a b i n =
+  i = n
+  || Value.key_equal (Array.unsafe_get a i) (Array.unsafe_get b i)
+     && keys_equal a b (i + 1) n
 
-(* Hash keys: a value per key expression. *)
 module Key_tbl = Hashtbl.Make (struct
   type t = Value.t array
 
   let equal a b =
     let n = Array.length a in
-    n = Array.length b
-    &&
-    let rec go i = i = n || (Value.key_equal a.(i) b.(i) && go (i + 1)) in
-    go 0
+    n = Array.length b && keys_equal a b 0 n
 
   let hash k = Array.fold_left (fun h v -> (h * 31) + Value.hash v) 0 k
 end)
 
-let eval_key ckeys env = Array.map (fun c -> c env) ckeys
+(* The values of [cs] on [env], in order: a hash key or a projected
+   row. One and two values are built as array literals. *)
+let eval_all cs env =
+  match cs with
+  | [| c |] -> [| c env |]
+  | [| c0; c1 |] ->
+      let v0 = c0 env in
+      [| v0; c1 env |]
+  | _ ->
+      let out = Array.make (Array.length cs) Value.Null in
+      for i = 0 to Array.length cs - 1 do
+        Array.unsafe_set out i ((Array.unsafe_get cs i) env)
+      done;
+      out
+
 let has_null key = Array.exists (function Value.Null -> true | _ -> false) key
+
+let limit_rows limit rows =
+  match limit with
+  | None -> rows
+  | Some n -> List.filteri (fun i _ -> i < n) rows
+
+(* The first CASE branch whose condition holds on [env], else [celse]. *)
+let rec case_from env celse = function
+  | [] -> ( match celse with Some c -> c env | None -> Value.Null)
+  | (cc, cv) :: rest ->
+      if Value.as_bool (cc env) then cv env else case_from env celse rest
+
+(* Whether every predicate holds on [env]; one env serves them all. *)
+let rec all_true env = function
+  | [] -> true
+  | f :: rest -> Value.as_bool (f env) && all_true env rest
 
 (* Set of values for IN-subquery probing. *)
 type value_set = { mutable has_null : bool; table : unit Key_tbl.t }
@@ -184,11 +235,17 @@ let footprint (r : Row.t) h = if h = whole then Row.heap_size r else h
 
 (* A row source pushes its rows, in order, into a sink, each with its
    footprint (or [whole]). [live]: the source reads pages while it
-   pushes (a base-table scan), so a sink that reads pages itself — one
-   that evaluates a subquery — must wait for it to finish. *)
+   pushes (a scan of a paged table), so a sink that reads pages itself
+   — one that evaluates a subquery — must wait for it to finish.
+   [resident]: the source reads no pages at all (a scan of a resident
+   table), so it need not finish before anything else reads. *)
 type sink = Row.t -> int -> unit
 
-type source = { live : bool; iter : env option -> sink -> unit }
+type source = {
+  live : bool;
+  resident : bool;
+  iter : env option -> sink -> unit;
+}
 
 (* Materialized rows, in order; only a projected row takes the extra
    word for its footprint. *)
@@ -210,6 +267,12 @@ let rec rev_rows acc = function
   | Cons (r, rest) -> rev_rows (Cons (r, acc)) rest
   | Sized (r, h, rest) -> rev_rows (Sized (r, h, acc)) rest
 
+(* A hash-join bucket: its rows, newest first while it is built. *)
+type bucket = { mutable rows : rows }
+
+let find_bucket index key =
+  match Key_tbl.find index key with b -> b.rows | exception Not_found -> Nil
+
 let collect src outer_env =
   let acc = ref Nil in
   src.iter outer_env (fun r h -> acc := cons r h !acc);
@@ -217,7 +280,11 @@ let collect src outer_env =
 
 (* A source over computed rows (a derived table's result). *)
 let of_rows run =
-  { live = false; iter = (fun o k -> List.iter (fun r -> k r whole) (run o)) }
+  {
+    live = false;
+    resident = false;
+    iter = (fun o k -> List.iter (fun r -> k r whole) (run o));
+  }
 
 (* Push [src] into [sink]. [reads]: the sink may read pages; a live
    source then completes into a list first. *)
@@ -230,6 +297,7 @@ let drain src ~reads outer_env sink =
 let pipe src ~reads stage =
   {
     live = src.live || reads;
+    resident = src.resident && not reads;
     iter = (fun o k -> drain src ~reads o (stage o k));
   }
 
@@ -237,8 +305,7 @@ let pipe src ~reads stage =
 let filter_stage (state : state) ~env_of preds =
   fun outer_env (k : sink) (r : Row.t) h ->
     state.obs.Observer.on_rows 1;
-    let env = env_of outer_env r in
-    if List.for_all (fun f -> Value.as_bool (f env)) preds then k r h
+    if all_true (env_of outer_env r) preds then k r h
 
 (* A reference to column [i] [depth] scopes up is an outer read of
    every scope it crosses, not only of the innermost one. *)
@@ -271,7 +338,7 @@ let rec compile ctx expr : compiled =
       fun env ->
         match ce env with
         | Value.Null -> Value.Null
-        | v -> Value.Bool (not (Value.as_bool v)))
+        | v -> Value.of_bool (not (Value.as_bool v)))
   | Unary (`Neg, e) -> (
       let ce = compile ctx e in
       fun env ->
@@ -287,7 +354,7 @@ let rec compile ctx expr : compiled =
       let ca = compile ctx a and cb = compile ctx b in
       let truth = function
         | (Value.Null | Value.Bool _) as v -> v
-        | v -> Value.Bool (Value.as_bool v)
+        | v -> Value.of_bool (Value.as_bool v)
       in
       fun env ->
         match truth (ca env) with
@@ -297,42 +364,39 @@ let rec compile ctx expr : compiled =
             | Value.Bool d as vb when d = dom -> vb
             | vb -> ( match va with Value.Null -> va | _ -> vb)))
   | Binop (op, a, Interval { n; unit_ }) -> (
-      let ca = compile ctx a in
       let shift =
         match op with
         | Add -> n
         | Sub -> -n
         | _ -> fail "intervals only support + and -"
       in
-      fun env ->
-        match ca env with
-        | Value.Date d ->
-            Value.Date
-              (match unit_ with
-              | Day -> Date.add_days d shift
-              | Month -> Date.add_months d shift
-              | Year -> Date.add_years d shift)
-        | Value.Null -> Value.Null
-        | v -> fail "interval arithmetic on non-date %s" (Value.to_string v))
-  | Binop (op, a, b) -> (
-      let ca = compile ctx a and cb = compile ctx b in
-      match bool_binop op with
-      | Some test -> (
+      let shifted d =
+        match unit_ with
+        | Day -> Date.add_days d shift
+        | Month -> Date.add_months d shift
+        | Year -> Date.add_years d shift
+      in
+      match a with
+      | Lit (Value.Date d) ->
+          (* a date literal shifts once, here; any other operand is
+             checked per row, as it always was *)
+          let v = Value.Date (shifted d) in
+          fun _ -> v
+      | _ -> (
+          let ca = compile ctx a in
           fun env ->
-            match Value.compare_opt (ca env) (cb env) with
-            | None -> Value.Null
-            | Some c -> Value.Bool (test c))
-      | None -> (
-          match arith_binop op with
-          | Some aop -> fun env -> Value.arith aop (ca env) (cb env)
-          | None -> assert false))
+            match ca env with
+            | Value.Date d -> Value.Date (shifted d)
+            | Value.Null -> Value.Null
+            | v -> fail "interval arithmetic on non-date %s" (Value.to_string v)))
+  | Binop (op, a, b) -> compare_binop op (compile ctx a) (compile ctx b)
   | Like { negated; subject; pattern } -> (
       let cs = compile ctx subject in
       fun env ->
         match cs env with
         | Value.Str s ->
             let m = Value.like ~pattern s in
-            Value.Bool (if negated then not m else m)
+            Value.of_bool (m <> negated)
         | Value.Null -> Value.Null
         | v -> fail "LIKE on non-string %s" (Value.to_string v))
   | Between { negated; subject; low; high } -> (
@@ -341,22 +405,21 @@ let rec compile ctx expr : compiled =
       and ch = compile ctx high in
       fun env ->
         let v = cs env in
-        match (Value.compare_opt v (cl env), Value.compare_opt v (ch env)) with
-        | Some a, Some b ->
-            let inside = a >= 0 && b <= 0 in
-            Value.Bool (if negated then not inside else inside)
-        | _ -> Value.Null)
+        let b = Value.compare_sql v (ch env) in
+        let a = Value.compare_sql v (cl env) in
+        if a = Value.null_cmp || b = Value.null_cmp then Value.Null
+        else Value.of_bool ((a >= 0 && b <= 0) <> negated))
   | In_list { negated; subject; items } -> (
       let cs = compile ctx subject in
       let citems = List.map (compile ctx) items in
       (* no match is FALSE, or NULL when the subject or an item is NULL *)
       let rec scan v saw_null env = function
-        | [] -> if saw_null then Value.Null else Value.Bool negated
+        | [] -> if saw_null then Value.Null else Value.of_bool negated
         | ci :: rest -> (
             match ci env with
             | Value.Null -> scan v true env rest
             | w ->
-                if Value.equal v w then Value.Bool (not negated)
+                if Value.equal v w then Value.of_bool (not negated)
                 else scan v saw_null env rest)
       in
       fun env ->
@@ -391,17 +454,17 @@ let rec compile ctx expr : compiled =
         (match cs env with
         | Value.Null ->
             if set.has_null || Key_tbl.length set.table > 0 then Value.Null
-            else Value.Bool negated
+            else Value.of_bool negated
         | v ->
-            if Key_tbl.mem set.table [| v |] then Value.Bool (not negated)
+            if Key_tbl.mem set.table [| v |] then Value.of_bool (not negated)
             else if set.has_null then Value.Null
-            else Value.Bool negated)
+            else Value.of_bool negated)
   | Exists { negated; select } ->
       let sub = plan_select ctx.state ~outer:(Some ctx) select in
       fun env ->
         let rows = sub.sub_run (Some env) in
         let e = rows <> [] in
-        Value.Bool (if negated then not e else e)
+        Value.of_bool (e <> negated)
   | Scalar_select select -> (
       let sub = plan_select ctx.state ~outer:(Some ctx) select in
       fun env ->
@@ -414,12 +477,7 @@ let rec compile ctx expr : compiled =
         List.map (fun (c, v) -> (compile ctx c, compile ctx v)) branches
       in
       let celse = Option.map (compile ctx) else_ in
-      fun env ->
-        let rec go = function
-          | [] -> ( match celse with Some c -> c env | None -> Value.Null)
-          | (cc, cv) :: rest -> if Value.as_bool (cc env) then cv env else go rest
-        in
-        go cbranches
+      fun env -> case_from env celse cbranches
   | Extract { field; arg } -> (
       let ca = compile ctx arg in
       fun env ->
@@ -454,7 +512,7 @@ let rec compile ctx expr : compiled =
       let cs = compile ctx subject in
       fun env ->
         let isn = cs env = Value.Null in
-        Value.Bool (if negated then not isn else isn)
+        Value.of_bool (isn <> negated)
 
 (* Correlation memo key: the encoded values of the outer columns the
    subquery reads — outer rows that agree on them give the subquery
@@ -566,15 +624,13 @@ and scan_table state ~binding table ~filters ~ctx_parent =
   let iter _outer_env k =
     scan (fun row heap ->
         state.obs.Observer.on_rows 1;
-        if
-          cfilters = []
-          || List.for_all (fun f -> Value.as_bool (f (mk_env row))) cfilters
-        then begin
+        if cfilters = [] || all_true (mk_env row) cfilters then begin
           state.obs.Observer.on_alloc heap;
           k row (if projected then heap else whole)
         end)
   in
-  (cols, { live = true; iter })
+  let resident = Heap_file.is_resident hf in
+  (cols, { live = not resident; resident; iter })
 
 (* Join build sides and probe stages. A build drains its source into
    a hash index (or a row list); the probe stage then joins each
@@ -584,11 +640,12 @@ and build_index state src outer_env ckeys =
   let index = Key_tbl.create 16 in
   src.iter outer_env (fun (r : Row.t) h ->
       state.obs.Observer.on_rows 1;
-      let key = eval_key ckeys (mk_env r) in
+      let key = eval_all ckeys (mk_env r) in
       (* a key holding NULL can never match *)
       if not (has_null key) then
-        Key_tbl.replace index key
-          (cons r h (Option.value ~default:Nil (Key_tbl.find_opt index key))));
+        match Key_tbl.find index key with
+        | bucket -> bucket.rows <- cons r h bucket.rows
+        | exception Not_found -> Key_tbl.add index key { rows = cons r h Nil });
   index
 
 (* Joins [l] (footprint [lh]) with each row of [rights], in order (a
@@ -596,76 +653,79 @@ and build_index state src outer_env ckeys =
    rows that pass [residual]; returns whether any did. A combined row
    is whole when both sides are; otherwise its footprint is the values
    of both under one row header. *)
-and join_rows state ~residual ~combined_width (l : Row.t) lh rights k =
-  let matched = ref false in
-  iter_rows
-    (fun (r : Row.t) rh ->
-      state.obs.Observer.on_rows 1;
-      let joined = Array.make combined_width Value.Null in
-      Array.blit l 0 joined 0 (Array.length l);
-      Array.blit r 0 joined (Array.length l) (Array.length r);
-      if List.for_all (fun f -> Value.as_bool (f (mk_env joined))) residual
-      then begin
-        matched := true;
-        let h =
-          if lh = whole && rh = whole then whole
-          else footprint l lh + footprint r rh - 16
-        in
-        state.obs.Observer.on_alloc (footprint joined h);
-        k joined h
-      end)
-    rights;
-  !matched
+and join_rows state ~residual (l : Row.t) lh rights k =
+  join_from state ~residual l lh k false rights
+
+and join_from state ~residual l lh k matched = function
+  | Nil -> matched
+  | Cons (r, rest) ->
+      let m = join_one state ~residual l lh r whole k in
+      join_from state ~residual l lh k (m || matched) rest
+  | Sized (r, rh, rest) ->
+      let m = join_one state ~residual l lh r rh k in
+      join_from state ~residual l lh k (m || matched) rest
+
+and join_one state ~residual (l : Row.t) lh (r : Row.t) rh k =
+  state.obs.Observer.on_rows 1;
+  let joined = Array.append l r in
+  all_true (mk_env joined) residual
+  && begin
+       let h =
+         if lh = whole && rh = whole then whole
+         else footprint l lh + footprint r rh - 16
+       in
+       state.obs.Observer.on_alloc (footprint joined h);
+       k joined h;
+       true
+     end
 
 and probe_bucket state index lkeys (l : Row.t) =
   state.obs.Observer.on_rows 1;
-  let key = eval_key lkeys (mk_env l) in
-  if has_null key then Nil
-  else Option.value ~default:Nil (Key_tbl.find_opt index key)
+  let key = eval_all lkeys (mk_env l) in
+  if has_null key then Nil else find_bucket index key
 
 (* A join step: build the right side now (its pages are read here,
    after the left side's), and return the probe stage. *)
 and join_step state ~kind ~lkeys ~rkeys ~residual ~left_width ~right_width
     right outer_env =
-  let combined_width = left_width + right_width in
   match kind with
   | `Inner when Array.length lkeys > 0 ->
       let index = build_index state right outer_env rkeys in
       fun k l lh ->
         ignore
-          (join_rows state ~residual ~combined_width l lh
-             (probe_bucket state index lkeys l)
-             k)
+          (join_rows state ~residual l lh (probe_bucket state index lkeys l) k)
   | `Inner ->
       let rights = collect right outer_env in
       fun k l lh ->
-        ignore (join_rows state ~residual ~combined_width l lh rights k)
+        ignore (join_rows state ~residual l lh rights k)
   | `Left ->
       let index = build_index state right outer_env rkeys in
       fun k l lh ->
         let bucket = probe_bucket state index lkeys l in
-        if not (join_rows state ~residual ~combined_width l lh bucket k)
+        if not (join_rows state ~residual l lh bucket k)
         then begin
           (* the right side's values are all NULL *)
-          let joined = Array.make combined_width Value.Null in
+          let joined = Array.make (left_width + right_width) Value.Null in
           Array.blit l 0 joined 0 left_width;
           k joined (if lh = whole then whole else lh + (8 * right_width))
         end
 
 (* The left input of a join completes first, then every step builds
    its right side in order, then the left rows stream through the
-   probes. *)
+   probes. A resident left input reads no pages, so it is not
+   materialised: it streams once the right sides are built. *)
 and join_source left steps =
   {
     live = false;
+    resident = false;
     iter =
       (fun outer_env k ->
-        let lefts = collect left outer_env in
+        let lefts = if left.resident then Nil else collect left outer_env in
         let probes_rev =
           List.fold_left (fun acc step -> step outer_env :: acc) [] steps
         in
         let k = List.fold_left (fun k probe -> probe k) k probes_rev in
-        iter_rows k lefts);
+        if left.resident then left.iter outer_env k else iter_rows k lefts);
   }
 
 (* -- SELECT planning -------------------------------------------------- *)
@@ -1103,6 +1163,7 @@ and plan_from state ~parent_ctx ~outer_reads (q : select) where_conjuncts :
       let memo = ref None in
       {
         live = false;
+        resident = false;
         iter =
           (fun outer_env k ->
             let rows =
@@ -1128,25 +1189,23 @@ and plan_from state ~parent_ctx ~outer_reads (q : select) where_conjuncts :
         | None ->
             let idx = build_index state stage_a outer_env csemi_inner in
             (* buckets back into stage-A order *)
-            Key_tbl.filter_map_inplace
-              (fun _ b -> Some (rev_rows Nil b))
-              idx;
+            Key_tbl.iter (fun _ b -> b.rows <- rev_rows Nil b.rows) idx;
             index := Some idx;
             idx
       in
       {
         live = false;
+        resident = false;
         iter =
           (fun outer_env k ->
             let idx = get_index outer_env in
             match outer_env with
             | None -> fail "correlated subquery evaluated without outer row"
             | Some oenv ->
-                let key = eval_key csemi_outer (mk_env ~up:oenv [||]) in
+                let key = eval_all csemi_outer (mk_env ~up:oenv [||]) in
                 state.obs.Observer.on_rows 1;
                 if not (has_null key) then
-                  iter_rows k
-                    (Option.value ~default:Nil (Key_tbl.find_opt idx key)));
+                  iter_rows k (find_bucket idx key));
       }
     end
   in
@@ -1199,13 +1258,19 @@ and plan_from state ~parent_ctx ~outer_reads (q : select) where_conjuncts :
         List.exists contains_subquery item_exprs
         || List.exists (fun (e, _) -> contains_subquery e) order_exprs
       in
-      fun outer_env ->
+      if corder = [] then fun outer_env ->
+        let out = ref [] in
+        drain rows ~reads outer_env (fun r _ ->
+            state.obs.Observer.on_rows 1;
+            out := eval_all citems (with_outer outer_env r) :: !out);
+        limit_rows q.limit (List.rev !out)
+      else fun outer_env ->
         let projected = ref [] in
         drain rows ~reads outer_env (fun r _ ->
             state.obs.Observer.on_rows 1;
             let env = with_outer outer_env r in
             let keys = List.map (fun (c, d) -> (c env, d)) corder in
-            projected := (Array.map (fun c -> c env) citems, keys) :: !projected);
+            projected := (eval_all citems env, keys) :: !projected);
         sort_and_limit state (List.rev !projected) q.limit
     end
     else begin
@@ -1226,7 +1291,9 @@ and plan_from state ~parent_ctx ~outer_reads (q : select) where_conjuncts :
           (function Agg { arg; _ } -> arg | _ -> assert false)
           agg_nodes
       in
-      let cagg_args = List.map (Option.map (compile joined_ctx)) agg_args in
+      let cagg_args =
+        Array.of_list (List.map (Option.map (compile joined_ctx)) agg_args)
+      in
       let agg_specs =
         List.map
           (function
@@ -1234,10 +1301,10 @@ and plan_from state ~parent_ctx ~outer_reads (q : select) where_conjuncts :
             | _ -> assert false)
           agg_nodes
       in
-      let citems = List.map (compile agg_ctx) item_exprs in
+      let citems = Array.of_list (List.map (compile agg_ctx) item_exprs) in
       let chaving = Option.map (compile agg_ctx) having_expr in
       let corder = List.map (fun (e, d) -> (compile agg_ctx e, d)) order_exprs in
-      let agg_cost = 1 + List.length cagg_args in
+      let agg_cost = 1 + Array.length cagg_args in
       let reads =
         List.exists contains_subquery group_exprs
         || List.exists (Option.fold ~none:false ~some:contains_subquery) agg_args
@@ -1250,23 +1317,23 @@ and plan_from state ~parent_ctx ~outer_reads (q : select) where_conjuncts :
          and with it output order — is scan order. *)
       let agg_add groups order outer_env (r : Row.t) =
         let env = with_outer outer_env r in
-        let key = eval_key cgroup env in
+        let key = eval_all cgroup env in
         let states =
-          match Key_tbl.find_opt groups key with
-          | Some (_, states) -> states
-          | None ->
-              let entry = (r, new_group_states ()) in
-              Key_tbl.replace groups key entry;
+          match Key_tbl.find groups key with
+          | _, states -> states
+          | exception Not_found ->
+              let states = new_group_states () in
+              let entry = (r, states) in
+              Key_tbl.add groups key entry;
               order := entry :: !order;
               state.obs.Observer.on_alloc 64;
-              snd entry
+              states
         in
-        List.iteri
-          (fun i arg ->
-            match arg with
-            | None -> Agg_state.update states.(i) `Star
-            | Some c -> Agg_state.update states.(i) (`Value (c env)))
-          cagg_args
+        for i = 0 to Array.length cagg_args - 1 do
+          match Array.unsafe_get cagg_args i with
+          | None -> Agg_state.update_star states.(i)
+          | Some c -> Agg_state.update_value states.(i) (c env)
+        done
       in
       let agg_finish entries outer_env =
         let group_list =
@@ -1285,7 +1352,7 @@ and plan_from state ~parent_ctx ~outer_reads (q : select) where_conjuncts :
               | _ ->
                   state.obs.Observer.on_rows 1;
                   let keys = List.map (fun (c, d) -> (c env, d)) corder in
-                  Some (Array.of_list (List.map (fun c -> c env) citems), keys))
+                  Some (eval_all citems env, keys))
             group_list
         in
         sort_and_limit state finished q.limit
@@ -1327,9 +1394,7 @@ and sort_and_limit state projected limit =
           projected
         |> List.map fst
   in
-  match limit with
-  | None -> sorted
-  | Some n -> List.filteri (fun i _ -> i < n) sorted
+  limit_rows limit sorted
 
 (* Explicit JOIN ... ON trees (inner and left outer). *)
 and plan_join_tree state ~parent_ctx ~outer_reads fi :

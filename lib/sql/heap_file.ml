@@ -55,6 +55,8 @@ let schema t = t.schema
 let row_count t =
   match t.store with Paged p -> p.row_count | Resident rows -> List.length rows
 
+let is_resident t = match t.store with Resident _ -> true | Paged _ -> false
+
 let page_count t =
   match t.store with Paged p -> List.length p.pages | Resident _ -> 0
 

@@ -12,6 +12,9 @@ val resident : schema:Schema.t -> Row.t list -> t
     stored pages.
     @raise Invalid_argument if a row's arity differs from the schema's. *)
 
+val is_resident : t -> bool
+(** Whether the file was made by {!resident}: it reads no pages. *)
+
 val schema : t -> Schema.t
 val row_count : t -> int
 val page_count : t -> int

@@ -83,15 +83,35 @@ let compare_opt a b =
   | x, y ->
       type_error "cannot compare %s with %s" (to_string x) (to_string y)
 
+(* [compare_opt] without the option: the comparison as an int, or
+   [null_cmp] when either side is NULL. Same-kind pairs are matched
+   first; every other pair, mixed kinds included, goes through
+   [compare_opt], so its results and [Type_error]s are the same. *)
+let null_cmp = min_int
+
+let compare_sql a b =
+  match (a, b) with
+  | Int x, Int y | Date x, Date y -> Int.compare x y
+  | Float x, Float y -> Float.compare x y
+  | Str x, Str y -> String.compare x y
+  | Null, _ | _, Null -> null_cmp
+  | _ -> ( match compare_opt a b with Some c -> c | None -> null_cmp)
+
+let equal a b = compare_sql a b = 0
+
+(* Shared truth values: [of_bool] allocates nothing. *)
+let vtrue = Bool true
+let vfalse = Bool false
+let of_bool b = if b then vtrue else vfalse
+
 (* Total order for sorting and group keys: Null sorts first. *)
 let compare_total a b =
   match (a, b) with
   | Null, Null -> 0
   | Null, _ -> -1
   | _, Null -> 1
-  | _ -> ( match compare_opt a b with Some c -> c | None -> assert false)
+  | _ -> compare_sql a b
 
-let equal a b = match compare_opt a b with Some 0 -> true | _ -> false
 
 let arith op a b =
   match (a, b) with
@@ -121,26 +141,64 @@ let arith op a b =
   | x, y ->
       type_error "invalid arithmetic on %s and %s" (to_string x) (to_string y)
 
-(* SQL LIKE with % and _ wildcards. *)
-let like ~pattern s =
+(* [arith] per operator, with the numeric pairs matched in front so a
+   float operand is never boxed on its own; every other pair falls
+   through to [arith]. The results are [arith]'s: [Int] x [Int] stays
+   [Int] except under [/], which yields [Float], and division by zero
+   yields NULL. *)
+let add a b =
+  match (a, b) with
+  | Float x, Float y -> Float (x +. y)
+  | Int x, Int y -> Int (x + y)
+  | Int x, Float y -> Float (float_of_int x +. y)
+  | Float x, Int y -> Float (x +. float_of_int y)
+  | _ -> arith `Add a b
+
+let sub a b =
+  match (a, b) with
+  | Float x, Float y -> Float (x -. y)
+  | Int x, Int y -> Int (x - y)
+  | Int x, Float y -> Float (float_of_int x -. y)
+  | Float x, Int y -> Float (x -. float_of_int y)
+  | _ -> arith `Sub a b
+
+let mul a b =
+  match (a, b) with
+  | Float x, Float y -> Float (x *. y)
+  | Int x, Int y -> Int (x * y)
+  | Int x, Float y -> Float (float_of_int x *. y)
+  | Float x, Int y -> Float (x *. float_of_int y)
+  | _ -> arith `Mul a b
+
+let div a b =
+  match (a, b) with
+  | Float x, Float y -> if y = 0.0 then Null else Float (x /. y)
+  | Int x, Float y -> if y = 0.0 then Null else Float (float_of_int x /. y)
+  | Float x, Int y ->
+      if y = 0 then Null else Float (x /. float_of_int y)
+  | _ -> arith `Div a b
+
+(* SQL LIKE with % and _ wildcards: two pointers with backtracking to
+   the last %. Top-level recursions, so a match allocates no closure. *)
+let rec only_pct pattern pi =
+  pi = String.length pattern || (pattern.[pi] = '%' && only_pct pattern (pi + 1))
+
+let rec like_from pattern s si pi star_si star_pi =
   let n = String.length s and m = String.length pattern in
-  (* dp over pattern positions; classic two-pointer with backtracking *)
-  let rec go si pi star_si star_pi =
-    if si = n then begin
-      (* consume trailing %s *)
-      let rec only_pct pi = pi = m || (pattern.[pi] = '%' && only_pct (pi + 1)) in
-      if only_pct pi then true
-      else if star_pi >= 0 && star_si < n then
-        go (star_si + 1) (star_pi + 1) (star_si + 1) star_pi
-      else false
-    end
-    else if pi < m && (pattern.[pi] = '_' || pattern.[pi] = s.[si]) then
-      go (si + 1) (pi + 1) star_si star_pi
-    else if pi < m && pattern.[pi] = '%' then go si (pi + 1) si pi
-    else if star_pi >= 0 then go (star_si + 1) (star_pi + 1) (star_si + 1) star_pi
+  if si = n then
+    (* consume trailing %s *)
+    if only_pct pattern pi then true
+    else if star_pi >= 0 && star_si < n then
+      like_from pattern s (star_si + 1) (star_pi + 1) (star_si + 1) star_pi
     else false
-  in
-  go 0 0 (-1) (-1)
+  else if pi < m && (pattern.[pi] = '_' || pattern.[pi] = s.[si]) then
+    like_from pattern s (si + 1) (pi + 1) star_si star_pi
+  else if pi < m && pattern.[pi] = '%' then like_from pattern s si (pi + 1) si pi
+  else if star_pi >= 0 then
+    like_from pattern s (star_si + 1) (star_pi + 1) (star_si + 1) star_pi
+  else false
+
+let like ~pattern s = like_from pattern s 0 0 (-1) (-1)
 
 (* -- Serialization (page storage and wire format) ------------------- *)
 
@@ -182,16 +240,26 @@ type cursor = { src : string; mutable pos : int }
 
 let cursor src pos = { src; pos }
 
-(* The big-endian 64-bit integer at [off], sign-extended from the top
-   byte; values fit OCaml's 63-bit int. A top-level function, so a
-   decode allocates no closure. *)
-let get_i64 s off =
-  let b0 = Char.code s.[off] in
-  let v = ref (if b0 >= 128 then b0 - 256 else b0) in
-  for i = 1 to 7 do
-    v := (!v lsl 8) lor Char.code s.[off + i]
-  done;
-  !v
+(* The big-endian 64-bit integer at [off], taken modulo 2^63: values
+   fit OCaml's 63-bit int, as [encode] wrote them. *)
+let get_i64 s off = Int64.to_int (String.get_int64_be s off)
+
+(* Decoded dates from 1970-01-01 to 2059-09-17 share one box per day,
+   made on first use: a TPC-H lineitem row holds three dates, and a
+   scan would otherwise box each of them again. Values are immutable,
+   so sharing one is unobservable. *)
+let shared_days = 1 lsl 15
+let shared_dates = Array.make shared_days Null
+
+let shared_date d =
+  if d < 0 || d >= shared_days then Date d
+  else
+    match Array.unsafe_get shared_dates d with
+    | Null ->
+        let v = Date d in
+        shared_dates.(d) <- v;
+        v
+    | v -> v
 
 let decode c =
   let s = c.src and off = c.pos in
@@ -210,14 +278,9 @@ let decode c =
       c.pos <- off + 9;
       Int v
   | 'D' ->
-      let bits = ref 0L in
-      for i = 0 to 7 do
-        bits :=
-          Int64.logor (Int64.shift_left !bits 8)
-            (Int64.of_int (Char.code s.[off + 1 + i]))
-      done;
+      let v = Int64.float_of_bits (String.get_int64_be s (off + 1)) in
       c.pos <- off + 9;
-      Float (Int64.float_of_bits !bits)
+      Float v
   | 'S' ->
       let len = (Char.code s.[off + 1] lsl 8) lor Char.code s.[off + 2] in
       let v = Str (String.sub s (off + 3) len) in
@@ -226,7 +289,7 @@ let decode c =
   | 'A' ->
       let v = get_i64 s (off + 1) in
       c.pos <- off + 9;
-      Date v
+      shared_date v
   | ch -> type_error "corrupt value tag %C" ch
 
 (* Encoded width of each fixed-width tag; 0 for 'S' (the width is in
@@ -279,21 +342,28 @@ let key_equal a b =
       | None -> false
       | exception Type_error _ -> false)
 
+(* An int's hash, mixed in OCaml rather than by the runtime's generic
+   [Hashtbl.hash]: a multiply by an odd constant, then the high bits
+   folded onto the low ones that hash tables index by. *)
+let hash_int n =
+  let h = n * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 29)) land max_int
+
 (* Consistent with [key_equal]: an [Int], a [Date] and an integral
    [Float] that compare equal hash alike. Below 2^53 the conversion
    between int and float is exact, so such numbers hash as ints; above
    it both sides hash as floats. *)
-let hash =
-  let exact = 1 lsl 53 in
-  function
+let exact = 1 lsl 53
+
+let hash = function
   | Null -> 0
-  | Bool b -> Hashtbl.hash b
+  | Bool b -> Bool.to_int b + 1
   | Int n | Date n ->
-      if n > -exact && n < exact then Hashtbl.hash n
+      if n > -exact && n < exact then hash_int n
       else Hashtbl.hash (float_of_int n)
   | Float f ->
       if Float.is_integer f && Float.abs f < float_of_int exact then
-        Hashtbl.hash (int_of_float f)
+        hash_int (int_of_float f)
       else Hashtbl.hash f
   | Str s -> Hashtbl.hash s
 

@@ -28,6 +28,16 @@ val as_bool : t -> bool
 val compare_opt : t -> t -> int option
 (** SQL comparison; [None] when either side is NULL. *)
 
+val null_cmp : int
+(** What {!compare_sql} returns when either side is NULL ([min_int]). *)
+
+val compare_sql : t -> t -> int
+(** {!compare_opt} without the option: [Some c] is [c], [None] is
+    {!null_cmp}. Raises the same [Type_error]s. *)
+
+val of_bool : bool -> t
+(** [Bool b], shared: allocates nothing. *)
+
 val compare_total : t -> t -> int
 (** Total order (NULL first) for sorting and keying. *)
 
@@ -36,6 +46,13 @@ val equal : t -> t -> bool
 val arith : [ `Add | `Sub | `Mul | `Div ] -> t -> t -> t
 (** Numeric and date arithmetic; NULL-propagating; division by zero
     yields NULL. *)
+
+val add : t -> t -> t
+val sub : t -> t -> t
+val mul : t -> t -> t
+val div : t -> t -> t
+(** [arith `Add] etc., with the numeric pairs matched without boxing
+    an operand; equal to {!arith} on every input. *)
 
 val like : pattern:string -> string -> bool
 (** SQL LIKE with [%] and [_]. *)
