@@ -425,9 +425,40 @@ let qcheck_channel_never_corrupts =
               true (* budget exhausted: typed failure, not wrong data *)
           | Error _ -> false))
 
+(* A rejected query counts once in the metrics registry: the
+   [fault/rejected] counter equals the plan's own tally. The plan is
+   fixed (hostile, seed 2) so that this query is rejected whatever
+   IRONSAFE_FAULT_SEED says. *)
+let test_rejection_counted_once () =
+  let module Obs = Ironsafe_obs.Obs in
+  let module Metrics = Ironsafe_obs.Metrics in
+  let faults = Fault.of_profile ~seed:2 Fault.Hostile in
+  let d =
+    Deployment.create ~seed:"ironsafe-cli" ~faults
+      ~populate:(fun db -> ignore (Tpch.Dbgen.populate db ~scale))
+      ()
+  in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      (match
+         Runner.run_query_outcome d Config.Scs "select count(*) from lineitem"
+       with
+      | Runner.Rejected _ -> ()
+      | _ -> Alcotest.fail "the hostile plan did not reject the query");
+      let s = Fault.stats faults in
+      Alcotest.(check bool) "a rejection happened" true (s.Fault.rejected >= 1);
+      Alcotest.(check int) "registry counts each rejection once" s.Fault.rejected
+        (Metrics.counter_value (Obs.metrics ()) ~scope:"fault" "rejected"))
+
 let suite =
   [
     ("deterministic schedule", `Quick, test_determinism);
+    ("rejection counted once", `Quick, test_rejection_counted_once);
     ("channel reliable roundtrip", `Quick, test_channel_reliable_roundtrip);
     ("channel handshake retry", `Quick, test_channel_handshake_retry);
     ("transient read recovered", `Quick, test_transient_read_recovered);

@@ -434,6 +434,44 @@ let test_flow_events_link_lanes () =
       Alcotest.(check bool) "trace json valid" true
         (Chrome.is_valid_json (Obs.to_chrome_json ())))
 
+(* The span tree prints each instant and flow marker with its
+   timestamp on one line, however narrow the formatter. *)
+let test_tree_markers_on_one_line () =
+  with_obs (fun () ->
+      let clock, tick = fake_clock () in
+      Span.with_ ~name:"query" ~scope:"host" ~clock (fun () ->
+          tick 5.0;
+          Span.instant ~clock ~attrs:[ ("site", "channel") ] ~name:"retry"
+            ~scope:"host" ();
+          let fid = Span.flow_out ~clock ~name:"offload" ~scope:"host" () in
+          Span.with_ ~name:"exec" ~scope:"storage" ~clock (fun () ->
+              Span.flow_in ~clock ~name:"offload" ~scope:"storage" fid;
+              tick 7.0));
+      let root = List.hd (Obs.spans ()) in
+      let buf = Buffer.create 256 in
+      let ppf = Format.formatter_of_buffer buf in
+      Format.pp_set_margin ppf 40;
+      Span.pp_tree ppf root;
+      Format.pp_print_flush ppf ();
+      let lines = String.split_on_char '\n' (Buffer.contents buf) in
+      List.iter
+        (fun marker ->
+          match
+            List.find_opt
+              (fun l -> String.starts_with ~prefix:marker (String.trim l))
+              lines
+          with
+          | None -> Alcotest.failf "no %s line in:\n%s" marker (Buffer.contents buf)
+          | Some l ->
+              let has_stamp =
+                match String.index_opt l '@' with
+                | Some i when i + 2 < String.length l ->
+                    l.[i + 1] = ' ' && l.[i + 2] >= '0' && l.[i + 2] <= '9'
+                | _ -> false
+              in
+              if not has_stamp then Alcotest.failf "%s line without its timestamp: %S" marker l)
+        [ "*retry"; ">offload"; "<offload" ])
+
 let test_sampling_gates_spans_not_metrics () =
   Fun.protect
     ~finally:(fun () -> Obs.set_sample_every 1)
@@ -609,6 +647,7 @@ let suite =
     ("event sink flushes on terminal", `Quick, test_event_sink_flushes_on_terminal);
     ("trace context roundtrip", `Quick, test_trace_context_roundtrip);
     ("flow events link lanes", `Quick, test_flow_events_link_lanes);
+    ("tree markers on one line", `Quick, test_tree_markers_on_one_line);
     ("sampling gates spans not metrics", `Quick, test_sampling_gates_spans_not_metrics);
     ("capture_last is an interval", `Quick, test_capture_last_is_interval);
     ("chrome export deterministic", `Quick, test_chrome_export_deterministic);

@@ -497,6 +497,102 @@ let test_q_null_not_in_semantics () =
 
 (* -- Property tests ------------------------------------------------------------ *)
 
+(* Values for the executor's fast paths: every kind, drawn from small
+   ranges so that equal and integral values are common, with the float
+   edges that a fast path could get wrong. *)
+let fast_value_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (1, return Value.Null);
+      (1, map (fun b -> Value.Bool b) bool);
+      (4, map (fun i -> Value.Int i) (-20 -- 20));
+      (1, map (fun i -> Value.Int i) int);
+      (4, map (fun i -> Value.Float (float_of_int i /. 4.0)) (-80 -- 80));
+      ( 1,
+        oneofl
+          (List.map
+             (fun f -> Value.Float f)
+             [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity;
+               1e300; 5e-324 ]) );
+      (2, map (fun d -> Value.Date d) (9000 -- 9010));
+      (2, map (fun s -> Value.Str s) (oneofl [ ""; "a"; "b"; "ab" ]));
+    ]
+
+let try_value f = match f () with v -> Ok v | exception Value.Type_error _ -> Error ()
+
+(* equal results, floats bit for bit *)
+let same_outcome a b =
+  match (a, b) with
+  | Ok (Value.Float x), Ok (Value.Float y) ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Ok v, Ok w -> v = w
+  | Error (), Error () -> true
+  | _ -> false
+
+(* Value sequences for an aggregate: mostly one family of kinds (a
+   numeric mix, strings or dates) with NULLs, sometimes anything. *)
+let agg_input_gen =
+  let open QCheck.Gen in
+  let numeric =
+    frequency
+      [
+        (1, return Value.Null);
+        (3, map (fun i -> Value.Int i) (-5 -- 5));
+        (3, map (fun i -> Value.Float (float_of_int i /. 3.0)) (-15 -- 15));
+      ]
+  in
+  let strings =
+    frequency
+      [ (1, return Value.Null); (3, map (fun s -> Value.Str s) (oneofl [ "x"; "y"; "z" ])) ]
+  in
+  let dates =
+    frequency [ (1, return Value.Null); (3, map (fun d -> Value.Date d) (100 -- 105)) ]
+  in
+  frequency
+    [
+      (6, list_size (0 -- 12) numeric);
+      (1, list_size (0 -- 8) strings);
+      (1, list_size (0 -- 8) dates);
+      (2, list_size (0 -- 6) fast_value_gen);
+    ]
+
+(* SUM/AVG/MIN/MAX/COUNT as a fold of [Value.arith] and
+   [Value.compare_opt]: NULLs skipped, DISTINCT dropping values
+   key-equal to an earlier one (it never changes MIN or MAX). *)
+let reference_agg func ~distinct values =
+  let values = List.filter (fun v -> v <> Value.Null) values in
+  let values =
+    if not distinct then values
+    else
+      List.rev
+        (List.fold_left
+           (fun seen v ->
+             if List.exists (Value.key_equal v) seen then seen else v :: seen)
+           [] values)
+  in
+  let pick keep =
+    List.fold_left
+      (fun cur v ->
+        match Value.compare_opt v cur with
+        | None -> v
+        | Some c -> if keep c then v else cur)
+      Value.Null values
+  in
+  match func with
+  | Ast.Count -> Value.Int (List.length values)
+  | Ast.Sum ->
+      List.fold_left
+        (fun cur v -> if cur = Value.Null then v else Value.arith `Add cur v)
+        Value.Null values
+  | Ast.Avg ->
+      if values = [] then Value.Null
+      else
+        let sum = List.fold_left (fun s v -> s +. Value.as_float v) 0.0 values in
+        Value.Float (sum /. float_of_int (List.length values))
+  | Ast.Min -> pick (fun c -> c < 0)
+  | Ast.Max -> pick (fun c -> c > 0)
+
 let qcheck_tests =
   let open QCheck in
   let value_gen =
@@ -647,6 +743,46 @@ let qcheck_tests =
           | _ -> Value.Int n
         in
         (not (Value.key_equal a b)) || Value.hash a = Value.hash b);
+    Test.make ~name:"compare_sql agrees with compare_opt" ~count:2000
+      (make Gen.(pair fast_value_gen fast_value_gen))
+      (fun (a, b) ->
+        let expected =
+          match Value.compare_opt a b with
+          | Some c -> Ok c
+          | None -> Ok Value.null_cmp
+          | exception Value.Type_error _ -> Error ()
+        in
+        let got =
+          match Value.compare_sql a b with
+          | c -> Ok c
+          | exception Value.Type_error _ -> Error ()
+        in
+        got = expected);
+    Test.make ~name:"arithmetic fast paths equal Value.arith" ~count:2000
+      (make Gen.(pair fast_value_gen fast_value_gen))
+      (fun (a, b) ->
+        List.for_all
+          (fun (op, fast) ->
+            same_outcome (try_value (fun () -> Value.arith op a b))
+              (try_value (fun () -> fast a b)))
+          [ (`Add, Value.add); (`Sub, Value.sub); (`Mul, Value.mul);
+            (`Div, Value.div) ]);
+    Test.make ~name:"aggregates equal a reference fold" ~count:1000
+      (make agg_input_gen)
+      (fun values ->
+        List.for_all
+          (fun (func, distinct) ->
+            let got =
+              try_value (fun () ->
+                  let st = Agg_state.create func ~distinct in
+                  List.iter (Agg_state.update_value st) values;
+                  Agg_state.finish st)
+            in
+            same_outcome (try_value (fun () -> reference_agg func ~distinct values)) got)
+          [ (Ast.Count, false); (Ast.Count, true); (Ast.Sum, false);
+            (Ast.Sum, true); (Ast.Avg, false); (Ast.Avg, true);
+            (Ast.Min, false); (Ast.Min, true); (Ast.Max, false);
+            (Ast.Max, true) ]);
     Test.make ~name:"date ymd roundtrip" ~count:500
       (make Gen.(pair (1 -- 3000) (pair (1 -- 12) (1 -- 28))))
       (fun (y, (m, d)) -> Date.to_ymd (Date.of_ymd ~y ~m ~d) = (y, m, d));

@@ -470,9 +470,29 @@ let test_distinct_uses_key_equality () =
   check_rows "1.0 and 1 are one value" [ [ "1" ] ]
     (rows db "select count(distinct x) from w")
 
+(* A date literal shifted by an interval is computed once, when the
+   statement is planned; any other operand is still checked per row, so
+   a bad one fails only when a row reaches it. *)
+let test_interval_over_empty_table () =
+  let db = mkdb () in
+  ignore (Database.exec db "create table ev (d date, s varchar)");
+  check_rows "folded literal, no rows" []
+    (rows db "select d from ev where d <= date '1998-12-01' - interval '90' day");
+  check_rows "bad operand, no rows" []
+    (rows db "select s + interval '1' day as x from ev");
+  ignore (Database.exec db "insert into ev values (date '1998-09-02', 'x')");
+  check_rows "folded literal"
+    [ [ "1998-09-02"; "1999-01-01" ] ]
+    (rows db
+       "select date '1998-12-01' - interval '90' day as a, date         '1998-12-01' + interval '1' month as b from ev where d <= date         '1998-12-01' - interval '90' day");
+  match rows db "select s + interval '1' day as x from ev" with
+  | exception Exec.Sql_error _ -> ()
+  | _ -> Alcotest.fail "interval arithmetic on a string accepted"
+
 let suite =
   [
     ("nested subqueries", `Quick, test_nested_subqueries);
+    ("date interval over empty table", `Quick, test_interval_over_empty_table);
     ("scalar subquery cardinality", `Quick, test_scalar_subquery_cardinality);
     ("correlated in subquery", `Quick, test_correlated_in_subquery);
     ("exists over aggregate", `Quick, test_exists_with_aggregate_subquery);
