@@ -1162,6 +1162,19 @@ let microbench _scale =
   let scan_sql =
     "select l_orderkey, l_quantity from lineitem where l_quantity < 25"
   in
+  (* host-phase kernels: the host half of a split query (vcs) over the
+     rows the storage engine shipped, resident in memory, so only the
+     host engine is timed. host_join_agg is Q5's six-table join and
+     aggregation, group_agg_q1 Q1's two-key GROUP BY with eight
+     aggregates over ~30k shipped lineitem rows. *)
+  let host_phase id =
+    let q = List.find (fun (q : Tpch.Queries.t) -> q.id = id) Tpch.Queries.all in
+    let catalog = Sql.Database.catalog scan_db in
+    let plan = Partitioner.split catalog (Sql.Parser.parse q.sql) in
+    let offload = Storage_engine.run_offload scan_db plan in
+    fun () -> ignore (Host_engine.run_host ~storage_catalog:catalog plan offload)
+  in
+  let host_join_agg = host_phase 5 and group_agg_q1 = host_phase 1 in
   (* Scheduler kernels: the two inner primitives of the 10^5-session
      replay loop. event_queue_push_pop works the pairing heap at a
      realistic standing depth (64Ki pending events), one push+pop per
@@ -1299,6 +1312,8 @@ let microbench _scale =
        fun () -> ignore (Sec.Secure_store.read_page store 1));
       ("row_scan_filter", 1,
        fun () -> ignore (Sql.Database.query scan_db scan_sql));
+      ("host_join_agg", 1, host_join_agg);
+      ("group_agg_q1", 1, group_agg_q1);
       ("wal_append", 1,
        fun () ->
          ignore (W.Wal.append wal_append_w wal_record);

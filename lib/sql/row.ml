@@ -16,7 +16,11 @@ let encode row =
   Bytes.to_string out
 
 let encoded_size row =
-  Array.fold_left (fun acc v -> acc + Value.encoded_size v) 2 row
+  let n = ref 2 in
+  for i = 0 to Array.length row - 1 do
+    n := !n + Value.encoded_size (Array.unsafe_get row i)
+  done;
+  !n
 
 (* Decode the row at the cursor into [row], leaving the cursor past
    it: slot [i] is built when [mask.(i)], and the other values are only
@@ -45,7 +49,11 @@ let decode ~arity c =
   row
 
 let heap_size row =
-  Array.fold_left (fun acc v -> acc + Value.heap_size v) 16 row
+  let n = ref 16 in
+  for i = 0 to Array.length row - 1 do
+    n := !n + Value.heap_size (Array.unsafe_get row i)
+  done;
+  !n
 
 let pp ppf row =
   Fmt.pf ppf "(%s)"

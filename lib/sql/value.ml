@@ -349,6 +349,16 @@ let hash_int n =
   let h = n * 0x2545F4914F6CDD1D in
   (h lxor (h lsr 29)) land max_int
 
+(* A string's hash: FNV-1a over the bytes of a short string, the
+   runtime's [Hashtbl.hash] for a long one (which reads a prefix). *)
+let rec fnv_from s i h =
+  if i = String.length s then h
+  else fnv_from s (i + 1) ((h lxor Char.code (String.unsafe_get s i)) * 0x100000001b3)
+
+let hash_string s =
+  if String.length s <= 16 then hash_int (fnv_from s 0 0x0bf29ce484222325)
+  else Hashtbl.hash s
+
 (* Consistent with [key_equal]: an [Int], a [Date] and an integral
    [Float] that compare equal hash alike. Below 2^53 the conversion
    between int and float is exact, so such numbers hash as ints; above
@@ -365,7 +375,7 @@ let hash = function
       if Float.is_integer f && Float.abs f < float_of_int exact then
         hash_int (int_of_float f)
       else Hashtbl.hash f
-  | Str s -> Hashtbl.hash s
+  | Str s -> hash_string s
 
 (* Approximate in-memory footprint, for the memory meter. [skip]
    returns the same figure for a value it does not build. *)
