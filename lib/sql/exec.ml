@@ -42,6 +42,18 @@
    ([Value.key_equal]): a join, IN or semijoin key holding NULL matches
    nothing, while GROUP BY keeps NULLs in one group.
 
+   Hot-path allocation: a row allocates what SQL keeps (its array, its
+   decoded values, one copy when it is materialised) and little else.
+   Comparisons return shared truth values through [Value.compare_sql];
+   arithmetic matches numeric pairs before [Value.arith]; a date
+   literal shifted by an interval is folded at plan time; aggregates
+   keep float sums unboxed ([Agg_state]); one- and two-column keys are
+   array literals; a row's filters share one env; an unordered SELECT
+   conses its output directly. Scan rows are fresh per row on purpose:
+   a reused scratch row moves minor collections into phases that hold
+   shipped rows and promotes them, and a mutable env pays a
+   [caml_modify] per row.
+
    Subqueries (EXISTS / IN / scalar) are planned in two stages:
    stage A — everything independent of the outer row — runs and is
    memoized once; correlated equi-predicates become a hash semi-join
@@ -126,9 +138,10 @@ let rec resolve ctx qualifier name depth =
 
 type compiled = env -> Value.t
 
-(* One closure per comparison operator: [Value.compare_sql] and a
-   shared truth value, so a comparison allocates nothing. *)
-let compare_binop op (ca : compiled) (cb : compiled) : compiled =
+(* One closure per binary operator. A comparison is [Value.compare_sql]
+   and a shared truth value, so it allocates nothing; arithmetic is the
+   operator's [Value] fast path. *)
+let binop_closure op (ca : compiled) (cb : compiled) : compiled =
   let open Value in
   match op with
   | Eq ->
@@ -389,7 +402,7 @@ let rec compile ctx expr : compiled =
             | Value.Date d -> Value.Date (shifted d)
             | Value.Null -> Value.Null
             | v -> fail "interval arithmetic on non-date %s" (Value.to_string v)))
-  | Binop (op, a, b) -> compare_binop op (compile ctx a) (compile ctx b)
+  | Binop (op, a, b) -> binop_closure op (compile ctx a) (compile ctx b)
   | Like { negated; subject; pattern } -> (
       let cs = compile ctx subject in
       fun env ->

@@ -51,9 +51,9 @@ val attach :
     pass-through mode — see {!engage}. *)
 
 val engage : t -> unit
-(** Turn logging/versioning on. Until then reads and writes pass
-    straight to the base store, so population is byte-identical to a
-    WAL-less deployment. *)
+(** Turn logging/versioning on. Until then reads and writes go
+    straight to the base store: nothing is logged or versioned, so
+    population writes exactly the pages a store without a WAL would. *)
 
 val engaged : t -> bool
 
